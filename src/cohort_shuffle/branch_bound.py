@@ -20,13 +20,14 @@ from __future__ import annotations
 import enum
 import heapq
 import math
-import threading
+import random
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from cohort_shuffle.bounds import optimality_gap
+from cohort_shuffle.heuristics import MoveEvaluator, descend
 from cohort_shuffle.ipmodel import IpModel, ModelVariant
 from cohort_shuffle.roster import Assignment, deviation_from_sums
 from cohort_shuffle.simplex import (
@@ -63,8 +64,8 @@ class SolveOptions:
     ``warm_start`` seeds the incumbent with a known assignment (silently
     skipped if it violates the model rows).  ``node_limit`` and
     ``time_limit_s`` stop the search early with the best incumbent found.
-    Runs with ``workers=1`` are bit-deterministic; more workers keep the
-    final objective and status but may visit different node counts.
+    ``workers`` is accepted and recorded but the search runs on one
+    thread, so every run is bit-deterministic for any value.
     """
 
     time_limit_s: float | None = None
@@ -156,7 +157,7 @@ def _canonical_point(model: IpModel, asg: np.ndarray) -> tuple[np.ndarray, float
                 if c2 == c:
                     continue
                 x[base + p] = abs(sums_a[c] - sums_a[c2])
-                x[base + len_pairs(n_c) + p] = abs(sums_m[c] - sums_m[c2])
+                x[base + n_c * (n_c - 1) + p] = abs(sums_m[c] - sums_m[c2])
                 p += 1
         obj = deviation_from_sums(sums_a, sums_m, meta["aom_weight"], meta["mom_weight"])
         return x, obj
@@ -169,11 +170,6 @@ def _canonical_point(model: IpModel, asg: np.ndarray) -> tuple[np.ndarray, float
             x[base + p] = 1.0
             hits += 1
     return x, float(hits)
-
-
-def len_pairs(n_c: int) -> int:
-    """Number of ordered company pairs, the y/z block width."""
-    return n_c * (n_c - 1)
 
 
 def _point_feasible(engine: SimplexEngine, x: np.ndarray) -> bool:
@@ -203,8 +199,6 @@ class _Search:
             self.floor = max(self.floor, float(opts.external_lb))
 
         self.impr_eps = (1.0 - 1e-6) if self.integral_obj else 1e-9
-        self.lock = threading.Lock()
-        self.cond = threading.Condition(self.lock)
         self.heap: list[tuple[float, int, tuple[tuple[int, int], ...]]] = []
         self.seq = 0
         self.inc_obj: float | None = None
@@ -212,7 +206,6 @@ class _Search:
         self.inc_x: np.ndarray | None = None
         self.nodes = 0
         self.lp_iters = 0
-        self.active = 0
         self.stop_reason: str | None = None
         self.stop_glb: float | None = None
         self.deadline = (time.monotonic() + opts.time_limit_s
@@ -235,11 +228,10 @@ class _Search:
             return
         if not _point_feasible(self.engine, x):
             return
-        with self.lock:
-            if self.inc_obj is None or obj < self.inc_obj - 1e-12:
-                self.inc_obj = obj
-                self.inc_asg = None if asg is None else asg.copy()
-                self.inc_x = x
+        if self.inc_obj is None or obj < self.inc_obj - 1e-12:
+            self.inc_obj = obj
+            self.inc_asg = None if asg is None else asg.copy()
+            self.inc_x = x
 
     def _cutoff(self) -> float:
         return math.inf if self.inc_obj is None else self.inc_obj - self.impr_eps
@@ -252,6 +244,10 @@ class _Search:
 
     def _proved(self, glb: float) -> bool:
         return self.inc_obj is not None and self.inc_obj - glb <= self._stop_tol()
+
+    def _at_floor(self) -> bool:
+        """The incumbent meets the a-priori floor, so it is optimal."""
+        return self.inc_obj is not None and self.inc_obj - self.floor <= max(self.impr_eps, 1e-9)
 
     def _out_of_budget(self) -> bool:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -272,227 +268,33 @@ class _Search:
             return float(math.ceil(lp_obj - CEIL_SLACK))
         return lp_obj - CONT_SLACK * (1.0 + abs(lp_obj))
 
+    def _rounded(self, x: np.ndarray) -> np.ndarray:
+        """The company with the largest x value, per student."""
+        n, n_c = self.n_students, self.n_c
+        return x[:n * n_c].reshape(n, n_c).argmax(axis=1)
+
     def _round_and_repair(self, x: np.ndarray) -> None:
-        """Root heuristic: snap to the nearest assignment, walk students
-        between companies while the total row violation decreases, then walk
-        the objective down over moves that stay feasible."""
+        """Root heuristic: round the relaxation to the nearest assignment and
+        descend from it over the x-block rows, lexicographically in
+        (violation, objective); if that ends infeasible, descend from the
+        fallback starts (everyone one company on, and for ``min`` everyone
+        staying put) until one ends feasible."""
         if not self.domain or self.n_c == 0:
             return
-        eng = self.engine
-        n, n_c = self.n_students, self.n_c
-        asg = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            asg[i] = int(np.argmax(x[i * n_c:(i + 1) * n_c]))
-        point, _ = _canonical_point(self.model, asg)
-
-        extra_cols = range(n * n_c, self.model.num_vars)
-        soft_rows: set[int] = set()
-        for j in extra_cols:
-            lo, hi = eng.a_csc.indptr[j], eng.a_csc.indptr[j + 1]
-            soft_rows.update(int(r) for r in eng.a_csc.indices[lo:hi])
-        hard = np.ones(eng.m, dtype=bool)
-        if soft_rows:
-            hard[list(soft_rows)] = False
-
-        def violation(res: np.ndarray) -> float:
-            below = np.maximum(eng.slack_lo - res, 0.0)
-            above = np.maximum(res - eng.slack_hi, 0.0)
-            return float(below[hard].sum() + above[hard].sum())
-
-        def col_delta(res: np.ndarray, j: int, sign: float) -> None:
-            lo, hi = eng.a_csc.indptr[j], eng.a_csc.indptr[j + 1]
-            res[eng.a_csc.indices[lo:hi]] += sign * eng.a_csc.data[lo:hi]
-
-        def relocate(res: np.ndarray, i: int, c_from: int, c_to: int) -> None:
-            col_delta(res, i * n_c + c_from, +1.0)
-            col_delta(res, i * n_c + c_to, -1.0)
-
-        def walk(start: np.ndarray) -> tuple[np.ndarray, float]:
-            """Drive the violation of the hard rows down from one start.
-
-            Relocations go first; when they stall short of feasibility the
-            walk falls back to pairwise swaps, which can cross count-window
-            plateaus that single moves cannot.
-            """
-            point, _ = _canonical_point(self.model, start)
-            res = eng.b - eng.a_csc @ point
-            total = violation(res)
-            budget = 4 * n
-            improved = True
-            while improved and total > FEAS_EPS and budget > 0:
-                improved = False
-                for i in range(n):
-                    cur = int(start[i])
-                    for c2 in range(n_c):
-                        if c2 == cur:
-                            continue
-                        relocate(res, i, cur, c2)
-                        cand = violation(res)
-                        if cand < total - 1e-12:
-                            total = cand
-                            start[i] = c2
-                            cur = c2
-                            budget -= 1
-                            improved = True
-                        else:
-                            relocate(res, i, c2, cur)
-                    if budget <= 0 or total <= FEAS_EPS:
-                        break
-                if improved or total <= FEAS_EPS or budget <= 0:
-                    continue
-                for i in range(n):
-                    ci = int(start[i])
-                    for j in range(i + 1, n):
-                        cj = int(start[j])
-                        if cj == ci:
-                            continue
-                        relocate(res, i, ci, cj)
-                        relocate(res, j, cj, ci)
-                        cand = violation(res)
-                        if cand < total - 1e-12:
-                            total = cand
-                            start[i], start[j] = cj, ci
-                            budget -= 1
-                            improved = True
-                            break
-                        relocate(res, i, cj, ci)
-                        relocate(res, j, ci, cj)
-                    if improved or budget <= 0:
-                        break
-            return res, total
-
-        r, total = walk(asg)
-        if total > FEAS_EPS and "old_company" in self.model.meta:
-            old = np.asarray(self.model.meta["old_company"], dtype=np.int64)
-            fallbacks = [(old + 1) % n_c]
-            if self.model.variant is ModelVariant.MIN_SAME_COMPANY:
-                fallbacks.append(old.copy())
-            for start in fallbacks:
-                r2, total2 = walk(start)
-                if total2 <= FEAS_EPS:
-                    asg, r, total = start, r2, total2
-                    break
-        if total > FEAS_EPS:
-            return
-        self._reduce_cost(asg, r, violation, relocate)
-        self._try_incumbent(asg, None)
-
-    def _reduce_cost(self, asg: np.ndarray, r: np.ndarray, violation, relocate) -> None:
-        """First-improvement descent over relocations and swaps that keep
-        every hard row satisfied.  Objective deltas are tracked on compact
-        per-company aggregates; the incumbent is re-scored canonically."""
         meta = self.model.meta
-        n, n_c = self.n_students, self.n_c
-        old = np.asarray(meta["old_company"], dtype=np.int64)
-        variant = self.model.variant
-
-        if variant is ModelVariant.MERIT_DEVIATION:
-            aom = np.asarray(meta["aom_scores"])
-            mom = np.asarray(meta["mom_scores"])
-            wa, wm = float(meta["aom_weight"]), float(meta["mom_weight"])
-            sums_a = np.zeros(n_c)
-            sums_m = np.zeros(n_c)
-            np.add.at(sums_a, asg, aom)
-            np.add.at(sums_m, asg, mom)
-            coef = 2.0 * np.arange(n_c) - (n_c - 1)
-
-            def objective() -> float:
-                spread_a = 2.0 * float(coef @ np.sort(sums_a))
-                spread_m = 2.0 * float(coef @ np.sort(sums_m))
-                return wa * spread_a + wm * spread_m
-
-            def move(i: int, c_from: int, c_to: int) -> None:
-                sums_a[c_from] -= aom[i]
-                sums_a[c_to] += aom[i]
-                sums_m[c_from] -= mom[i]
-                sums_m[c_to] += mom[i]
-
-            def hot() -> list[int]:
-                return list(range(n))
-        elif variant is ModelVariant.MIN_PAIRS:
-            cohort = np.zeros((n_c, n_c))
-            for i in range(n):
-                cohort[asg[i], old[i]] += 1.0
-
-            def objective() -> float:
-                return float((cohort * (cohort - 1.0)).sum() / 2.0)
-
-            def move(i: int, c_from: int, c_to: int) -> None:
-                cohort[c_from, old[i]] -= 1.0
-                cohort[c_to, old[i]] += 1.0
-
-            def hot() -> list[int]:
-                return [i for i in range(n) if cohort[asg[i], old[i]] >= 2.0]
-        else:
-            def objective() -> float:
-                return float(np.count_nonzero(asg == old))
-
-            def move(i: int, c_from: int, c_to: int) -> None:
-                return None
-
-            def hot() -> list[int]:
-                return [i for i in range(n) if asg[i] == old[i]]
-
-        def try_relocation(i: int, ci: int, c2: int) -> bool:
-            nonlocal cur
-            relocate(r, i, ci, c2)
-            if violation(r) <= FEAS_EPS:
-                move(i, ci, c2)
-                asg[i] = c2
-                cand = objective()
-                if cand < cur - 1e-9:
-                    cur = cand
-                    return True
-                move(i, c2, ci)
-                asg[i] = ci
-            relocate(r, i, c2, ci)
-            return False
-
-        def try_swap(i: int, ci: int, j: int, cj: int) -> bool:
-            nonlocal cur
-            relocate(r, i, ci, cj)
-            relocate(r, j, cj, ci)
-            if violation(r) <= FEAS_EPS:
-                move(i, ci, cj)
-                move(j, cj, ci)
-                asg[i], asg[j] = cj, ci
-                cand = objective()
-                if cand < cur - 1e-9:
-                    cur = cand
-                    return True
-                move(i, cj, ci)
-                move(j, ci, cj)
-                asg[i], asg[j] = ci, cj
-            relocate(r, i, cj, ci)
-            relocate(r, j, ci, cj)
-            return False
-
-        cur = objective()
-        budget = 6 * n
-        improving = True
-        while improving and budget > 0:
-            improving = False
-            for i in hot():
-                ci = int(asg[i])
-                for c2 in range(n_c):
-                    if c2 != ci and try_relocation(i, ci, c2):
-                        budget -= 1
-                        improving = True
-                        break
-                if budget <= 0:
-                    break
-            if budget <= 0 or variant is ModelVariant.MERIT_DEVIATION:
-                continue
-            for i in hot():
-                ci = int(asg[i])
-                for j in range(n):
-                    cj = int(asg[j])
-                    if cj != ci and try_swap(i, ci, j, cj):
-                        budget -= 1
-                        improving = True
-                        break
-                if budget <= 0:
-                    break
+        n, n_c, old = self.n_students, self.n_c, meta["old_company"]
+        starts = [self._rounded(x), [(o + 1) % n_c for o in old]]
+        if self.model.variant is ModelVariant.MIN_SAME_COMPANY:
+            starts.append(list(old))
+        rows = [row for row in self.model.rows if all(j < n * n_c for j in row.cols)]
+        ev = MoveEvaluator(rows, meta, self.model.variant)
+        rng = random.Random(self.opts.seed)
+        for start in starts:
+            ev.load(start)
+            descend(ev, rng, 10 * n)
+            if ev.violation == 0.0:
+                self._try_incumbent(np.array(ev.asg, dtype=np.int64), None)
+                return
 
     def _plunge(self, fixes: tuple[tuple[int, int], ...], at_root: bool) -> None:
         """Dive from one node, pushing siblings while descending."""
@@ -507,9 +309,8 @@ class _Search:
                 retry = eng.solve(lo, hi, max_iter=retry_iter, stable=True)
                 retry.iterations += raw.iterations
                 raw = retry
-            with self.lock:
-                self.nodes += 1
-                self.lp_iters += raw.iterations
+            self.nodes += 1
+            self.lp_iters += raw.iterations
             if raw.status is LpStatus.INFEASIBLE:
                 return
             if raw.status is not LpStatus.OPTIMAL:
@@ -520,7 +321,7 @@ class _Search:
             if at_root:
                 self._round_and_repair(raw.x)
                 at_root = False
-                if node_bound >= self._cutoff():
+                if node_bound >= self._cutoff() or self._at_floor():
                     return
 
             xb = raw.x[self.binary_cols] if len(self.binary_cols) else np.zeros(0)
@@ -528,11 +329,7 @@ class _Search:
             cand = np.nonzero(frac > INT_EPS)[0]
             if len(cand) == 0:
                 if self.domain:
-                    asg = np.empty(self.n_students, dtype=np.int64)
-                    for i in range(self.n_students):
-                        block = raw.x[i * self.n_c:(i + 1) * self.n_c]
-                        asg[i] = int(np.argmax(block))
-                    self._try_incumbent(asg, None)
+                    self._try_incumbent(self._rounded(raw.x), None)
                 else:
                     self._try_incumbent(None, raw.x)
                 return
@@ -540,10 +337,8 @@ class _Search:
             pick = cand[np.argmin(np.abs(xb[cand] - 0.5))]
             col = int(self.binary_cols[pick])
             near = int(round(float(xb[pick])))
-            with self.cond:
-                self.seq += 1
-                heapq.heappush(self.heap, (node_bound, self.seq, fixes + ((col, 1 - near),)))
-                self.cond.notify()
+            self.seq += 1
+            heapq.heappush(self.heap, (node_bound, self.seq, fixes + ((col, 1 - near),)))
             fixes = fixes + ((col, near),)
             if self._out_of_budget():
                 return
@@ -560,14 +355,11 @@ class _Search:
             self._try_incumbent(asg, None)
 
         proven_exact = False
-        if self.inc_obj is not None and self.inc_obj - self.floor <= max(self.impr_eps, 1e-9):
+        if self._at_floor():
             proven_exact = True
         else:
             self.heap = [(self.floor if self.floor > -math.inf else -math.inf, 0, ())]
-            if opts.workers <= 1:
-                proven_exact = self._drive_sequential()
-            else:
-                proven_exact = self._drive_threaded()
+            proven_exact = self._drive_sequential()
 
         wall = time.monotonic() - t0
         stats = SolveStats(self.nodes, self.lp_iters, wall)
@@ -599,71 +391,21 @@ class _Search:
     def _heap_bound(self) -> float:
         if self.stop_glb is not None:
             return self.stop_glb
-        with self.lock:
-            return self.heap[0][0] if self.heap else (self.inc_obj if self.inc_obj is not None else math.inf)
+        return self.heap[0][0] if self.heap else (self.inc_obj if self.inc_obj is not None else math.inf)
 
     def _drive_sequential(self) -> bool:
         while True:
             if self._out_of_budget():
                 self.stop_reason = "budget"
                 return False
-            with self.lock:
-                if not self.heap:
-                    return True
-                bound, _, fixes = heapq.heappop(self.heap)
+            if not self.heap:
+                return True
+            bound, _, fixes = heapq.heappop(self.heap)
             glb = max(bound, self.floor)
             if self.inc_obj is not None and (glb >= self._cutoff() or self._proved(glb)):
                 self.stop_glb = glb
                 return self.inc_obj - glb <= self.impr_eps or glb >= self._cutoff()
             self._plunge(fixes, at_root=self.nodes == 0)
-
-    def _drive_threaded(self) -> bool:
-        workers = max(2, self.opts.workers)
-        exhausted = threading.Event()
-        proven = threading.Event()
-
-        def body() -> None:
-            while True:
-                with self.cond:
-                    while not self.heap and self.active > 0 and not exhausted.is_set():
-                        self.cond.wait(0.05)
-                    if exhausted.is_set() or (not self.heap and self.active == 0):
-                        exhausted.set()
-                        self.cond.notify_all()
-                        return
-                    if not self.heap:
-                        continue
-                    bound, _, fixes = heapq.heappop(self.heap)
-                    self.active += 1
-                try:
-                    if self._out_of_budget():
-                        self.stop_reason = "budget"
-                        exhausted.set()
-                        continue
-                    glb = max(bound, self.floor)
-                    if self.inc_obj is not None and (glb >= self._cutoff() or self._proved(glb)):
-                        if self.stop_glb is None:
-                            self.stop_glb = glb
-                        if self.inc_obj - glb <= self.impr_eps or glb >= self._cutoff():
-                            proven.set()
-                        exhausted.set()
-                        continue
-                    self._plunge(fixes, at_root=self.nodes == 0)
-                finally:
-                    with self.cond:
-                        self.active -= 1
-                        self.cond.notify_all()
-
-        threads = [threading.Thread(target=body, daemon=True) for _ in range(workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if proven.is_set():
-            return True
-        with self.lock:
-            empty = not self.heap
-        return empty and self.stop_reason != "budget"
 
 
 def solve_ip(model: IpModel, opts: SolveOptions | None = None) -> SolveResult:

@@ -144,7 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap-rel", type=float, default=0.0)
     p.add_argument("--node-limit", type=int, default=None)
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel tree workers (default $COHORT_SHUFFLE_THREADS or 1)")
+                   help="tree workers to record; the search runs on one thread "
+                        "(default $COHORT_SHUFFLE_THREADS or 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--external-lb", type=float, default=None,
                    help="trusted lower bound on the optimum")

@@ -65,46 +65,17 @@ def acquainted_pairs(roster: Roster) -> list[tuple[int, int]]:
     return pairs
 
 
-def compile_model(roster: Roster, variant: ModelVariant) -> IpModel:
-    """Build the requested variant as a sparse row model over named columns."""
-    if not isinstance(variant, ModelVariant):
-        raise ValueError(f"unknown model variant: {variant!r}")
-    if not roster.students:
-        raise ValueError("cannot compile an empty roster")
-    if variant is not ModelVariant.MIN_SAME_COMPANY and roster.num_companies < 2:
-        raise ValueError("forbidding same-company reassignment needs at least 2 companies")
+def assignment_block(roster: Roster, variant: ModelVariant) -> tuple[list[LinearRow], dict]:
+    """The x-block rows (those over assignment columns alone) and the model
+    metadata, whose ``pairs`` entry is left empty.
+
+    These are exactly the families :func:`~cohort_shuffle.roster.check_feasible`
+    audits: an assignment satisfies them all precisely when it passes.
+    """
     students = roster.students
     n_c = roster.num_companies
     tol = roster.tolerances
     labels = roster.company_labels
-
-    variables: list[Variable] = []
-    for s in students:
-        for c in range(n_c):
-            cost = 0.0
-            if variant is ModelVariant.MIN_SAME_COMPANY and c == s.old_company:
-                cost = 1.0
-            variables.append(Variable(f"x[{s.id},{labels[c]}]", VarKind.BINARY, 0.0, 1.0, cost))
-
-    ordered_pairs = [(c, c2) for c in range(n_c) for c2 in range(n_c) if c2 != c]
-    y_base = z_base = u_base = -1
-    if variant is ModelVariant.MERIT_DEVIATION:
-        y_base = len(variables)
-        for c, c2 in ordered_pairs:
-            variables.append(Variable(f"y[{labels[c]},{labels[c2]}]", VarKind.CONTINUOUS,
-                                      0.0, INF, roster.aom_weight))
-        z_base = len(variables)
-        for c, c2 in ordered_pairs:
-            variables.append(Variable(f"z[{labels[c]},{labels[c2]}]", VarKind.CONTINUOUS,
-                                      0.0, INF, roster.mom_weight))
-
-    pair_list: list[tuple[int, int]] = []
-    if variant is ModelVariant.MIN_PAIRS:
-        pair_list = acquainted_pairs(roster)
-        u_base = len(variables)
-        for a, b in pair_list:
-            variables.append(Variable(f"u[{students[a].id},{students[b].id}]",
-                                      VarKind.BINARY, 0.0, 1.0, 1.0))
 
     def xcol(i: int, c: int) -> int:
         return i * n_c + c
@@ -217,12 +188,69 @@ def compile_model(roster: Roster, variant: ModelVariant) -> IpModel:
         for i, s in enumerate(students):
             rows.append(LinearRow("no_stay", (s.id,), (xcol(i, s.old_company),), (1.0,), Sense.EQ, 0.0))
 
+    meta = {
+        "variant": variant.value,
+        "student_ids": tuple(s.id for s in students),
+        "company_labels": labels,
+        "old_company": tuple(s.old_company for s in students),
+        "aom_scores": tuple(s.aom for s in students),
+        "mom_scores": tuple(s.mom for s in students),
+        "aom_weight": roster.aom_weight,
+        "mom_weight": roster.mom_weight,
+        "pairs": (),
+    }
+    return rows, meta
+
+
+def compile_model(roster: Roster, variant: ModelVariant) -> IpModel:
+    """Build the requested variant as a sparse row model over named columns."""
+    if not isinstance(variant, ModelVariant):
+        raise ValueError(f"unknown model variant: {variant!r}")
+    if not roster.students:
+        raise ValueError("cannot compile an empty roster")
+    if variant is not ModelVariant.MIN_SAME_COMPANY and roster.num_companies < 2:
+        raise ValueError("forbidding same-company reassignment needs at least 2 companies")
+    students = roster.students
+    n_c = roster.num_companies
+    labels = roster.company_labels
+
+    variables: list[Variable] = []
+    for s in students:
+        for c in range(n_c):
+            cost = 0.0
+            if variant is ModelVariant.MIN_SAME_COMPANY and c == s.old_company:
+                cost = 1.0
+            variables.append(Variable(f"x[{s.id},{labels[c]}]", VarKind.BINARY, 0.0, 1.0, cost))
+
+    ordered_pairs = [(c, c2) for c in range(n_c) for c2 in range(n_c) if c2 != c]
+    y_base = z_base = u_base = -1
+    if variant is ModelVariant.MERIT_DEVIATION:
+        y_base = len(variables)
+        for c, c2 in ordered_pairs:
+            variables.append(Variable(f"y[{labels[c]},{labels[c2]}]", VarKind.CONTINUOUS,
+                                      0.0, INF, roster.aom_weight))
+        z_base = len(variables)
+        for c, c2 in ordered_pairs:
+            variables.append(Variable(f"z[{labels[c]},{labels[c2]}]", VarKind.CONTINUOUS,
+                                      0.0, INF, roster.mom_weight))
+
+    pair_list: list[tuple[int, int]] = []
+    if variant is ModelVariant.MIN_PAIRS:
+        pair_list = acquainted_pairs(roster)
+        u_base = len(variables)
+        for a, b in pair_list:
+            variables.append(Variable(f"u[{students[a].id},{students[b].id}]",
+                                      VarKind.BINARY, 0.0, 1.0, 1.0))
+
+    rows, meta = assignment_block(roster, variant)
+    all_companies = tuple(range(n_c))
+
     if variant is ModelVariant.MERIT_DEVIATION:
         aom = [s.aom for s in students]
         mom = [s.mom for s in students]
         n = len(students)
         for p, (c, c2) in enumerate(ordered_pairs):
-            cols = tuple(xcol(i, c) for i in range(n)) + tuple(xcol(i, c2) for i in range(n))
+            cols = tuple(x_column(i, c, n_c) for i in range(n)) + tuple(x_column(i, c2, n_c) for i in range(n))
             ycol = (y_base + p,)
             zcol = (z_base + p,)
             a_diff = tuple(aom) + tuple(-v for v in aom)
@@ -241,18 +269,8 @@ def compile_model(roster: Roster, variant: ModelVariant) -> IpModel:
             ida, idb = students[a].id, students[b].id
             for c in all_companies:
                 rows.append(LinearRow("together", (ida, idb, labels[c]),
-                                      (xcol(a, c), xcol(b, c), u_base + p),
+                                      (x_column(a, c, n_c), x_column(b, c, n_c), u_base + p),
                                       (1.0, 1.0, -1.0), Sense.LE, 1.0))
 
-    meta = {
-        "variant": variant.value,
-        "student_ids": tuple(s.id for s in students),
-        "company_labels": labels,
-        "old_company": tuple(s.old_company for s in students),
-        "aom_scores": tuple(s.aom for s in students),
-        "mom_scores": tuple(s.mom for s in students),
-        "aom_weight": roster.aom_weight,
-        "mom_weight": roster.mom_weight,
-        "pairs": tuple((students[a].id, students[b].id) for a, b in pair_list),
-    }
+    meta["pairs"] = tuple((students[a].id, students[b].id) for a, b in pair_list)
     return IpModel(variant, tuple(variables), tuple(rows), meta)

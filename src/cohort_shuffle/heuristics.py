@@ -6,27 +6,25 @@ other companies; with the companies' sizes between ``|C|`` and
 which makes it an optimality witness on balanced instances.
 ``rotate_within_battalions`` moves companies wholesale, preserving every
 per-company statistic of a feasible previous assignment.  ``local_search``
-then polishes any start with relocate and swap moves.
+polishes a start with :func:`descend`, the one local search, which the
+branch-and-bound root heuristic also runs.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from typing import Sequence
 
-from cohort_shuffle.ipmodel import ModelVariant
-from cohort_shuffle.roster import (
-    FEAS_TOL,
-    GENDERS,
-    METRICS,
-    QUALITIES,
-    Assignment,
-    Roster,
-    check_feasible,
-    count_pairs,
-    count_same_company,
-    deviation_from_sums,
-    weighted_deviation,
-)
+from cohort_shuffle.compiler import assignment_block
+from cohort_shuffle.ipmodel import LinearRow, ModelVariant, Sense
+from cohort_shuffle.roster import FEAS_TOL, Assignment, Roster, deviation_from_sums
+
+#: violation and objective changes within this count as no change
+EPS = 1e-9
+
+#: one move: (student index, destination company)
+Move = tuple[int, int]
 
 
 def cyclic_deal(roster: Roster) -> Assignment:
@@ -72,208 +70,218 @@ def rotate_within_battalions(roster: Roster, shift: int = 1) -> Assignment:
     return out
 
 
-class _Ledger:
-    """Incremental per-company view of everything check_feasible looks at."""
+class MoveEvaluator:
+    """Row violation and objective of one assignment, updated per move.
 
-    def __init__(self, roster: Roster, asg: Assignment, forbid_same: bool) -> None:
-        self.roster = roster
-        self.tol = roster.tolerances
-        n_c = roster.num_companies
-        self.size = [0] * n_c
-        self.quality = {q: [0] * n_c for q in QUALITIES}
-        self.sums = {m: [0.0] * n_c for m in METRICS}
-        self.gender = {g: [0] * n_c for g in GENDERS}
-        races = set(self.tol.race_min) | set(self.tol.race_max)
-        self.race = {e: [0] * n_c for e in races}
-        self.sport = {v: [0] * n_c for v in self.tol.sport_max}
-        self.sapr = [0] * n_c
-        self.intl = [0] * n_c
-        self.cohort: dict[tuple[int, int], int] = {}
-        self.partners: dict[str, list[str]] = {}
-        for a, b in roster.conflict_pairs:
-            self.partners.setdefault(a, []).append(b)
-            self.partners.setdefault(b, []).append(a)
-        self.allowed: dict[str, frozenset[int]] = {}
-        all_c = frozenset(range(n_c))
-        for s in roster.students:
-            base = frozenset(roster.battalions[roster.battalion_of(s.old_company)]) \
-                if s.battalion_locked else all_c
-            if forbid_same:
-                base = base - {s.old_company}
-            self.allowed[s.id] = base
-            self._add(s, asg[s.id], +1)
+    Built from the x-block rows of :func:`~cohort_shuffle.compiler.assignment_block`;
+    :meth:`load` sets the assignment.  A row over one student's columns keeps
+    a coefficient per company; every other row lies within one company and
+    sits in plain row and coefficient lists per column, so a move costs
+    O(touched rows).  ``violation`` sums how far rows miss their bounds beyond
+    ``FEAS_TOL``, as ``check_feasible`` counts them, and is exactly 0.0 when
+    none does.  The objective comes from the (new, old) cohort matrix
+    (stays are its diagonal) or the per-company aom/mom sums.
+    """
 
-    def _add(self, s, c: int, sign: int) -> None:
-        self.size[c] += sign
-        for q in QUALITIES:
-            if s.in_quality(q):
-                self.quality[q][c] += sign
-        for m in METRICS:
-            self.sums[m][c] += sign * s.score(m)
-        self.gender[s.gender][c] += sign
-        if s.race in self.race:
-            self.race[s.race][c] += sign
-        for v in s.sports:
-            if v in self.sport:
-                self.sport[v][c] += sign
-        if s.is_sapr_guide:
-            self.sapr[c] += sign
-        if s.is_international:
-            self.intl[c] += sign
-        key = (c, s.old_company)
-        self.cohort[key] = self.cohort.get(key, 0) + sign
+    def __init__(self, rows: Sequence[LinearRow], meta: dict, variant: ModelVariant) -> None:
+        self.variant = variant
+        self.n = n = len(meta["student_ids"])
+        self.n_c = n_c = len(meta["company_labels"])
+        self.old = list(meta["old_company"])
+        self.scores = (list(meta["aom_scores"]), list(meta["mom_scores"]))
+        self.weights = (meta["aom_weight"], meta["mom_weight"])
+        self.lo = [-math.inf if row.sense is Sense.LE else row.rhs for row in rows]
+        self.hi = [math.inf if row.sense is Sense.GE else row.rhs for row in rows]
+        # parallel lists rather than (row, coef) tuples: freed en masse, small
+        # tuples linger on the interpreter's free list and pin their memory
+        self.col_rows: list[list[int]] = [[] for _ in range(n * n_c)]
+        self.col_coefs: list[list[float]] = [[] for _ in range(n * n_c)]
+        self.student_rows: list[list[tuple[int, list[float]]]] = [[] for _ in range(n)]
+        for r, row in enumerate(rows):
+            students = {j // n_c for j in row.cols}
+            if len(students) == 1:
+                coefs = [0.0] * n_c
+                for j, a in zip(row.cols, row.coefs):
+                    coefs[j % n_c] += a
+                self.student_rows[students.pop()].append((r, coefs))
+                continue
+            for j, a in zip(row.cols, row.coefs):
+                if a != 0.0:
+                    self.col_rows[j].append(r)
+                    self.col_coefs[j].append(a)
 
-    def move(self, s, src: int, dst: int) -> None:
-        self._add(s, src, -1)
-        self._add(s, dst, +1)
+    def load(self, asg: Sequence[int]) -> None:
+        """Make ``asg`` (company per student index) the current assignment."""
+        n_c = self.n_c
+        self.asg = [int(c) for c in asg]
+        self.act = [0.0] * len(self.lo)
+        for i, c in enumerate(self.asg):
+            for r, a in zip(self.col_rows[i * n_c + c], self.col_coefs[i * n_c + c]):
+                self.act[r] += a
+            for r, coefs in self.student_rows[i]:
+                self.act[r] += coefs[c]
+        self.viol = [self._excess(r, x) for r, x in enumerate(self.act)]
+        self.bad = sum(1 for v in self.viol if v > 0.0)
+        self.violation = math.fsum(self.viol)
+        self.cohort = [[0] * n_c for _ in range(n_c)]
+        self.sums = ([0.0] * n_c, [0.0] * n_c)
+        for i, c in enumerate(self.asg):
+            self.cohort[c][self.old[i]] += 1
+            for sums, score in zip(self.sums, self.scores):
+                sums[c] += score[i]
+        if self.variant is ModelVariant.MIN_SAME_COMPANY:
+            self.objective = float(sum(self.cohort[c][c] for c in range(n_c)))
+        elif self.variant is ModelVariant.MERIT_DEVIATION:
+            self.objective = deviation_from_sums(*self.sums, *self.weights)
+        else:
+            self.objective = float(sum(k * (k - 1) // 2 for row in self.cohort for k in row))
 
-    def company_ok(self, c: int) -> bool:
-        tol = self.tol
-        n = self.size[c]
-        for q in QUALITIES:
-            cnt = self.quality[q][c]
-            hi = tol.count_max.get(q)
-            if hi is not None and cnt > hi:
+    def _excess(self, r: int, x: float) -> float:
+        e = max(self.lo[r] - x, x - self.hi[r])
+        return e if e > FEAS_TOL else 0.0
+
+    def _row_deltas(self, moves: Sequence[Move]) -> list[tuple[int, float]]:
+        """Activity change of every row the moves touch, each row once."""
+        n_c, asg, rows, coefs = self.n_c, self.asg, self.col_rows, self.col_coefs
+        if len(moves) == 1 and moves[0][1] != asg[moves[0][0]]:
+            # a relocation's two columns share no row
+            ((i, dst),) = moves
+            src, dst = i * n_c + asg[i], i * n_c + dst
+            out = [(r, -a) for r, a in zip(rows[src], coefs[src])]
+            out += zip(rows[dst], coefs[dst])
+        else:
+            d: dict[int, float] = {}
+            for i, dst in moves:
+                for r, a in zip(rows[i * n_c + asg[i]], coefs[i * n_c + asg[i]]):
+                    d[r] = d.get(r, 0.0) - a
+                for r, a in zip(rows[i * n_c + dst], coefs[i * n_c + dst]):
+                    d[r] = d.get(r, 0.0) + a
+            out = list(d.items())
+        for i, dst in moves:
+            for r, per_company in self.student_rows[i]:
+                if per_company[dst] != per_company[asg[i]]:
+                    out.append((r, per_company[dst] - per_company[asg[i]]))
+        return out
+
+    def _objective_after(self, moves: Sequence[Move]) -> float:
+        asg, old = self.asg, self.old
+        if self.variant is ModelVariant.MERIT_DEVIATION:
+            sums = [list(s) for s in self.sums]
+            for i, dst in moves:
+                for cand, score in zip(sums, self.scores):
+                    cand[asg[i]] -= score[i]
+                    cand[dst] += score[i]
+            return deviation_from_sums(*sums, *self.weights)
+        # count changes of the (new, old) cohort cells; stays are its diagonal
+        change: dict[tuple[int, int], int] = {}
+        for i, dst in moves:
+            change[asg[i], old[i]] = change.get((asg[i], old[i]), 0) - 1
+            change[dst, old[i]] = change.get((dst, old[i]), 0) + 1
+        if self.variant is ModelVariant.MIN_SAME_COMPANY:
+            return self.objective + sum(dk for (c, o), dk in change.items() if c == o)
+        # a cell of k that changes by dk gains dk(2k + dk - 1)/2 pairs
+        return self.objective + sum(dk * (2 * self.cohort[c][o] + dk - 1) // 2
+                                    for (c, o), dk in change.items())
+
+    def _violation_after(self, deltas: list[tuple[int, float]]) -> tuple[float, int]:
+        total, bad, act, viol = self.violation, self.bad, self.act, self.viol
+        for r, da in deltas:
+            v = self._excess(r, act[r] + da)
+            total += v - viol[r]
+            bad += (v > 0.0) - (viol[r] > 0.0)
+        return (total if bad else 0.0), bad
+
+    def apply(self, moves: Sequence[Move]) -> None:
+        """Make ``moves`` whatever they do to violation and objective."""
+        deltas = self._row_deltas(moves)
+        self._commit(moves, deltas, *self._violation_after(deltas), self._objective_after(moves))
+
+    def try_moves(self, moves: Sequence[Move]) -> bool:
+        """Make ``moves`` if they lower (violation, objective)
+        lexicographically; report whether they did."""
+        deltas = self._row_deltas(moves)
+        if self.bad:
+            total, bad = self._violation_after(deltas)
+            if total > self.violation + EPS:
                 return False
-            lo = tol.count_min.get(q)
-            if lo is not None and cnt < lo:
-                return False
-        for m in METRICS:
-            total = self.sums[m][c]
-            hi = tol.merit_max.get(m)
-            if hi is not None and total - hi * n > FEAS_TOL:
-                return False
-            lo = tol.merit_min.get(m)
-            if lo is not None and lo * n - total > FEAS_TOL:
-                return False
-        for g in GENDERS:
-            cnt = self.gender[g][c]
-            hi = tol.gender_max.get(g)
-            if hi is not None and cnt - hi * n > FEAS_TOL:
-                return False
-            lo = tol.gender_min.get(g)
-            if lo is not None and lo * n - cnt > FEAS_TOL:
-                return False
-        for e, counts in self.race.items():
-            cnt = counts[c]
-            hi = tol.race_max.get(e)
-            if hi is not None and cnt - hi * n > FEAS_TOL:
-                return False
-            lo = tol.race_min.get(e)
-            if lo is not None and lo * n - cnt > FEAS_TOL:
-                return False
-        for v, cap in tol.sport_max.items():
-            if self.sport[v][c] > cap:
-                return False
-        if tol.min_sapr > 0:
-            targets = tol.sapr_companies
-            if (targets is None or c in targets) and self.sapr[c] < tol.min_sapr:
-                return False
-        if tol.num_intl is not None:
-            targets = tol.intl_companies
-            if (targets is None or c in targets) and self.intl[c] != tol.num_intl:
-                return False
+        else:
+            # feasible now: the first row the moves violate rejects them
+            act, lo, hi = self.act, self.lo, self.hi
+            for r, da in deltas:
+                x = act[r] + da
+                if x - hi[r] > FEAS_TOL or lo[r] - x > FEAS_TOL:
+                    return False
+            total, bad = 0.0, 0
+        obj = self._objective_after(moves)
+        if total >= self.violation - EPS and obj >= self.objective - EPS:
+            return False
+        self._commit(moves, deltas, total, bad, obj)
         return True
 
-    def conflict_ok(self, sid: str, c: int, asg: Assignment) -> bool:
-        return all(asg[p] != c for p in self.partners.get(sid, ()))
+    def _commit(self, moves: Sequence[Move], deltas: list[tuple[int, float]],
+                total: float, bad: int, obj: float) -> None:
+        for r, da in deltas:
+            self.act[r] += da
+            self.viol[r] = self._excess(r, self.act[r])
+        self.violation, self.bad, self.objective = total, bad, obj
+        for i, dst in moves:
+            src, o = self.asg[i], self.old[i]
+            self.cohort[src][o] -= 1
+            self.cohort[dst][o] += 1
+            for sums, score in zip(self.sums, self.scores):
+                sums[src] -= score[i]
+                sums[dst] += score[i]
+            self.asg[i] = dst
 
-    def deviation(self, roster: Roster) -> float:
-        return deviation_from_sums(self.sums["aom"], self.sums["mom"],
-                                   roster.aom_weight, roster.mom_weight)
 
-
-def _objective(roster: Roster, asg: Assignment, variant: ModelVariant) -> float:
-    if variant is ModelVariant.MIN_SAME_COMPANY:
-        return float(count_same_company(roster, asg))
-    if variant is ModelVariant.MERIT_DEVIATION:
-        return weighted_deviation(roster, asg)
-    return float(count_pairs(roster, asg))
-
-
-def local_search(roster: Roster, start: Assignment, objective: ModelVariant,
-                 budget: int, *, seed: int = 0) -> Assignment:
+def descend(ev: MoveEvaluator, rng: random.Random, budget: int) -> None:
     """First-improvement descent over relocate and swap moves.
 
-    Neighborhoods are scanned in a seeded shuffled order; a move is taken
-    as soon as it strictly improves the variant's objective while, when
-    the start was feasible, keeping every constraint family satisfied.
-    Stops at a local optimum or after ``budget`` accepted moves.
+    Each pass scans every relocation in a freshly shuffled order and takes
+    the first that lowers (violation, objective); only when none does are
+    all swaps scanned the same way.  Stops at a local optimum or after
+    ``budget`` accepted moves.  From a feasible start every accepted move
+    keeps the assignment feasible.
     """
-    asg = dict(start)
-    if budget <= 0:
-        return asg
-    forbid = objective is not ModelVariant.MIN_SAME_COMPANY
-    gate = check_feasible(roster, asg, forbid_same_company=forbid).feasible
-    ledger = _Ledger(roster, asg, forbid)
-    rng = random.Random(seed)
-    students = list(roster.students)
-    n_c = roster.num_companies
-    cur = _objective(roster, asg, objective)
-
-    def eval_after(touched: list[int]) -> tuple[bool, float]:
-        if gate:
-            for c in touched:
-                if not ledger.company_ok(c):
-                    return False, 0.0
-        if objective is ModelVariant.MIN_SAME_COMPANY:
-            val = float(sum(1 for s in students if asg[s.id] == s.old_company))
-        elif objective is ModelVariant.MERIT_DEVIATION:
-            val = ledger.deviation(roster)
-        else:
-            val = float(sum(k * (k - 1) // 2 for k in ledger.cohort.values()))
-        return True, val
-
+    n, n_c = ev.n, ev.n_c
     moves_left = budget
     improved = True
     while improved and moves_left > 0:
         improved = False
-        relocates = [(i, c) for i in range(len(students)) for c in range(n_c)]
+        relocates = list(range(n * n_c))
         rng.shuffle(relocates)
-        for i, dst in relocates:
-            s = students[i]
-            src = asg[s.id]
-            if dst == src:
-                continue
-            if gate and (dst not in ledger.allowed[s.id]
-                         or not ledger.conflict_ok(s.id, dst, asg)):
-                continue
-            ledger.move(s, src, dst)
-            asg[s.id] = dst
-            ok, val = eval_after([src, dst])
-            if ok and val < cur - 1e-9:
-                cur = val
+        for k in relocates:
+            i, dst = divmod(k, n_c)
+            if dst != ev.asg[i] and ev.try_moves(((i, dst),)):
                 moves_left -= 1
                 improved = True
                 break
-            asg[s.id] = src
-            ledger.move(s, dst, src)
         if improved or moves_left <= 0:
             continue
 
-        swaps = [(i, j) for i in range(len(students)) for j in range(i + 1, len(students))]
+        swaps = [(i, j) for i in range(n) for j in range(i + 1, n)]
         rng.shuffle(swaps)
         for i, j in swaps:
-            a, b = students[i], students[j]
-            ca, cb = asg[a.id], asg[b.id]
-            if ca == cb:
-                continue
-            if gate and (cb not in ledger.allowed[a.id] or ca not in ledger.allowed[b.id]):
-                continue
-            ledger.move(a, ca, cb)
-            ledger.move(b, cb, ca)
-            asg[a.id], asg[b.id] = cb, ca
-            conflicts_fine = (not gate) or (ledger.conflict_ok(a.id, cb, asg)
-                                            and ledger.conflict_ok(b.id, ca, asg))
-            ok, val = (False, 0.0)
-            if conflicts_fine:
-                ok, val = eval_after([ca, cb])
-            if ok and val < cur - 1e-9:
-                cur = val
+            ci, cj = ev.asg[i], ev.asg[j]
+            if ci != cj and ev.try_moves(((i, cj), (j, ci))):
                 moves_left -= 1
                 improved = True
                 break
-            asg[a.id], asg[b.id] = ca, cb
-            ledger.move(a, cb, ca)
-            ledger.move(b, ca, cb)
+
+
+def local_search(roster: Roster, start: Assignment, objective: ModelVariant,
+                 budget: int, *, seed: int = 0) -> Assignment:
+    """Seeded :func:`descend` from ``start`` over the roster's x-block rows.
+
+    A feasible start stays feasible and only the objective falls; an
+    infeasible one is first walked toward feasibility.
+    """
+    asg = dict(start)
+    if budget <= 0:
+        return asg
+    rows, meta = assignment_block(roster, objective)
+    ev = MoveEvaluator(rows, meta, objective)
+    ev.load([asg[sid] for sid in meta["student_ids"]])
+    descend(ev, random.Random(seed), budget)
+    asg.update(zip(meta["student_ids"], ev.asg))
     return asg

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 
 class ModelVariant(enum.Enum):
@@ -95,9 +95,6 @@ class IpModel:
 
     def binary_columns(self) -> list[int]:
         return [j for j, v in enumerate(self.variables) if v.kind is VarKind.BINARY]
-
-    def iter_rows(self) -> Iterator[LinearRow]:
-        return iter(self.rows)
 
 
 def _format_terms(cols: tuple[int, ...], coefs: tuple[float, ...],

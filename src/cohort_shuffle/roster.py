@@ -4,8 +4,7 @@ A roster bundles one class of students, the company/battalion structure
 they are being shuffled into, pairwise conflicts (students who must not
 share a company), and the tolerance windows every company has to satisfy
 after reassignment.  All types are immutable after construction and every
-operation here is a pure function, so rosters can be shared freely across
-worker threads.
+operation here is a pure function, so rosters can be shared freely.
 """
 
 from __future__ import annotations
@@ -116,31 +115,12 @@ class Roster:
                 return b
         raise KeyError(f"company index {company} is not in any battalion")
 
-    def student_by_id(self, student_id: str) -> Student:
-        for s in self.students:
-            if s.id == student_id:
-                return s
-        raise KeyError(f"unknown student id: {student_id!r}")
-
     def company_sizes(self) -> list[int]:
         """Previous-enrollment size of every company."""
         sizes = [0] * self.num_companies
         for s in self.students:
             sizes[s.old_company] += 1
         return sizes
-
-    def race_classes(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for s in self.students:
-            seen.setdefault(s.race, None)
-        return tuple(seen)
-
-    def sports(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for s in self.students:
-            for v in sorted(s.sports):
-                seen.setdefault(v, None)
-        return tuple(sorted(seen))
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,11 @@ from cohort_shuffle import (
     SolveStatus,
     Tolerances,
     compile_model,
+    count_pairs,
     count_same_company,
     cyclic_deal,
     decode_assignment,
+    rotate_within_battalions,
     score_sums,
     solve_ip,
     weighted_deviation,
@@ -106,6 +108,16 @@ class TestWarmStartsAndBounds:
         assert res.status is SolveStatus.PROVEN_OPTIMAL
         assert res.objective == 0.0  # swapping the two students is feasible
         assert res.assignment == {"s00": 1, "s01": 0}
+
+    def test_incumbent_at_the_floor_ends_the_dive(self):
+        roster = balanced_roster(4, 4)
+        warm = rotate_within_battalions(roster)
+        assert count_pairs(roster, warm) == 24
+        res = solve_ip(compile_model(roster, PAIRS),
+                       SolveOptions(warm_start=warm, external_lb=4.0, node_limit=50))
+        assert res.status is SolveStatus.PROVEN_OPTIMAL
+        assert res.objective == 4.0
+        assert res.stats.nodes == 1  # the root repair reaches the floor
 
     def test_wide_absolute_gap_accepts_the_warm_start(self, tiny_roster):
         warm = {s.id: s.old_company for s in tiny_roster.students}

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from cohort_shuffle import (
     ModelVariant,
+    Roster,
+    Tolerances,
+    assignment_objective,
     check_feasible,
     count_pairs,
     count_same_company,
@@ -16,7 +21,9 @@ from cohort_shuffle import (
     rotate_within_battalions,
     weighted_deviation,
 )
-from conftest import balanced_roster, identity_assignment
+from cohort_shuffle.compiler import assignment_block
+from cohort_shuffle.heuristics import MoveEvaluator, descend
+from conftest import balanced_roster, identity_assignment, mk_student, oracle_instance
 
 MIN = ModelVariant.MIN_SAME_COMPANY
 DEV = ModelVariant.MERIT_DEVIATION
@@ -120,3 +127,46 @@ class TestLocalSearch:
         frozen = dict(start)
         local_search(tiny_roster, start, MIN, budget=50)
         assert start == frozen
+
+    @pytest.mark.parametrize("num_companies,start", [
+        (2, {"s00": 0, "s01": 0}),
+        # nobody stays, so only the violation can fall
+        (3, {"s00": 1, "s01": 0, "s02": 0}),
+    ])
+    def test_infeasible_start_is_repaired(self, num_companies, start):
+        students = tuple(mk_student(c, c) for c in range(len(start)))
+        r = Roster(students=students, num_companies=num_companies,
+                   battalions=(tuple(range(num_companies)),),
+                   tolerances=Tolerances(count_max={"all": 1}))
+        out = local_search(r, start, MIN, budget=10)
+        assert check_feasible(r, out).feasible
+        assert count_same_company(r, out) == 0
+
+
+class TestMoveEvaluator:
+    """The incremental evaluator against the independent auditor."""
+
+    def assert_agrees(self, roster, ev, variant):
+        asg = {s.id: ev.asg[i] for i, s in enumerate(roster.students)}
+        feasible = check_feasible(roster, asg, forbid_same_company=variant is not MIN).feasible
+        assert (ev.violation == 0.0) == feasible
+        assert ev.objective == pytest.approx(assignment_objective(roster, asg, variant), abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_moves_agree_with_the_auditor(self, seed):
+        roster = oracle_instance(seed)
+        rng = random.Random(seed)
+        n, n_c = len(roster.students), roster.num_companies
+        for variant in ModelVariant:
+            ev = MoveEvaluator(*assignment_block(roster, variant), variant)
+            ev.load([rng.randrange(n_c) for _ in range(n)])
+            self.assert_agrees(roster, ev, variant)
+            for _ in range(20):
+                i, j = rng.sample(range(n), 2)
+                if rng.random() < 0.5:
+                    ev.apply(((i, rng.randrange(n_c)),))
+                elif ev.asg[i] != ev.asg[j]:
+                    ev.apply(((i, ev.asg[j]), (j, ev.asg[i])))
+                self.assert_agrees(roster, ev, variant)
+            descend(ev, rng, 10 * n)
+            self.assert_agrees(roster, ev, variant)
