@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from cohort_shuffle.ipmodel import ModelVariant
-from cohort_shuffle.roster import (
-    Roster,
-    check_feasible,
-    count_pairs,
-    count_same_company,
-    weighted_deviation,
-)
+from cohort_shuffle.roster import Roster, assignment_objective, check_feasible
 
 if TYPE_CHECKING:
     from cohort_shuffle.branch_bound import SolveResult
@@ -50,6 +44,13 @@ def pairs_lower_bound(roster: Roster) -> PairsBoundReport:
     slots = roster.num_companies - 1
     per = tuple((size, max(0, size - slots)) for size in roster.company_sizes())
     return PairsBoundReport(per, sum(b for _, b in per))
+
+
+def objective_floor(roster: Roster, variant: ModelVariant) -> float:
+    """A-priori lower bound on the objective: the pigeonhole total for pairs, else 0."""
+    if variant is ModelVariant.MIN_PAIRS:
+        return float(pairs_lower_bound(roster).total)
+    return 0.0
 
 
 def optimality_gap(best_solution: float, best_bound: float) -> float:
@@ -106,32 +107,19 @@ def certify(result: "SolveResult", roster: Roster, variant: ModelVariant) -> Cer
     if not feasible:
         notes.append("violated families: " + ", ".join(sorted(report.families())))
 
-    if variant is ModelVariant.MIN_SAME_COMPANY:
-        recomputed: float = float(count_same_company(roster, asg))
-        bound: float | None = 0.0
-    elif variant is ModelVariant.MERIT_DEVIATION:
-        recomputed = weighted_deviation(roster, asg)
+    recomputed = assignment_objective(roster, asg, variant)
+    floor = objective_floor(roster, variant)
+    bound = floor
+    if variant is ModelVariant.MERIT_DEVIATION:
         bound = max(0.0, min(result.bound, recomputed))
-    else:
-        recomputed = float(count_pairs(roster, asg))
-        bound = float(pairs_lower_bound(roster).total)
-        if any(s.battalion_locked for s in roster.students):
-            notes.append("battalion-locked students only restrict destinations; "
-                         "the pigeonhole bound remains valid")
+    elif variant is ModelVariant.MIN_PAIRS and any(s.battalion_locked for s in roster.students):
+        notes.append("battalion-locked students only restrict destinations; "
+                     "the pigeonhole bound remains valid")
 
     matches = abs(recomputed - result.objective) <= 1e-6
     if not matches:
         notes.append(f"reported objective {result.objective!r} != recomputed {recomputed!r}")
 
-    optimal = False
-    if variant is ModelVariant.MIN_SAME_COMPANY:
-        optimal = recomputed == 0.0
-    elif variant is ModelVariant.MIN_PAIRS:
-        optimal = recomputed == bound
-    else:
-        optimal = recomputed == 0.0
-    gap = optimality_gap(recomputed, bound) if bound is not None else None
-
-    ok = feasible and matches
-    return Certificate(ok, feasible, matches, recomputed, result.objective,
-                       bound, gap, optimal, status, tuple(notes))
+    return Certificate(feasible and matches, feasible, matches, recomputed,
+                       result.objective, bound, optimality_gap(recomputed, bound),
+                       recomputed == floor, status, tuple(notes))

@@ -274,27 +274,17 @@ class _Search:
         return x[:n * n_c].reshape(n, n_c).argmax(axis=1)
 
     def _round_and_repair(self, x: np.ndarray) -> None:
-        """Root heuristic: round the relaxation to the nearest assignment and
-        descend from it over the x-block rows, lexicographically in
-        (violation, objective); if that ends infeasible, descend from the
-        fallback starts (everyone one company on, and for ``min`` everyone
-        staying put) until one ends feasible."""
+        """Root heuristic: round the relaxation to the nearest assignment, descend
+        from it over the x-block rows down to the floor, and offer a feasible
+        end point as an incumbent."""
         if not self.domain or self.n_c == 0:
             return
         meta = self.model.meta
-        n, n_c, old = self.n_students, self.n_c, meta["old_company"]
-        starts = [self._rounded(x), [(o + 1) % n_c for o in old]]
-        if self.model.variant is ModelVariant.MIN_SAME_COMPANY:
-            starts.append(list(old))
-        rows = [row for row in self.model.rows if all(j < n * n_c for j in row.cols)]
-        ev = MoveEvaluator(rows, meta, self.model.variant)
-        rng = random.Random(self.opts.seed)
-        for start in starts:
-            ev.load(start)
-            descend(ev, rng, 10 * n)
-            if ev.violation == 0.0:
-                self._try_incumbent(np.array(ev.asg, dtype=np.int64), None)
-                return
+        ev = MoveEvaluator(self.model.rows[:meta["x_rows"]], meta, self.model.variant)
+        ev.load(self._rounded(x))
+        descend(ev, random.Random(self.opts.seed), 10 * self.n_students, self.floor)
+        if ev.violation == 0.0:
+            self._try_incumbent(np.array(ev.asg, dtype=np.int64), None)
 
     def _plunge(self, fixes: tuple[tuple[int, int], ...], at_root: bool) -> None:
         """Dive from one node, pushing siblings while descending."""
@@ -354,11 +344,9 @@ class _Search:
             asg = np.array([opts.warm_start[sid] for sid in ids], dtype=np.int64)
             self._try_incumbent(asg, None)
 
-        proven_exact = False
-        if self._at_floor():
-            proven_exact = True
-        else:
-            self.heap = [(self.floor if self.floor > -math.inf else -math.inf, 0, ())]
+        proven_exact = self._at_floor()
+        if not proven_exact:
+            self.heap = [(self.floor, 0, ())]
             proven_exact = self._drive_sequential()
 
         wall = time.monotonic() - t0

@@ -52,7 +52,7 @@ from cohort_shuffle.generator import (
 from cohort_shuffle.ipmodel import ModelVariant, export_lp
 from cohort_shuffle.pipeline import WARM_STRATEGIES, solve_roster
 from cohort_shuffle.reporting import company_stats, render
-from cohort_shuffle.roster import validate_roster
+from cohort_shuffle.roster import assignment_objective, validate_roster
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -300,7 +300,6 @@ def _cmd_certify(args) -> int:
     status = str(meta.get("status", SolveStatus.FEASIBLE_GAP.value))
     reported = meta.get("objective")
     if reported is None:
-        from cohort_shuffle.pipeline import assignment_objective
         reported = assignment_objective(roster, asg, variant)
     bound = float(meta.get("bound", 0.0))
     result = SolveResult(

@@ -243,6 +243,7 @@ def compile_model(roster: Roster, variant: ModelVariant) -> IpModel:
                                       VarKind.BINARY, 0.0, 1.0, 1.0))
 
     rows, meta = assignment_block(roster, variant)
+    meta["x_rows"] = len(rows)
     all_companies = tuple(range(n_c))
 
     if variant is ModelVariant.MERIT_DEVIATION:

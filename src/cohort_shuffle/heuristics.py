@@ -6,16 +6,19 @@ other companies; with the companies' sizes between ``|C|`` and
 which makes it an optimality witness on balanced instances.
 ``rotate_within_battalions`` moves companies wholesale, preserving every
 per-company statistic of a feasible previous assignment.  ``local_search``
-polishes a start with :func:`descend`, the one local search, which the
-branch-and-bound root heuristic also runs.
+runs :func:`descend`, the one local search, from any start, feasible or
+not, down to the variant's objective floor; the branch-and-bound root
+heuristic runs the same descent from the rounded relaxation.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Sequence
+from collections import deque
+from typing import Callable, Sequence
 
+from cohort_shuffle.bounds import objective_floor
 from cohort_shuffle.compiler import assignment_block
 from cohort_shuffle.ipmodel import LinearRow, ModelVariant, Sense
 from cohort_shuffle.roster import FEAS_TOL, Assignment, Roster, deviation_from_sums
@@ -234,44 +237,56 @@ class MoveEvaluator:
             self.asg[i] = dst
 
 
-def descend(ev: MoveEvaluator, rng: random.Random, budget: int) -> None:
+def _take_first(order: deque[int], take: Callable[[int], bool]) -> bool:
+    """Whether ``take`` accepts an entry; ``order`` then resumes after it."""
+    for k, entry in enumerate(order):
+        if take(entry):
+            order.rotate(-k - 1)
+            return True
+    return False
+
+
+def descend(ev: MoveEvaluator, rng: random.Random, budget: int, floor: float) -> None:
     """First-improvement descent over relocate and swap moves.
 
-    Each pass scans every relocation in a freshly shuffled order and takes
-    the first that lowers (violation, objective); only when none does are
-    all swaps scanned the same way.  Stops at a local optimum or after
-    ``budget`` accepted moves.  From a feasible start every accepted move
-    keeps the assignment feasible.
+    Relocations are scanned in one seeded order, cyclically from just after
+    the last accepted one, and a move is taken when it lowers (violation,
+    objective); only when a whole cycle finds none are swaps scanned the
+    same way, in their own seeded order built on first need.  Stops at a
+    local optimum, after ``budget`` accepted moves, or once the assignment
+    is feasible with its objective at ``floor``, a lower bound no move can
+    beat.  From a feasible start every accepted move keeps it feasible.
     """
     n, n_c = ev.n, ev.n_c
-    moves_left = budget
-    improved = True
-    while improved and moves_left > 0:
-        improved = False
-        relocates = list(range(n * n_c))
-        rng.shuffle(relocates)
-        for k in relocates:
-            i, dst = divmod(k, n_c)
-            if dst != ev.asg[i] and ev.try_moves(((i, dst),)):
-                moves_left -= 1
-                improved = True
-                break
-        if improved or moves_left <= 0:
-            continue
 
-        swaps = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        rng.shuffle(swaps)
-        for i, j in swaps:
-            ci, cj = ev.asg[i], ev.asg[j]
-            if ci != cj and ev.try_moves(((i, cj), (j, ci))):
-                moves_left -= 1
-                improved = True
-                break
+    def relocate(k: int) -> bool:
+        i, dst = divmod(k, n_c)
+        return dst != ev.asg[i] and ev.try_moves(((i, dst),))
+
+    def swap(k: int) -> bool:
+        i, j = divmod(k, n)
+        return ev.asg[i] != ev.asg[j] and ev.try_moves(((i, ev.asg[j]), (j, ev.asg[i])))
+
+    order = list(range(n * n_c))
+    rng.shuffle(order)
+    relocates, swaps = deque(order), None
+    for _ in range(budget):
+        if ev.violation == 0.0 and ev.objective <= floor + EPS:
+            return
+        if _take_first(relocates, relocate):
+            continue
+        if swaps is None:
+            order = [i * n + j for i in range(n) for j in range(i + 1, n)]
+            rng.shuffle(order)
+            swaps = deque(order)
+        if not _take_first(swaps, swap):
+            return
 
 
 def local_search(roster: Roster, start: Assignment, objective: ModelVariant,
                  budget: int, *, seed: int = 0) -> Assignment:
-    """Seeded :func:`descend` from ``start`` over the roster's x-block rows.
+    """Seeded :func:`descend` from ``start`` over the roster's x-block rows,
+    down to the variant's :func:`~cohort_shuffle.bounds.objective_floor`.
 
     A feasible start stays feasible and only the objective falls; an
     infeasible one is first walked toward feasibility.
@@ -282,6 +297,6 @@ def local_search(roster: Roster, start: Assignment, objective: ModelVariant,
     rows, meta = assignment_block(roster, objective)
     ev = MoveEvaluator(rows, meta, objective)
     ev.load([asg[sid] for sid in meta["student_ids"]])
-    descend(ev, random.Random(seed), budget)
+    descend(ev, random.Random(seed), budget, objective_floor(roster, objective))
     asg.update(zip(meta["student_ids"], ev.asg))
     return asg

@@ -70,7 +70,8 @@ class IpModel:
     ``meta`` carries everything needed to interpret a solution vector
     without the original roster object: student ids, company labels,
     previous-company indices, merit scores for the deviation objective,
-    and the same-previous-company pair list for the pairs objective.
+    the same-previous-company pair list for the pairs objective, and
+    ``x_rows``, the count of leading rows over assignment columns alone.
     """
 
     variant: ModelVariant

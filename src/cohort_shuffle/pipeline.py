@@ -2,17 +2,20 @@
 
 `solve_roster` is the one-call entry point used by the CLI.  It wires the
 pieces together in the order that makes the solver fastest and the result
-auditable: structural validation up front, a cheap feasible assignment as
-the warm start when one exists, the pigeonhole bound as the solver floor
-for the pairs variant, and an independent certificate on the way out.
+auditable: structural validation up front, a local-search descent from
+each constructive start until one reaches the objective floor as the warm
+start, that floor (the pigeonhole bound for the pairs variant) as the
+solver's a-priori bound, and an independent certificate on the way out.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
-from cohort_shuffle.bounds import Certificate, certify, pairs_lower_bound
+from cohort_shuffle.bounds import Certificate, certify, objective_floor
+from cohort_shuffle.bounds import pairs_lower_bound  # noqa: F401  perfbench/tracer.py wraps it here
 from cohort_shuffle.branch_bound import SolveOptions, SolveResult, solve_ip
 from cohort_shuffle.compiler import compile_model
 from cohort_shuffle.heuristics import cyclic_deal, local_search, rotate_within_battalions
@@ -20,11 +23,9 @@ from cohort_shuffle.ipmodel import ModelVariant
 from cohort_shuffle.roster import (
     Assignment,
     Roster,
+    assignment_objective,
     check_feasible,
-    count_pairs,
-    count_same_company,
     validate_roster,
-    weighted_deviation,
 )
 
 WARM_STRATEGIES = ("auto", "none", "deal", "rotate", "deal+ls")
@@ -37,21 +38,15 @@ class PipelineResult:
     warm_start: Assignment | None
 
 
-def assignment_objective(roster: Roster, asg: Assignment, variant: ModelVariant) -> float:
-    if variant is ModelVariant.MIN_SAME_COMPANY:
-        return float(count_same_company(roster, asg))
-    if variant is ModelVariant.MIN_PAIRS:
-        return float(count_pairs(roster, asg))
-    return weighted_deviation(roster, asg)
-
-
 def build_warm_start(roster: Roster, variant: ModelVariant,
                      strategy: str = "auto", *, seed: int = 0,
                      ls_budget: int = 200) -> Assignment | None:
     """Cheapest feasible assignment the heuristics can find, else None.
 
-    Candidates are only ever returned after passing the same feasibility
-    check the certificate uses, so a warm start can never poison a solve.
+    Each constructive start is descended by ``local_search`` when the
+    strategy asks for it, feasible or not, until one meets the objective
+    floor.  Only assignments that pass the feasibility check the certificate
+    uses are returned, so a warm start can never poison a solve.
     """
     if strategy not in WARM_STRATEGIES:
         raise ValueError(f"unknown warm-start strategy {strategy!r}")
@@ -68,27 +63,30 @@ def build_warm_start(roster: Roster, variant: ModelVariant,
     if strategy == "auto" and not forbid:
         candidates.append({s.id: s.old_company for s in roster.students})
 
-    feasible = [a for a in candidates
-                if check_feasible(roster, a, forbid_same_company=forbid).feasible]
-    if strategy in ("deal+ls", "auto"):
-        improved = [local_search(roster, a, variant, ls_budget, seed=seed) for a in feasible]
-        feasible.extend(a for a in improved
-                        if check_feasible(roster, a, forbid_same_company=forbid).feasible)
-    if not feasible:
-        return None
-    return min(feasible, key=lambda a: assignment_objective(roster, a, variant))
+    floor = objective_floor(roster, variant)
+    best, best_obj = None, math.inf
+    for asg in candidates:
+        if strategy in ("deal+ls", "auto"):
+            asg = local_search(roster, asg, variant, ls_budget, seed=seed)
+        if not check_feasible(roster, asg, forbid_same_company=forbid).feasible:
+            continue
+        obj = assignment_objective(roster, asg, variant)
+        if obj < best_obj:
+            best, best_obj = asg, obj
+        if obj <= floor:
+            break
+    return best
 
 
 def solve_roster(roster: Roster, variant: ModelVariant,
                  options: SolveOptions | None = None, *,
-                 warm: str = "auto", ls_budget: int = 200,
-                 auto_bound: bool = True) -> PipelineResult:
+                 warm: str = "auto", ls_budget: int = 200) -> PipelineResult:
     """Validate, compile and solve one roster; returns result + certificate.
 
-    Raises ValueError when the roster is structurally invalid.  For the
-    pairs variant the pigeonhole lower bound is passed to the solver
-    unless the caller already supplied one, which lets a matching warm
-    start close the gap without any enumeration.
+    Raises ValueError when the roster is structurally invalid.  Unless the
+    caller supplied a lower bound, the variant's objective floor is passed
+    to the solver (the pigeonhole bound for pairs), which lets a matching
+    warm start close the gap without any enumeration.
     """
     problems = validate_roster(roster)
     if problems:
@@ -97,17 +95,14 @@ def solve_roster(roster: Roster, variant: ModelVariant,
     opts = options if options is not None else SolveOptions()
     model = compile_model(roster, variant)
 
-    warm_asg = opts.warm_start
-    if warm_asg is None:
-        warm_asg = build_warm_start(roster, variant, warm, seed=opts.seed,
-                                    ls_budget=ls_budget)
-    external_lb = opts.external_lb
-    if external_lb is None and auto_bound and variant is ModelVariant.MIN_PAIRS:
-        external_lb = float(pairs_lower_bound(roster).total)
-    opts = dataclasses.replace(opts, warm_start=warm_asg, external_lb=external_lb)
+    if opts.warm_start is None:
+        opts = dataclasses.replace(opts, warm_start=build_warm_start(
+            roster, variant, warm, seed=opts.seed, ls_budget=ls_budget))
+    if opts.external_lb is None:
+        opts = dataclasses.replace(opts, external_lb=objective_floor(roster, variant))
 
     result = solve_ip(model, opts)
     cert = None
     if result.assignment is not None:
         cert = certify(result, roster, variant)
-    return PipelineResult(result=result, certificate=cert, warm_start=warm_asg)
+    return PipelineResult(result=result, certificate=cert, warm_start=opts.warm_start)

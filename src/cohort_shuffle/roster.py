@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from cohort_shuffle.ipmodel import ModelVariant
+
 GENDERS = ("male", "female")
 METRICS = ("aom", "mom", "prt")
 QUALITIES = ("all", "task_force", "prior_service")
@@ -421,3 +423,12 @@ def weighted_deviation(roster: Roster, assignment: Assignment, *,
         aom = [t / n if n else 0.0 for t, n in zip(aom, sizes)]
         mom = [t / n if n else 0.0 for t, n in zip(mom, sizes)]
     return deviation_from_sums(aom, mom, roster.aom_weight, roster.mom_weight)
+
+
+def assignment_objective(roster: Roster, assignment: Assignment, variant: ModelVariant) -> float:
+    """The variant's objective on a concrete assignment."""
+    if variant is ModelVariant.MIN_SAME_COMPANY:
+        return float(count_same_company(roster, assignment))
+    if variant is ModelVariant.MIN_PAIRS:
+        return float(count_pairs(roster, assignment))
+    return weighted_deviation(roster, assignment)

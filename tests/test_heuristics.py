@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -9,8 +10,11 @@ import pytest
 from cohort_shuffle import (
     ModelVariant,
     Roster,
+    SolveOptions,
+    SolveStatus,
     Tolerances,
     assignment_objective,
+    build_warm_start,
     check_feasible,
     count_pairs,
     count_same_company,
@@ -19,8 +23,10 @@ from cohort_shuffle import (
     generate,
     local_search,
     rotate_within_battalions,
+    solve_roster,
     weighted_deviation,
 )
+from cohort_shuffle import pipeline
 from cohort_shuffle.compiler import assignment_block
 from cohort_shuffle.heuristics import MoveEvaluator, descend
 from conftest import balanced_roster, identity_assignment, mk_student, oracle_instance
@@ -143,6 +149,42 @@ class TestLocalSearch:
         assert count_same_company(r, out) == 0
 
 
+    def test_feasible_start_at_the_floor_tries_no_move(self, monkeypatch):
+        r = balanced_roster(3, 3)  # the deal meets the pigeonhole bound of 3
+        deal = cyclic_deal(r)
+        ev = MoveEvaluator(*assignment_block(r, PAIRS), PAIRS)
+        ev.load([deal[s.id] for s in r.students])
+        assert ev.violation == 0.0 and ev.objective == 3.0
+        tried = []
+        monkeypatch.setattr(ev, "try_moves", lambda moves: tried.append(moves) or False)
+        descend(ev, random.Random(0), 100, 3.0)
+        assert tried == []
+
+
+class TestWarmStart:
+    def test_stops_at_the_first_start_at_the_floor(self, monkeypatch):
+        r = generate(desk_spec(), seed=7)
+        calls = []
+        real = pipeline.local_search
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "local_search", counted)
+        warm = build_warm_start(r, MIN)
+        assert len(calls) == 1  # the descended deal already has no stays
+        assert check_feasible(r, warm).feasible
+        assert count_same_company(r, warm) == 0
+
+    def test_desk_seed_111_pairs_is_proven_at_the_bound(self):
+        r = generate(desk_spec(), seed=111)
+        out = solve_roster(r, PAIRS, SolveOptions(node_limit=0))
+        assert out.result.status is SolveStatus.PROVEN_OPTIMAL
+        assert out.result.objective == 8.0
+        assert out.certificate.ok
+
+
 class TestMoveEvaluator:
     """The incremental evaluator against the independent auditor."""
 
@@ -168,5 +210,5 @@ class TestMoveEvaluator:
                 elif ev.asg[i] != ev.asg[j]:
                     ev.apply(((i, ev.asg[j]), (j, ev.asg[i])))
                 self.assert_agrees(roster, ev, variant)
-            descend(ev, rng, 10 * n)
+            descend(ev, rng, 10 * n, -math.inf)
             self.assert_agrees(roster, ev, variant)
