@@ -109,18 +109,14 @@ def decode_assignment(model: IpModel, primal) -> Assignment:
     labels = model.meta.get("company_labels")
     if ids is None or labels is None:
         raise DecodeError("model carries no student metadata to decode")
-    n_c = len(labels)
-    x = np.asarray(primal, dtype=float)
-    out: Assignment = {}
-    for i, sid in enumerate(ids):
-        block = x[i * n_c:(i + 1) * n_c]
-        ones = np.nonzero(block >= 1.0 - INT_EPS)[0]
-        if len(ones) != 1:
-            raise DecodeError(f"student {sid!r} has {len(ones)} active assignment columns")
-        if np.any((block > INT_EPS) & (block < 1.0 - INT_EPS)):
-            raise DecodeError(f"student {sid!r} has fractional assignment values")
-        out[sid] = int(ones[0])
-    return out
+    x = np.asarray(primal, dtype=float)[:len(ids) * len(labels)].reshape(len(ids), len(labels))
+    ones = x >= 1.0 - INT_EPS
+    fractional = ((x > INT_EPS) & ~ones).any(axis=1)
+    for i in np.flatnonzero((ones.sum(axis=1) != 1) | fractional):
+        if ones[i].sum() != 1:
+            raise DecodeError(f"student {ids[i]!r} has {ones[i].sum()} active assignment columns")
+        raise DecodeError(f"student {ids[i]!r} has fractional assignment values")
+    return dict(zip(ids, ones.argmax(axis=1).tolist()))
 
 
 def _canonical_point(model: IpModel, asg: np.ndarray) -> tuple[np.ndarray, float]:
@@ -131,45 +127,28 @@ def _canonical_point(model: IpModel, asg: np.ndarray) -> tuple[np.ndarray, float
     recomputed with the same float operations as the roster evaluators.
     """
     meta = model.meta
-    ids = meta["student_ids"]
     n_c = len(meta["company_labels"])
-    n = len(ids)
-    old = meta["old_company"]
+    asg = np.asarray(asg, dtype=np.int64)
     x = np.zeros(model.num_vars)
-    for i in range(n):
-        x[i * n_c + asg[i]] = 1.0
+    x[np.arange(len(asg)) * n_c + asg] = 1.0
+    extra = x[len(asg) * n_c:]
 
     if model.variant is ModelVariant.MIN_SAME_COMPANY:
-        return x, float(sum(1 for i in range(n) if asg[i] == old[i]))
+        return x, float(np.count_nonzero(asg == meta["old_company"]))
 
     if model.variant is ModelVariant.MERIT_DEVIATION:
-        aom = meta["aom_scores"]
-        mom = meta["mom_scores"]
-        sums_a = [0.0] * n_c
-        sums_m = [0.0] * n_c
-        for i in range(n):
-            sums_a[asg[i]] += aom[i]
-            sums_m[asg[i]] += mom[i]
-        base = n * n_c
-        p = 0
-        for c in range(n_c):
-            for c2 in range(n_c):
-                if c2 == c:
-                    continue
-                x[base + p] = abs(sums_a[c] - sums_a[c2])
-                x[base + n_c * (n_c - 1) + p] = abs(sums_m[c] - sums_m[c2])
-                p += 1
-        obj = deviation_from_sums(sums_a, sums_m, meta["aom_weight"], meta["mom_weight"])
-        return x, obj
+        # score sums in student order, as the roster evaluator adds them
+        sums = [np.bincount(asg, weights=meta[key], minlength=n_c)
+                for key in ("aom_scores", "mom_scores")]
+        c, c2 = np.array([(c, c2) for c in range(n_c) for c2 in range(n_c) if c2 != c]).T
+        extra[:] = np.abs(np.concatenate([s[c] - s[c2] for s in sums]))
+        return x, deviation_from_sums(*(s.tolist() for s in sums),
+                                      meta["aom_weight"], meta["mom_weight"])
 
-    index = {sid: i for i, sid in enumerate(ids)}
-    base = n * n_c
-    hits = 0
-    for p, (ida, idb) in enumerate(meta["pairs"]):
-        if asg[index[ida]] == asg[index[idb]]:
-            x[base + p] = 1.0
-            hits += 1
-    return x, float(hits)
+    index = {sid: i for i, sid in enumerate(meta["student_ids"])}
+    pairs = np.array([(index[a], index[b]) for a, b in meta["pairs"]], dtype=np.int64).reshape(-1, 2)
+    extra[:] = asg[pairs[:, 0]] == asg[pairs[:, 1]]
+    return x, float(np.count_nonzero(extra))
 
 
 def _point_feasible(engine: SimplexEngine, x: np.ndarray) -> bool:

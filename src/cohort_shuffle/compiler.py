@@ -12,16 +12,24 @@ tolerances.  The variants differ only in objective and extra structure:
   previously-acquainted student pair, and minimizes how many such pairs
   end up together again.
 
-Column and row order is a pure function of the roster, so compiling the
-same instance twice yields byte-identical exports.
+Rows are emitted as array blocks, family by family, into one
+:class:`~cohort_shuffle.ipmodel.RowStore`; no row exists as a Python tuple
+until someone reads it.  Column and row order is a pure function of the
+roster, so compiling the same instance twice yields byte-identical exports.
 """
 
 from __future__ import annotations
 
+import itertools
+from typing import Callable, Sequence
+
+import numpy as np
+
 from cohort_shuffle.ipmodel import (
     IpModel,
-    LinearRow,
     ModelVariant,
+    RowBuilder,
+    RowStore,
     Sense,
     VarKind,
     Variable,
@@ -56,154 +64,130 @@ def acquainted_pairs(roster: Roster) -> list[tuple[int, int]]:
     by_company: dict[int, list[int]] = {}
     for idx, s in enumerate(roster.students):
         by_company.setdefault(s.old_company, []).append(idx)
-    pairs: list[tuple[int, int]] = []
-    for c in sorted(by_company):
-        members = by_company[c]
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                pairs.append((members[a], members[b]))
-    return pairs
+    return [pair for c in sorted(by_company) for pair in itertools.combinations(by_company[c], 2)]
 
 
-def assignment_block(roster: Roster, variant: ModelVariant) -> tuple[list[LinearRow], dict]:
-    """The x-block rows (those over assignment columns alone) and the model
-    metadata, whose ``pairs`` entry is left empty.
+def _window(family: str, lo: float | None, hi: float | None,
+            row: Callable[[float], tuple[float, np.ndarray]]) -> list[tuple]:
+    """Specs of the given sides of a ``[lo, hi]`` window: ``family`` formatted
+    with ``min``/``max``, and ``row(bound)`` giving the right-hand side and
+    the coefficients."""
+    return [(family.format(side), sense, *row(bound))
+            for side, sense, bound in (("min", Sense.GE, lo), ("max", Sense.LE, hi))
+            if bound is not None]
 
-    These are exactly the families :func:`~cohort_shuffle.roster.check_feasible`
-    audits: an assignment satisfies them all precisely when it passes.
-    """
+
+def _assignment_rows(roster: Roster, variant: ModelVariant, rows: RowBuilder) -> dict:
+    """Add the x-block rows, family by family, to ``rows``; return the model
+    metadata with an empty ``pairs`` entry."""
     students = roster.students
-    n_c = roster.num_companies
+    n, n_c = len(students), roster.num_companies
     tol = roster.tolerances
     labels = roster.company_labels
+    everyone = np.arange(n)
+    companies = np.arange(n_c)
+    student_keys = [(s.id,) for s in students]
+    company_keys = [(label,) for label in labels]
 
-    def xcol(i: int, c: int) -> int:
-        return i * n_c + c
+    def members_where(test: Callable) -> np.ndarray:
+        return np.array([i for i, s in enumerate(students) if test(s)], dtype=np.int64)
 
-    rows: list[LinearRow] = []
-    all_companies = tuple(range(n_c))
+    def per_company(specs: list[tuple], members: np.ndarray = everyone,
+                    targets: Sequence[int] = range(n_c)) -> None:
+        """One row per target company and ``(family, sense, rhs, coefs)`` spec,
+        over the company's columns of ``members`` with one coefficient each."""
+        if not specs:
+            return
+        targets = np.asarray(targets, dtype=np.int64)
+        cols = np.repeat(x_column(members[None, :], targets[:, None], n_c), len(specs), axis=0)
+        coefs = np.tile(np.reshape([spec[3] for spec in specs], (len(specs), len(members))),
+                        (len(targets), 1))
+        rows.add([spec[:3] for spec in specs], ((),), [company_keys[c] for c in targets],
+                 cols, coefs)
 
-    for i, s in enumerate(students):
-        rows.append(LinearRow("assign_once", (s.id,),
-                              tuple(xcol(i, c) for c in all_companies),
-                              (1.0,) * n_c, Sense.EQ, 1.0))
+    rows.add([("assign_once", Sense.EQ, 1.0)], student_keys, ((),),
+             x_column(everyone[:, None], companies[None, :], n_c), 1.0)
 
     for q in QUALITIES:
-        members = [i for i, s in enumerate(students) if s.in_quality(q)]
-        lo = tol.count_min.get(q)
-        hi = tol.count_max.get(q)
-        if lo is None and hi is None:
-            continue
-        for c in all_companies:
-            cols = tuple(xcol(i, c) for i in members)
-            coefs = (1.0,) * len(cols)
-            if lo is not None:
-                rows.append(LinearRow(f"count_min_{q}", (labels[c],), cols, coefs, Sense.GE, float(lo)))
-            if hi is not None:
-                rows.append(LinearRow(f"count_max_{q}", (labels[c],), cols, coefs, Sense.LE, float(hi)))
+        members = members_where(lambda s: s.in_quality(q))
+        per_company(_window(f"count_{{}}_{q}", tol.count_min.get(q), tol.count_max.get(q),
+                            lambda b: (float(b), np.ones(len(members)))), members)
 
     for m in METRICS:
-        lo = tol.merit_min.get(m)
-        hi = tol.merit_max.get(m)
-        if lo is None and hi is None:
-            continue
-        scores = [s.score(m) for s in students]
-        for c in all_companies:
-            cols = tuple(xcol(i, c) for i in range(len(students)))
-            # homogenized: sum(score_i x) - bound * sum(x) vs 0
-            if lo is not None:
-                rows.append(LinearRow(f"merit_min_{m}", (labels[c],), cols,
-                                      tuple(v - lo for v in scores), Sense.GE, 0.0))
-            if hi is not None:
-                rows.append(LinearRow(f"merit_max_{m}", (labels[c],), cols,
-                                      tuple(v - hi for v in scores), Sense.LE, 0.0))
+        scores = np.array([s.score(m) for s in students])
+        # homogenized: sum(score_i x) - bound * sum(x) vs 0
+        per_company(_window(f"merit_{{}}_{m}", tol.merit_min.get(m), tol.merit_max.get(m),
+                            lambda b: (0.0, scores - b)))
 
-    def fraction_rows(family: str, key: str, members: list[int],
-                      lo: float | None, hi: float | None) -> None:
-        member_set = set(members)
-        for c in all_companies:
-            cols = tuple(xcol(i, c) for i in range(len(students)))
-            if lo is not None:
-                coefs = tuple((1.0 - lo) if i in member_set else -lo for i in range(len(students)))
-                rows.append(LinearRow(f"{family}_min_{key}", (labels[c],), cols, coefs, Sense.GE, 0.0))
-            if hi is not None:
-                coefs = tuple((1.0 - hi) if i in member_set else -hi for i in range(len(students)))
-                rows.append(LinearRow(f"{family}_max_{key}", (labels[c],), cols, coefs, Sense.LE, 0.0))
-
-    for g in GENDERS:
-        lo = tol.gender_min.get(g)
-        hi = tol.gender_max.get(g)
-        if lo is None and hi is None:
-            continue
-        fraction_rows("gender", g, [i for i, s in enumerate(students) if s.gender == g], lo, hi)
-
-    for e in sorted(set(tol.race_min) | set(tol.race_max)):
-        lo = tol.race_min.get(e)
-        hi = tol.race_max.get(e)
-        fraction_rows("race", e, [i for i, s in enumerate(students) if s.race == e], lo, hi)
+    shares = [(f"gender_{{}}_{g}", [s.gender == g for s in students], tol.gender_min.get(g),
+               tol.gender_max.get(g)) for g in GENDERS]
+    shares += [(f"race_{{}}_{e}", [s.race == e for s in students], tol.race_min.get(e),
+                tol.race_max.get(e)) for e in sorted(set(tol.race_min) | set(tol.race_max))]
+    for family, inside, lo, hi in shares:
+        per_company(_window(family, lo, hi, lambda b: (0.0, np.where(inside, 1.0 - b, -b))))
 
     for v in sorted(tol.sport_max):
-        cap = tol.sport_max[v]
-        members = [i for i, s in enumerate(students) if v in s.sports]
-        if not members:
-            continue
-        for c in all_companies:
-            cols = tuple(xcol(i, c) for i in members)
-            rows.append(LinearRow(f"sport_cap_{v}", (labels[c],), cols,
-                                  (1.0,) * len(cols), Sense.LE, float(cap)))
+        members = members_where(lambda s: v in s.sports)
+        if len(members):
+            per_company([(f"sport_cap_{v}", Sense.LE, float(tol.sport_max[v]),
+                          np.ones(len(members)))], members)
 
     index_of = {s.id: i for i, s in enumerate(students)}
-    for a, b in roster.conflict_pairs:
-        ia, ib = index_of[a], index_of[b]
-        for c in all_companies:
-            rows.append(LinearRow("conflict", (a, b, labels[c]),
-                                  (xcol(ia, c), xcol(ib, c)), (1.0, 1.0), Sense.LE, 1.0))
+    conflicts = np.array([(index_of[a], index_of[b]) for a, b in roster.conflict_pairs],
+                         dtype=np.int64).reshape(-1, 1, 2)
+    rows.add([("conflict", Sense.LE, 1.0)], roster.conflict_pairs, company_keys,
+             x_column(conflicts, companies[None, :, None], n_c).reshape(-1, 2), 1.0)
 
     if tol.min_sapr > 0:
-        guides = [i for i, s in enumerate(students) if s.is_sapr_guide]
-        targets = all_companies if tol.sapr_companies is None else tuple(sorted(tol.sapr_companies))
-        for c in targets:
-            cols = tuple(xcol(i, c) for i in guides)
-            rows.append(LinearRow("sapr_min", (labels[c],), cols,
-                                  (1.0,) * len(cols), Sense.GE, float(tol.min_sapr)))
+        guides = members_where(lambda s: s.is_sapr_guide)
+        per_company([("sapr_min", Sense.GE, float(tol.min_sapr), np.ones(len(guides)))], guides,
+                    range(n_c) if tol.sapr_companies is None else sorted(tol.sapr_companies))
 
     if tol.num_intl is not None:
-        intl = [i for i, s in enumerate(students) if s.is_international]
-        targets = all_companies if tol.intl_companies is None else tuple(sorted(tol.intl_companies))
-        for c in targets:
-            cols = tuple(xcol(i, c) for i in intl)
-            rows.append(LinearRow("intl_count", (labels[c],), cols,
-                                  (1.0,) * len(cols), Sense.EQ, float(tol.num_intl)))
+        intl = members_where(lambda s: s.is_international)
+        per_company([("intl_count", Sense.EQ, float(tol.num_intl), np.ones(len(intl)))], intl,
+                    range(n_c) if tol.intl_companies is None else sorted(tol.intl_companies))
 
     no_stay = variant is not ModelVariant.MIN_SAME_COMPANY
-    for i, s in enumerate(students):
-        if not s.battalion_locked:
-            continue
-        batt = roster.battalions[roster.battalion_of(s.old_company)]
-        targets = [c for c in sorted(batt) if not (no_stay and c == s.old_company)]
-        cols = tuple(xcol(i, c) for c in targets)
-        rows.append(LinearRow("battalion_lock", (s.id,), cols, (1.0,) * len(cols), Sense.EQ, 1.0))
+    locks = [(i, [c for c in sorted(roster.battalions[roster.battalion_of(s.old_company)])
+                  if not (no_stay and c == s.old_company)])
+             for i, s in enumerate(students) if s.battalion_locked]
+    rows.add([("battalion_lock", Sense.EQ, 1.0)], [student_keys[i] for i, _ in locks], ((),),
+             [x_column(i, c, n_c) for i, targets in locks for c in targets], 1.0,
+             lengths=[len(targets) for _, targets in locks])
 
-    if variant is not ModelVariant.MIN_SAME_COMPANY:
-        for i, s in enumerate(students):
-            rows.append(LinearRow("no_stay", (s.id,), (xcol(i, s.old_company),), (1.0,), Sense.EQ, 0.0))
+    old = [s.old_company for s in students]
+    if no_stay:
+        rows.add([("no_stay", Sense.EQ, 0.0)], student_keys, ((),),
+                 x_column(everyone, np.array(old), n_c)[:, None], 1.0)
 
-    meta = {
+    return {
         "variant": variant.value,
         "student_ids": tuple(s.id for s in students),
         "company_labels": labels,
-        "old_company": tuple(s.old_company for s in students),
+        "old_company": tuple(old),
         "aom_scores": tuple(s.aom for s in students),
         "mom_scores": tuple(s.mom for s in students),
         "aom_weight": roster.aom_weight,
         "mom_weight": roster.mom_weight,
         "pairs": (),
     }
-    return rows, meta
+
+
+def assignment_block(roster: Roster, variant: ModelVariant) -> tuple[RowStore, dict]:
+    """The x-block rows (those over assignment columns alone) and the model
+    metadata, whose ``pairs`` entry is left empty.
+
+    These are exactly the families :func:`~cohort_shuffle.roster.check_feasible`
+    audits: an assignment satisfies them all precisely when it passes.
+    """
+    rows = RowBuilder()
+    meta = _assignment_rows(roster, variant, rows)
+    return rows.build(), meta
 
 
 def compile_model(roster: Roster, variant: ModelVariant) -> IpModel:
-    """Build the requested variant as a sparse row model over named columns."""
+    """Build the requested variant as a row store over named columns."""
     if not isinstance(variant, ModelVariant):
         raise ValueError(f"unknown model variant: {variant!r}")
     if not roster.students:
@@ -211,67 +195,58 @@ def compile_model(roster: Roster, variant: ModelVariant) -> IpModel:
     if variant is not ModelVariant.MIN_SAME_COMPANY and roster.num_companies < 2:
         raise ValueError("forbidding same-company reassignment needs at least 2 companies")
     students = roster.students
-    n_c = roster.num_companies
+    n, n_c = len(students), roster.num_companies
     labels = roster.company_labels
 
-    variables: list[Variable] = []
-    for s in students:
-        for c in range(n_c):
-            cost = 0.0
-            if variant is ModelVariant.MIN_SAME_COMPANY and c == s.old_company:
-                cost = 1.0
-            variables.append(Variable(f"x[{s.id},{labels[c]}]", VarKind.BINARY, 0.0, 1.0, cost))
+    variables = [Variable(f"x[{s.id},{labels[c]}]", VarKind.BINARY, 0.0, 1.0,
+                          float(variant is ModelVariant.MIN_SAME_COMPANY and c == s.old_company))
+                 for s in students for c in range(n_c)]
 
     ordered_pairs = [(c, c2) for c in range(n_c) for c2 in range(n_c) if c2 != c]
-    y_base = z_base = u_base = -1
     if variant is ModelVariant.MERIT_DEVIATION:
-        y_base = len(variables)
-        for c, c2 in ordered_pairs:
-            variables.append(Variable(f"y[{labels[c]},{labels[c2]}]", VarKind.CONTINUOUS,
-                                      0.0, INF, roster.aom_weight))
-        z_base = len(variables)
-        for c, c2 in ordered_pairs:
-            variables.append(Variable(f"z[{labels[c]},{labels[c2]}]", VarKind.CONTINUOUS,
-                                      0.0, INF, roster.mom_weight))
+        for name, weight in (("y", roster.aom_weight), ("z", roster.mom_weight)):
+            for c, c2 in ordered_pairs:
+                variables.append(Variable(f"{name}[{labels[c]},{labels[c2]}]", VarKind.CONTINUOUS,
+                                          0.0, INF, weight))
 
     pair_list: list[tuple[int, int]] = []
     if variant is ModelVariant.MIN_PAIRS:
         pair_list = acquainted_pairs(roster)
-        u_base = len(variables)
         for a, b in pair_list:
             variables.append(Variable(f"u[{students[a].id},{students[b].id}]",
                                       VarKind.BINARY, 0.0, 1.0, 1.0))
 
-    rows, meta = assignment_block(roster, variant)
-    meta["x_rows"] = len(rows)
-    all_companies = tuple(range(n_c))
+    rows = RowBuilder()
+    meta = _assignment_rows(roster, variant, rows)
+    meta["x_rows"] = rows.count
+    meta["pairs"] = tuple((students[a].id, students[b].id) for a, b in pair_list)
+    x_base = n * n_c
 
     if variant is ModelVariant.MERIT_DEVIATION:
-        aom = [s.aom for s in students]
-        mom = [s.mom for s in students]
-        n = len(students)
-        for p, (c, c2) in enumerate(ordered_pairs):
-            cols = tuple(x_column(i, c, n_c) for i in range(n)) + tuple(x_column(i, c2, n_c) for i in range(n))
-            ycol = (y_base + p,)
-            zcol = (z_base + p,)
-            a_diff = tuple(aom) + tuple(-v for v in aom)
-            m_diff = tuple(mom) + tuple(-v for v in mom)
-            key = (labels[c], labels[c2])
-            # sum_i a_i (x_{i,c} - x_{i,c'}) <= y and the mirror image
-            rows.append(LinearRow("aom_spread_pos", key, cols + ycol, a_diff + (-1.0,), Sense.LE, 0.0))
-            rows.append(LinearRow("aom_spread_neg", key, cols + ycol,
-                                  tuple(-v for v in a_diff) + (-1.0,), Sense.LE, 0.0))
-            rows.append(LinearRow("mom_spread_pos", key, cols + zcol, m_diff + (-1.0,), Sense.LE, 0.0))
-            rows.append(LinearRow("mom_spread_neg", key, cols + zcol,
-                                  tuple(-v for v in m_diff) + (-1.0,), Sense.LE, 0.0))
+        # sum_i a_i (x_{i,c} - x_{i,c'}) <= y and the mirror image, then z for mom
+        spread = np.array(ordered_pairs, dtype=np.int64).reshape(-1, 1, 2)
+        x_part = x_column(np.arange(n)[None, :, None], spread, n_c).transpose(0, 2, 1)
+        p = np.arange(len(ordered_pairs))
+        cols = np.empty((len(p), 4, 2 * n + 1), dtype=np.int32)
+        cols[:, :, :-1] = x_part.reshape(len(p), 1, 2 * n)
+        cols[:, :2, -1] = (x_base + p)[:, None]
+        cols[:, 2:, -1] = (x_base + len(p) + p)[:, None]
+        aom = np.array(meta["aom_scores"])
+        mom = np.array(meta["mom_scores"])
+        a_diff = np.concatenate([aom, -aom])
+        m_diff = np.concatenate([mom, -mom])
+        coefs = np.column_stack([np.stack([a_diff, -a_diff, m_diff, -m_diff]), np.full(4, -1.0)])
+        rows.add([(f, Sense.LE, 0.0) for f in ("aom_spread_pos", "aom_spread_neg",
+                                               "mom_spread_pos", "mom_spread_neg")],
+                 [(labels[c], labels[c2]) for c, c2 in ordered_pairs], ((),),
+                 cols, coefs)
 
     if variant is ModelVariant.MIN_PAIRS:
-        for p, (a, b) in enumerate(pair_list):
-            ida, idb = students[a].id, students[b].id
-            for c in all_companies:
-                rows.append(LinearRow("together", (ida, idb, labels[c]),
-                                      (x_column(a, c, n_c), x_column(b, c, n_c), u_base + p),
-                                      (1.0, 1.0, -1.0), Sense.LE, 1.0))
+        pairs = np.array(pair_list, dtype=np.int64).reshape(-1, 1, 2)
+        cols = np.empty((len(pair_list), n_c, 3), dtype=np.int32)
+        cols[:, :, :2] = x_column(pairs, np.arange(n_c)[None, :, None], n_c)
+        cols[:, :, 2] = (x_base + np.arange(len(pair_list)))[:, None]
+        rows.add([("together", Sense.LE, 1.0)], meta["pairs"], [(label,) for label in labels],
+                 cols, np.array([1.0, 1.0, -1.0]))
 
-    meta["pairs"] = tuple((students[a].id, students[b].id) for a, b in pair_list)
-    return IpModel(variant, tuple(variables), tuple(rows), meta)
+    return IpModel(variant, tuple(variables), rows.build(), meta)

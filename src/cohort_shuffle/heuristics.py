@@ -18,9 +18,12 @@ import random
 from collections import deque
 from typing import Callable, Sequence
 
+import numpy as np
+from scipy import sparse
+
 from cohort_shuffle.bounds import objective_floor
 from cohort_shuffle.compiler import assignment_block
-from cohort_shuffle.ipmodel import LinearRow, ModelVariant, Sense
+from cohort_shuffle.ipmodel import SENSES, ModelVariant, RowStore, Sense
 from cohort_shuffle.roster import FEAS_TOL, Assignment, Roster, deviation_from_sums
 
 #: violation and objective changes within this count as no change
@@ -76,42 +79,44 @@ def rotate_within_battalions(roster: Roster, shift: int = 1) -> Assignment:
 class MoveEvaluator:
     """Row violation and objective of one assignment, updated per move.
 
-    Built from the x-block rows of :func:`~cohort_shuffle.compiler.assignment_block`;
+    Built from the x-block arrays of :func:`~cohort_shuffle.compiler.assignment_block`;
     :meth:`load` sets the assignment.  A row over one student's columns keeps
     a coefficient per company; every other row lies within one company and
-    sits in plain row and coefficient lists per column, so a move costs
-    O(touched rows).  ``violation`` sums how far rows miss their bounds beyond
-    ``FEAS_TOL``, as ``check_feasible`` counts them, and is exactly 0.0 when
-    none does.  The objective comes from the (new, old) cohort matrix
+    sits, through one CSC conversion, in plain row and coefficient lists per
+    column, so a move costs O(touched rows).  ``violation`` sums how far rows
+    miss their bounds beyond ``FEAS_TOL``, as ``check_feasible`` counts them,
+    and is exactly 0.0 when none does.  The objective comes from the (new, old) cohort matrix
     (stays are its diagonal) or the per-company aom/mom sums.
     """
 
-    def __init__(self, rows: Sequence[LinearRow], meta: dict, variant: ModelVariant) -> None:
+    def __init__(self, rows: RowStore, meta: dict, variant: ModelVariant) -> None:
         self.variant = variant
         self.n = n = len(meta["student_ids"])
         self.n_c = n_c = len(meta["company_labels"])
         self.old = list(meta["old_company"])
         self.scores = (list(meta["aom_scores"]), list(meta["mom_scores"]))
         self.weights = (meta["aom_weight"], meta["mom_weight"])
-        self.lo = [-math.inf if row.sense is Sense.LE else row.rhs for row in rows]
-        self.hi = [math.inf if row.sense is Sense.GE else row.rhs for row in rows]
+        self.lo = np.where(rows.sense == SENSES.index(Sense.LE), -math.inf, rows.rhs).tolist()
+        self.hi = np.where(rows.sense == SENSES.index(Sense.GE), math.inf, rows.rhs).tolist()
+        counts = np.diff(rows.indptr)
+        row_of = np.repeat(np.arange(len(rows)), counts)
+        student = rows.cols // n_c
+        own = counts > 0
+        own[row_of[student != student[rows.indptr[row_of]]]] = False
+        self.student_rows: list[list[tuple[int, list[float]]]] = [[] for _ in range(n)]
+        for r in np.flatnonzero(own).tolist():
+            lo, hi = rows.indptr[r], rows.indptr[r + 1]
+            coefs = np.zeros(n_c)
+            np.add.at(coefs, rows.cols[lo:hi] % n_c, rows.coefs[lo:hi])
+            self.student_rows[student[lo]].append((r, coefs.tolist()))
         # parallel lists rather than (row, coef) tuples: freed en masse, small
         # tuples linger on the interpreter's free list and pin their memory
-        self.col_rows: list[list[int]] = [[] for _ in range(n * n_c)]
-        self.col_coefs: list[list[float]] = [[] for _ in range(n * n_c)]
-        self.student_rows: list[list[tuple[int, list[float]]]] = [[] for _ in range(n)]
-        for r, row in enumerate(rows):
-            students = {j // n_c for j in row.cols}
-            if len(students) == 1:
-                coefs = [0.0] * n_c
-                for j, a in zip(row.cols, row.coefs):
-                    coefs[j % n_c] += a
-                self.student_rows[students.pop()].append((r, coefs))
-                continue
-            for j, a in zip(row.cols, row.coefs):
-                if a != 0.0:
-                    self.col_rows[j].append(r)
-                    self.col_coefs[j].append(a)
+        keep = ~own[row_of] & (rows.coefs != 0.0)
+        shared = sparse.csc_matrix((rows.coefs[keep], (row_of[keep], rows.cols[keep])),
+                                   shape=(len(rows), n * n_c))
+        ptr = shared.indptr.tolist()
+        self.col_rows, self.col_coefs = ([values[a:b] for a, b in zip(ptr, ptr[1:])]
+                                         for values in (shared.indices.tolist(), shared.data.tolist()))
 
     def load(self, asg: Sequence[int]) -> None:
         """Make ``asg`` (company per student index) the current assignment."""

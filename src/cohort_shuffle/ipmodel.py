@@ -1,16 +1,24 @@
 """Integer-program containers and LP-format text export.
 
 The compiler in :mod:`cohort_shuffle.compiler` produces an :class:`IpModel`
-holding a sparse row list over named variables.  The solver consumes the
-same structure, so one model object can be solved, exported, or inspected
-without recompilation.
+whose rows live in one :class:`RowStore`: CSR arrays over named variables
+plus per-row sense and right-hand side, with row names derived from a small
+per-family block table.  The simplex, the move evaluator and the LP export
+all read the same arrays, so one model object can be solved, exported, or
+inspected without recompilation.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
+import functools
+import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+import numpy as np
 
 
 class ModelVariant(enum.Enum):
@@ -47,8 +55,7 @@ class LinearRow(NamedTuple):
 
     ``family`` tags which constraint family produced the row and ``key``
     identifies the instance within the family (company index, pair of
-    student ids, and so on).  Row names are derived on demand instead of
-    stored, which keeps large pair models compact.
+    student ids, and so on).  A :class:`RowStore` builds these on access.
     """
 
     family: str
@@ -63,21 +70,129 @@ class LinearRow(NamedTuple):
         return f"{self.family}_{parts}" if parts else self.family
 
 
+#: ``RowStore.sense`` holds indices into this tuple
+SENSES = (Sense.LE, Sense.GE, Sense.EQ)
+
+
+class RowStore(Sequence):
+    """Constraint rows as one CSR matrix with a sense and right-hand side per
+    row: row ``r`` is ``sum(coefs[p] * x[cols[p]])`` over ``p`` in
+    ``indptr[r]:indptr[r + 1]``, compared by ``SENSES[sense[r]]`` with
+    ``rhs[r]``.  The arrays are read-only.
+
+    ``blocks`` names the rows.  Block ``(start, families, outer, inner)``
+    covers the rows from ``start`` to the next block, families cycling
+    fastest, then inner keys, then outer keys: row ``start + (o * len(inner)
+    + i) * len(families) + f`` is family ``families[f]`` with key ``outer[o]
+    + inner[i]``.  Indexing builds the row's :class:`LinearRow`; a slice with
+    step 1 is a store over those rows that shares the arrays, its row 0 being
+    row ``offset`` of the blocks.
+    """
+
+    def __init__(self, indptr: np.ndarray, cols: np.ndarray, coefs: np.ndarray,
+                 sense: np.ndarray, rhs: np.ndarray, blocks: Sequence[tuple],
+                 offset: int = 0) -> None:
+        for array in (indptr, cols, coefs, sense, rhs):
+            array.flags.writeable = False
+        self.indptr, self.cols, self.coefs, self.sense, self.rhs = indptr, cols, coefs, sense, rhs
+        self.blocks, self.offset = tuple(blocks), offset
+        self._starts = [block[0] for block in self.blocks]
+
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            span = range(len(self))[index]
+            if span.step != 1:
+                return tuple(self[r] for r in span)
+            a, b = span.start, max(span.start, span.stop)
+            lo, hi = self.indptr[a], self.indptr[b]
+            return RowStore(self.indptr[a:b + 1] - lo, self.cols[lo:hi], self.coefs[lo:hi],
+                            self.sense[a:b], self.rhs[a:b], self.blocks, self.offset + a)
+        r = range(len(self))[index]
+        return next(iter(self[r:r + 1]))
+
+    def __iter__(self) -> Iterator[LinearRow]:
+        # a few thousand rows at a time as Python lists: row-by-row numpy
+        # indexing would cost more than the rows themselves
+        for a in range(0, len(self), 4096):
+            chunk = self[a:a + 4096]
+            ptr = chunk.indptr.tolist()
+            cols, coefs = chunk.cols.tolist(), chunk.coefs.tolist()
+            for r, (sense, rhs) in enumerate(zip(chunk.sense.tolist(), chunk.rhs.tolist())):
+                yield LinearRow(*chunk._name_parts(r), tuple(cols[ptr[r]:ptr[r + 1]]),
+                                tuple(coefs[ptr[r]:ptr[r + 1]]), SENSES[sense], rhs)
+
+    def _name_parts(self, r: int) -> tuple[str, tuple]:
+        row = r + self.offset
+        start, families, outer, inner = self.blocks[bisect.bisect_right(self._starts, row) - 1]
+        j, f = divmod(row - start, len(families))
+        o, i = divmod(j, len(inner))
+        return families[f], tuple(outer[o]) + tuple(inner[i])
+
+
+class RowBuilder:
+    """Row blocks appended in model order, packed into one :class:`RowStore`."""
+
+    def __init__(self) -> None:
+        self.parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32), np.zeros(0),
+                       np.zeros(0, dtype=np.int8), np.zeros(0))]
+        self.blocks: list[tuple] = []
+        self.count = 0
+
+    def add(self, specs: Sequence[tuple[str, Sense, float]], outer: Sequence[tuple],
+            inner: Sequence[tuple], cols, coefs, lengths: Sequence[int] | None = None) -> None:
+        """Rows for every outer key, inner key and ``(family, sense, rhs)`` spec,
+        specs cycling fastest (see :class:`RowStore`).  ``cols`` holds the
+        column indices of one row along its last axis, rows in order along the
+        others, with ``coefs`` broadcast to it; rows of differing lengths come
+        flattened, with their ``lengths``."""
+        n_rows = len(specs) * len(outer) * len(inner)
+        if n_rows == 0:
+            return
+        cols = np.asarray(cols, dtype=np.int32)
+        families, senses, rhs = zip(*specs)
+        self.parts.append((np.full(n_rows, cols.shape[-1]) if lengths is None else lengths,
+                           cols.ravel(), np.broadcast_to(coefs, cols.shape).ravel(),
+                           np.resize(np.array([SENSES.index(s) for s in senses], dtype=np.int8),
+                                     n_rows),
+                           np.resize(np.array(rhs, dtype=float), n_rows)))
+        self.blocks.append((self.count, families, outer, inner))
+        self.count += n_rows
+
+    def build(self) -> RowStore:
+        lengths, cols, coefs, sense, rhs = (np.concatenate(part) for part in zip(*self.parts))
+        indptr = np.zeros(self.count + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        return RowStore(indptr, cols, coefs, sense, rhs, self.blocks)
+
+
 @dataclass(frozen=True)
 class IpModel:
     """A compiled instance: columns, rows, and decoding metadata.
 
-    ``meta`` carries everything needed to interpret a solution vector
-    without the original roster object: student ids, company labels,
-    previous-company indices, merit scores for the deviation objective,
-    the same-previous-company pair list for the pairs objective, and
-    ``x_rows``, the count of leading rows over assignment columns alone.
+    ``rows`` given as :class:`LinearRow` tuples are packed into a
+    :class:`RowStore` once, on construction.  ``meta`` carries everything
+    needed to interpret a solution vector without the original roster
+    object: student ids, company labels, previous-company indices, merit
+    scores for the deviation objective, the same-previous-company pair list
+    for the pairs objective, and ``x_rows``, the count of leading rows over
+    assignment columns alone.
     """
 
     variant: ModelVariant
     variables: tuple[Variable, ...]
-    rows: tuple[LinearRow, ...]
+    rows: RowStore
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.rows, RowStore):
+            packed = RowBuilder()
+            for row in self.rows:
+                packed.add([(row.family, row.sense, row.rhs)], (row.key,), ((),),
+                           np.array([row.cols], dtype=np.int32), np.array([row.coefs], dtype=float))
+            object.__setattr__(self, "rows", packed.build())
 
     @property
     def num_vars(self) -> int:
@@ -87,31 +202,31 @@ class IpModel:
     def num_rows(self) -> int:
         return len(self.rows)
 
+    @functools.cached_property
+    def _column_of(self) -> dict[str, int]:
+        return {v.name: j for j, v in enumerate(self.variables)}
+
     def var_index(self, name: str) -> int:
-        cache = self.meta.get("_var_index")
-        if cache is None:
-            cache = {v.name: j for j, v in enumerate(self.variables)}
-            self.meta["_var_index"] = cache
-        return cache[name]
+        return self._column_of[name]
 
     def binary_columns(self) -> list[int]:
         return [j for j, v in enumerate(self.variables) if v.kind is VarKind.BINARY]
 
 
-def _format_terms(cols: tuple[int, ...], coefs: tuple[float, ...],
-                  variables: tuple[Variable, ...]) -> list[str]:
-    """Render ``+ 2 x[...]`` tokens, one per nonzero term."""
-    toks: list[str] = []
-    for j, a in zip(cols, coefs):
-        if a == 0.0:
-            continue
-        sign = "-" if a < 0 else "+"
-        mag = abs(a)
-        if mag == int(mag):
-            coef = "" if mag == 1.0 else f"{int(mag)} "
-        else:
-            coef = f"{mag:.12g} "
-        toks.append(f"{sign} {coef}{variables[j].name}")
+def _number(v: float) -> str:
+    if math.isinf(v):
+        return "+inf" if v > 0 else "-inf"
+    return f"{int(v)}" if v == int(v) else f"{v:.12g}"
+
+
+def _terms(cols: Sequence[int], coefs: Sequence[float], variables: tuple[Variable, ...]) -> list[str]:
+    """Render ``2 x[...] - y[...]`` tokens, one per nonzero term, or ``0``."""
+    toks = [f"{'-' if a < 0 else '+'} {'' if abs(a) == 1.0 else _number(abs(a)) + ' '}"
+            f"{variables[j].name}" for j, a in zip(cols, coefs) if a != 0.0]
+    if not toks:
+        return ["0"]
+    if toks[0].startswith("+ "):
+        toks[0] = toks[0][2:]
     return toks
 
 
@@ -136,50 +251,24 @@ def export_lp(model: IpModel) -> str:
     Objective terms, rows, bounds, and binaries all appear in model order,
     so the export is deterministic for a fixed model.
     """
-    out: list[str] = []
-    out.append("\\ cohort-shuffle model export")
-    out.append(f"\\ variant: {model.variant.value}")
-    out.append("Minimize")
-
-    obj_tokens: list[str] = []
-    for v in model.variables:
-        if v.objective == 0.0:
-            continue
-        sign = "-" if v.objective < 0 else "+"
-        mag = abs(v.objective)
-        coef = "" if mag == 1.0 else (f"{int(mag)} " if mag == int(mag) else f"{mag:.12g} ")
-        obj_tokens.append(f"{sign} {coef}{v.name}")
-    if not obj_tokens:
-        obj_tokens = ["0"]
-    if obj_tokens[0].startswith("+ "):
-        obj_tokens[0] = obj_tokens[0][2:]
-    out.extend(_wrap(["obj:"] + obj_tokens, " "))
-
+    variables = model.variables
+    out = ["\\ cohort-shuffle model export", f"\\ variant: {model.variant.value}", "Minimize"]
+    out.extend(_wrap(["obj:"] + _terms(range(len(variables)),
+                                       [v.objective for v in variables], variables), " "))
     out.append("Subject To")
     for row in model.rows:
-        toks = _format_terms(row.cols, row.coefs, model.variables)
-        if not toks:
-            toks = ["0"]
-        elif toks[0].startswith("+ "):
-            toks[0] = toks[0][2:]
-        rhs = row.rhs
-        rhs_txt = f"{int(rhs)}" if rhs == int(rhs) else f"{rhs:.12g}"
-        toks = [f"{row.name()}:"] + toks + [row.sense.value, rhs_txt]
-        out.extend(_wrap(toks, " "))
-
+        out.extend(_wrap([f"{row.name()}:", *_terms(row.cols, row.coefs, variables),
+                          row.sense.value, _number(row.rhs)], " "))
     out.append("Bounds")
-    for v in model.variables:
+    for v in variables:
         if v.kind is VarKind.BINARY:
             continue
-        lo, hi = v.lower, v.upper
-        lo_txt = "-inf" if lo == float("-inf") else (f"{int(lo)}" if lo == int(lo) else f"{lo:.12g}")
-        hi_txt = "+inf" if hi == float("inf") else (f"{int(hi)}" if hi == int(hi) else f"{hi:.12g}")
-        if lo == 0.0 and hi == float("inf"):
+        if v.lower == 0.0 and v.upper == math.inf:
             out.append(f" 0 <= {v.name}")
         else:
-            out.append(f" {lo_txt} <= {v.name} <= {hi_txt}")
+            out.append(f" {_number(v.lower)} <= {v.name} <= {_number(v.upper)}")
 
-    binaries = [model.variables[j].name for j in model.binary_columns()]
+    binaries = [variables[j].name for j in model.binary_columns()]
     if binaries:
         out.append("Binaries")
         out.extend(_wrap(binaries, " "))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from cohort_shuffle.ipmodel import IpModel, Sense
+from cohort_shuffle.ipmodel import SENSES, IpModel, Sense
 
 FEAS_EPS = 1e-6
 OPT_EPS = 1e-7
@@ -71,46 +71,22 @@ def standard_form(model: IpModel) -> "SimplexEngine":
     tolerances.  Slack bounds are 0 or infinite, so row scaling leaves the
     senses intact; duals are scaled back on the way out.
     """
-    n = model.num_vars
-    m = model.num_rows
+    rows = model.rows
     c = np.array([v.objective for v in model.variables], dtype=float)
     lower = np.array([v.lower for v in model.variables], dtype=float)
     upper = np.array([v.upper for v in model.variables], dtype=float)
 
-    data: list[float] = []
-    indices: list[int] = []
-    indptr = [0]
-    # build CSR by rows, convert to CSC once
-    for row in model.rows:
-        data.extend(row.coefs)
-        indices.extend(row.cols)
-        indptr.append(len(data))
-    a_csr = sparse.csr_matrix((np.asarray(data, dtype=float),
-                               np.asarray(indices, dtype=np.int64),
-                               np.asarray(indptr, dtype=np.int64)),
-                              shape=(m, n))
-    b = np.array([row.rhs for row in model.rows], dtype=float)
-
-    row_scale = np.ones(m)
-    for i in range(m):
-        seg = a_csr.data[a_csr.indptr[i]:a_csr.indptr[i + 1]]
-        if len(seg):
-            mx = float(np.max(np.abs(seg)))
-            if mx > 0.0:
-                row_scale[i] = 1.0 / mx
-                seg *= row_scale[i]
-    b = b * row_scale
-
-    slack_lo = np.empty(m)
-    slack_hi = np.empty(m)
-    for i, row in enumerate(model.rows):
-        if row.sense is Sense.LE:
-            slack_lo[i], slack_hi[i] = 0.0, INF
-        elif row.sense is Sense.GE:
-            slack_lo[i], slack_hi[i] = -INF, 0.0
-        else:
-            slack_lo[i], slack_hi[i] = 0.0, 0.0
-    return SimplexEngine(c, a_csr.tocsc(), b, slack_lo, slack_hi, lower, upper,
+    counts = np.diff(rows.indptr)
+    nonempty = counts > 0
+    row_max = np.zeros(len(rows))
+    row_max[nonempty] = np.maximum.reduceat(np.abs(rows.coefs), rows.indptr[:-1][nonempty])
+    row_scale = np.ones(len(rows))
+    np.divide(1.0, row_max, out=row_scale, where=row_max > 0.0)
+    a_csr = sparse.csr_matrix((rows.coefs * np.repeat(row_scale, counts), rows.cols, rows.indptr),
+                              shape=(len(rows), model.num_vars))
+    slack_lo = np.where(rows.sense == SENSES.index(Sense.GE), -INF, 0.0)
+    slack_hi = np.where(rows.sense == SENSES.index(Sense.LE), INF, 0.0)
+    return SimplexEngine(c, a_csr.tocsc(), rows.rhs * row_scale, slack_lo, slack_hi, lower, upper,
                          row_scale=row_scale)
 
 
@@ -218,52 +194,33 @@ class SimplexEngine:
         st = _State()
         bl = np.concatenate([lower, self.slack_lo])
         bu = np.concatenate([upper, self.slack_hi])
-        x = np.zeros(n + m)
-        vstat = np.full(n + m, AT_LOWER, dtype=np.int8)
-        for j in range(n):
-            if bl[j] > -INF:
-                x[j], vstat[j] = bl[j], AT_LOWER
-            elif bu[j] < INF:
-                x[j], vstat[j] = bu[j], AT_UPPER
-            else:
-                x[j], vstat[j] = 0.0, FREE
+        # structurals rest on a finite bound, lower first; free ones at 0
+        has_lo, has_hi = bl[:n] > -INF, bu[:n] < INF
+        x = np.concatenate([np.where(has_lo, bl[:n], np.where(has_hi, bu[:n], 0.0)), np.zeros(m)])
+        vstat = np.concatenate([np.where(has_lo, AT_LOWER, np.where(has_hi, AT_UPPER, FREE)),
+                                np.full(m, BASIC)]).astype(np.int8)
 
+        # a slack takes its row's residual if its bounds allow, else the
+        # nearest bound, and an artificial column covers the rest
         r = self.b - self.a_csc @ x[:n]
-        art_row: list[int] = []
-        art_sign: list[float] = []
-        basis = np.empty(m, dtype=np.int64)
-        for i in range(m):
-            if self.slack_lo[i] - FEAS_EPS <= r[i] <= self.slack_hi[i] + FEAS_EPS:
-                basis[i] = n + i
-                vstat[i + n] = BASIC
-                x[n + i] = r[i]
-            else:
-                clamped = min(max(r[i], self.slack_lo[i]), self.slack_hi[i])
-                x[n + i] = clamped
-                vstat[n + i] = AT_LOWER if clamped == self.slack_lo[i] else AT_UPPER
-                sign = 1.0 if r[i] - clamped > 0 else -1.0
-                art_row.append(i)
-                art_sign.append(sign)
-                basis[i] = n + m + len(art_row) - 1
-
-        st.n_art = len(art_row)
-        st.art_row = np.array(art_row, dtype=np.int64)
-        st.art_sign = np.array(art_sign)
-        if st.n_art:
-            bl = np.concatenate([bl, np.zeros(st.n_art)])
-            bu = np.concatenate([bu, np.full(st.n_art, INF)])
-            xa = np.empty(st.n_art)
-            for k, i in enumerate(art_row):
-                xa[k] = abs(r[i] - x[n + i])
-            x = np.concatenate([x, xa])
-            vstat = np.concatenate([vstat, np.full(st.n_art, BASIC, dtype=np.int8)])
-        st.bl, st.bu, st.x, st.vstat, st.basis = bl, bu, x, vstat, basis
-
-        binv = np.eye(m)
-        for k, i in enumerate(art_row):
-            if art_sign[k] < 0:
-                binv[i, i] = -1.0
-        st.binv = binv
+        ok = (self.slack_lo - FEAS_EPS <= r) & (r <= self.slack_hi + FEAS_EPS)
+        clamped = np.minimum(np.maximum(r, self.slack_lo), self.slack_hi)
+        x[n:] = np.where(ok, r, clamped)
+        st.art_row = np.flatnonzero(~ok)
+        st.n_art = len(st.art_row)
+        vstat[n + st.art_row] = np.where(clamped[st.art_row] == self.slack_lo[st.art_row],
+                                         AT_LOWER, AT_UPPER)
+        excess = r[st.art_row] - clamped[st.art_row]
+        st.art_sign = np.where(excess > 0, 1.0, -1.0)
+        basis = n + np.arange(m)
+        basis[st.art_row] = n + m + np.arange(st.n_art)
+        st.bl = np.concatenate([bl, np.zeros(st.n_art)])
+        st.bu = np.concatenate([bu, np.full(st.n_art, INF)])
+        st.x = np.concatenate([x, np.abs(excess)])
+        st.vstat = np.concatenate([vstat, np.full(st.n_art, BASIC, dtype=np.int8)])
+        st.basis = basis
+        st.binv = np.eye(m)
+        st.binv[st.art_row, st.art_row] = st.art_sign
         return st
 
     def _iterate(self, st: _State, max_iter: int) -> LpStatus:
@@ -478,20 +435,13 @@ class SimplexEngine:
             st.pivots += 1
 
     def _solve_boxed(self, lo: np.ndarray, hi: np.ndarray) -> _RawResult:
-        x = np.zeros(self.n)
-        for j in range(self.n):
-            cj = self.c[j]
-            if cj > 0:
-                if lo[j] == -INF:
-                    return _RawResult(LpStatus.UNBOUNDED, None, None, None, 0)
-                x[j] = lo[j]
-            elif cj < 0:
-                if hi[j] == INF:
-                    return _RawResult(LpStatus.UNBOUNDED, None, None, None, 0)
-                x[j] = hi[j]
-            else:
-                x[j] = lo[j] if lo[j] > -INF else (hi[j] if hi[j] < INF else 0.0)
-        return _RawResult(LpStatus.OPTIMAL, x, float(self.c @ x), np.zeros(0), 0)
+        c = self.c
+        if np.any((c > 0) & (lo == -INF)) or np.any((c < 0) & (hi == INF)):
+            return _RawResult(LpStatus.UNBOUNDED, None, None, None, 0)
+        # each column at its cheaper bound; a costless one at any finite bound
+        x = np.where(c > 0, lo, np.where(c < 0, hi, np.where(
+            lo > -INF, lo, np.where(hi < INF, hi, 0.0)))).astype(float)
+        return _RawResult(LpStatus.OPTIMAL, x, float(c @ x), np.zeros(0), 0)
 
 
 def solve_lp(model: IpModel, *, max_iter: int | None = None) -> LpSolution:

@@ -7,6 +7,8 @@ the optimal objective and infeasibility verdicts.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from cohort_shuffle import (
     SolveOptions,
     SolveStatus,
     Tolerances,
+    check_feasible,
     compile_model,
     count_pairs,
     count_same_company,
@@ -27,7 +30,9 @@ from cohort_shuffle import (
     solve_ip,
     weighted_deviation,
 )
+from cohort_shuffle.branch_bound import _canonical_point, _point_feasible
 from cohort_shuffle.ipmodel import IpModel, LinearRow, Sense, VarKind, Variable
+from cohort_shuffle.simplex import standard_form
 from conftest import balanced_roster, mk_student, oracle_best, oracle_instance
 
 MIN = ModelVariant.MIN_SAME_COMPANY
@@ -51,6 +56,25 @@ def test_matches_exhaustive_enumeration(seed):
                 f"seed {seed} {variant.value}: {res.status}"
             assert res.objective == pytest.approx(expected, abs=1e-9)
             assert res.assignment is not None
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_compiled_rows_agree_with_the_auditor(seed):
+    """The canonical point of a random assignment satisfies every compiled
+    row, spread and together rows included, exactly when the independent
+    auditor passes the assignment."""
+    roster = oracle_instance(seed)
+    rng = random.Random(seed)
+    n, n_c = len(roster.students), roster.num_companies
+    for variant in ModelVariant:
+        model = compile_model(roster, variant)
+        engine = standard_form(model)
+        for _ in range(40):
+            asg = np.array([rng.randrange(n_c) for _ in range(n)], dtype=np.int64)
+            point, _ = _canonical_point(model, asg)
+            audit = check_feasible(roster, dict(zip(model.meta["student_ids"], asg.tolist())),
+                                   forbid_same_company=variant is not MIN)
+            assert _point_feasible(engine, point) == audit.feasible, (variant, asg)
 
 
 def test_decoded_assignment_round_trips():

@@ -7,6 +7,9 @@ the compiler's own counting helper (which is itself under test).
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from cohort_shuffle import (
@@ -18,14 +21,26 @@ from cohort_shuffle import (
     acquainted_pairs,
     compile_model,
     count_variables,
+    desk_spec,
     export_lp,
+    generate,
 )
 from cohort_shuffle.compiler import x_column
+from cohort_shuffle.ipmodel import IpModel, LinearRow, RowStore, Variable
 from conftest import mk_student
 
 MIN = ModelVariant.MIN_SAME_COMPANY
 DEV = ModelVariant.MERIT_DEVIATION
 PAIRS = ModelVariant.MIN_PAIRS
+
+#: sha256 of the LP export of desk seed 7, pinned from the row-tuple
+#: compiler; any change of row order, names, coefficients or number
+#: formatting changes them
+GOLDEN_EXPORT_SHA256 = {
+    MIN: "a98b3d303a97663b5c0270d73eac0b80cb3eb9d5b6d49a881291d0f8ac36e273",
+    DEV: "ac65ab10697251b069f9cd3e950ae8eed5d839a8c3bc5c63393d63b56732b680",
+    PAIRS: "2920d9fd5beca4fd7adf44c72af95d7a96b6c94b52ca381e698dd09ffef13101",
+}
 
 
 def rows_by_family(model):
@@ -61,6 +76,12 @@ class TestColumnLayout:
         assert y0.name == "y[C1,C2]" and y0.kind is VarKind.CONTINUOUS
         assert y0.upper == float("inf")
         assert model.var_index("z[C3,C2]") > model.var_index("y[C3,C2]")
+
+    def test_var_index_leaves_meta_unchanged(self, tiny_roster):
+        model = compile_model(tiny_roster, DEV)
+        keys = set(model.meta)
+        assert model.var_index("y[C1,C2]") == 18
+        assert set(model.meta) == keys
 
 
 class TestObjectives:
@@ -211,3 +232,41 @@ class TestErrorsAndDeterminism:
             assert section in text
         assert "x[s00,C1]" in text
         assert "no_stay_s00:" in text
+
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    def test_desk_export_matches_the_golden_hash(self, variant):
+        text = export_lp(compile_model(generate(desk_spec(), seed=7), variant))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_EXPORT_SHA256[variant]
+
+
+class TestRowStore:
+    def test_rows_are_read_only_arrays(self, tiny_roster):
+        rows = compile_model(tiny_roster, PAIRS).rows
+        for array in (rows.indptr, rows.cols, rows.coefs, rows.sense, rows.rhs):
+            assert isinstance(array, np.ndarray) and not array.flags.writeable
+        assert len(rows.indptr) == len(rows) + 1 == len(rows.rhs) + 1 == len(rows.sense) + 1
+        assert rows.indptr[-1] == len(rows.cols) == len(rows.coefs)
+
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    def test_indexing_slicing_and_iteration_agree(self, tiny_roster, variant):
+        model = compile_model(tiny_roster, variant)
+        listed = list(model.rows)
+        assert [model.rows[r] for r in range(model.num_rows)] == listed
+        assert model.rows[-1] == listed[-1]
+        x_rows = model.meta["x_rows"]
+        assert list(model.rows[:x_rows]) == listed[:x_rows]
+        assert list(model.rows[3:x_rows + 4][1:]) == listed[4:x_rows + 4]
+        assert model.rows[::3] == tuple(listed[::3])
+        with pytest.raises(IndexError):
+            model.rows[model.num_rows]
+
+    def test_row_tuples_are_packed_once(self):
+        variables = tuple(Variable(f"v{j}", VarKind.CONTINUOUS, 0.0, 1.0, 0.0) for j in range(3))
+        rows = (LinearRow("cap", (), (0, 2), (1.0, -2.5), Sense.LE, 4.0),
+                LinearRow("pin", ("a", 1), (1,), (3.0,), Sense.EQ, 0.0),
+                LinearRow("empty", (), (), (), Sense.GE, -1.0))
+        model = IpModel(MIN, variables, rows)
+        assert isinstance(model.rows, RowStore)
+        assert list(model.rows) == list(rows)
+        assert [row.name() for row in model.rows] == ["cap", "pin_a_1", "empty"]
+        assert model.rows.cols.tolist() == [0, 2, 1]

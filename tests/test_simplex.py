@@ -197,3 +197,23 @@ class TestEngineModes:
         # the relaxation can always scatter everyone, so nobody has to stay
         assert sol.objective == pytest.approx(0.0, abs=1e-9)
         assert len(sol.duals) == model.num_rows
+
+
+class TestStandardForm:
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    def test_matches_a_row_by_row_reference(self, tiny_roster, variant):
+        """The vectorized form equals one built row by row from the
+        ``LinearRow`` view, bit for bit."""
+        model = compile_model(tiny_roster, variant)
+        engine = standard_form(model)
+        dense = np.zeros((model.num_rows, model.num_vars))
+        scale, slack = [], []
+        for i, row in enumerate(model.rows):
+            mx = max((abs(a) for a in row.coefs), default=0.0)
+            scale.append(1.0 / mx if mx > 0.0 else 1.0)
+            dense[i, list(row.cols)] = [a * scale[-1] for a in row.coefs]
+            slack.append({Sense.LE: (0.0, INF), Sense.GE: (-INF, 0.0), Sense.EQ: (0.0, 0.0)}[row.sense])
+        assert engine.row_scale.tolist() == scale
+        assert np.array_equal(engine.a_csc.toarray(), dense)
+        assert engine.b.tolist() == [row.rhs * s for row, s in zip(model.rows, scale)]
+        assert list(zip(engine.slack_lo.tolist(), engine.slack_hi.tolist())) == slack

@@ -5,7 +5,15 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-from cohort_shuffle import ModelVariant, SolveOptions, desk_spec, generate, heuristics, pipeline
+from cohort_shuffle import (
+    ModelVariant,
+    SolveOptions,
+    compile_model,
+    desk_spec,
+    generate,
+    heuristics,
+    pipeline,
+)
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -31,3 +39,7 @@ def test_traced_pairs_solve_counts_local_search():
     assert solved.certificate.ok
     assert tracer.counts["heuristics.local_search.calls"] >= 1
     assert pipeline.local_search is heuristics.local_search
+    # the model counters read the row store the same solve compiles
+    model = compile_model(roster, ModelVariant.MIN_PAIRS)
+    assert tracer.counts["compiler.rows"] == model.num_rows
+    assert tracer.counts["compiler.nnz"] == len(model.rows.coefs)
