@@ -2,17 +2,24 @@
 
 Nodes are selected best-bound first from a heap, but after branching the
 search plunges depth-first into the child nearest the fractional LP value
-to find incumbents early; the sibling goes back on the heap.  Branching
-picks the most fractional binary (ties broken toward the lowest column
-index).  LP values are strengthened to integer bounds when the objective
-is integral (the stay-count and pairs variants), and every incumbent is
-rebuilt canonically from its decoded assignment, so reported objectives
-match the roster-level evaluators bit for bit.
+to find incumbents early; the sibling goes back on the heap.  Every node
+LP but the root is a warm dual simplex re-solve from its parent's optimal
+basis; a heap entry keeps that basis and its column statuses, never the
+inverse.  Branching picks the most fractional binary (ties broken toward
+the lowest column index).  LP values are strengthened to integer bounds
+when the objective is integral (the stay-count and pairs variants), and
+every incumbent is rebuilt canonically from its decoded assignment, so
+reported objectives match the roster-level evaluators bit for bit.
 
 A caller-supplied external lower bound participates in pruning and in the
 optimality proof: an incumbent matching the external bound terminates the
 search immediately with a zero gap, mirroring a by-hand optimality
 argument from an a-priori bound.
+
+The deadline reaches into each node LP, which reads the clock every few
+iterations.  An LP stopped by it puts its node back on the heap under the
+parent's bound, so a budget stop reports the incumbent with an honest
+bound.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ from cohort_shuffle.ipmodel import IpModel, ModelVariant
 from cohort_shuffle.roster import Assignment, deviation_from_sums
 from cohort_shuffle.simplex import (
     FEAS_EPS,
+    Basis,
     LpStatus,
     NumericalFailure,
     SimplexEngine,
@@ -178,7 +186,7 @@ class _Search:
             self.floor = max(self.floor, float(opts.external_lb))
 
         self.impr_eps = (1.0 - 1e-6) if self.integral_obj else 1e-9
-        self.heap: list[tuple[float, int, tuple[tuple[int, int], ...]]] = []
+        self.heap: list[tuple[float, int, tuple[tuple[int, int], ...], Basis | None]] = []
         self.seq = 0
         self.inc_obj: float | None = None
         self.inc_asg: np.ndarray | None = None
@@ -265,21 +273,32 @@ class _Search:
         if ev.violation == 0.0:
             self._try_incumbent(np.array(ev.asg, dtype=np.int64), None)
 
-    def _plunge(self, fixes: tuple[tuple[int, int], ...], at_root: bool) -> None:
-        """Dive from one node, pushing siblings while descending."""
+    def _plunge(self, bound: float, fixes: tuple[tuple[int, int], ...],
+                start: Basis | None, at_root: bool) -> None:
+        """Dive from one node, pushing siblings while descending.
+
+        Each LP but the root's starts from its parent's optimal basis.  An LP
+        stopped by the deadline puts its node back on the heap under the
+        parent's bound.
+        """
         eng = self.engine
         while True:
             lo, hi = self._materialize(fixes)
-            raw = eng.solve(lo, hi, max_iter=self.opts.max_lp_iter)
+            raw = eng.solve(lo, hi, max_iter=self.opts.max_lp_iter, start=start,
+                            deadline=self.deadline)
             if raw.status in (LpStatus.NUMERIC_FAILURE, LpStatus.ITERATION_LIMIT):
                 retry_iter = self.opts.max_lp_iter
                 if retry_iter is not None:
                     retry_iter *= 4
-                retry = eng.solve(lo, hi, max_iter=retry_iter, stable=True)
+                retry = eng.solve(lo, hi, max_iter=retry_iter, stable=True, deadline=self.deadline)
                 retry.iterations += raw.iterations
                 raw = retry
-            self.nodes += 1
             self.lp_iters += raw.iterations
+            if raw.status is LpStatus.TIME_LIMIT:
+                self.seq += 1
+                heapq.heappush(self.heap, (bound, self.seq, fixes, start))
+                return
+            self.nodes += 1
             if raw.status is LpStatus.INFEASIBLE:
                 return
             if raw.status is not LpStatus.OPTIMAL:
@@ -306,8 +325,9 @@ class _Search:
             pick = cand[np.argmin(np.abs(xb[cand] - 0.5))]
             col = int(self.binary_cols[pick])
             near = int(round(float(xb[pick])))
+            bound, start = node_bound, raw.basis
             self.seq += 1
-            heapq.heappush(self.heap, (node_bound, self.seq, fixes + ((col, 1 - near),)))
+            heapq.heappush(self.heap, (bound, self.seq, fixes + ((col, 1 - near),), start))
             fixes = fixes + ((col, near),)
             if self._out_of_budget():
                 return
@@ -325,7 +345,7 @@ class _Search:
 
         proven_exact = self._at_floor()
         if not proven_exact:
-            self.heap = [(self.floor, 0, ())]
+            self.heap = [(self.floor, 0, (), None)]
             proven_exact = self._drive_sequential()
 
         wall = time.monotonic() - t0
@@ -367,12 +387,12 @@ class _Search:
                 return False
             if not self.heap:
                 return True
-            bound, _, fixes = heapq.heappop(self.heap)
+            bound, _, fixes, start = heapq.heappop(self.heap)
             glb = max(bound, self.floor)
             if self.inc_obj is not None and (glb >= self._cutoff() or self._proved(glb)):
                 self.stop_glb = glb
                 return self.inc_obj - glb <= self.impr_eps or glb >= self._cutoff()
-            self._plunge(fixes, at_root=self.nodes == 0)
+            self._plunge(bound, fixes, start, at_root=self.nodes == 0)
 
 
 def solve_ip(model: IpModel, opts: SolveOptions | None = None) -> SolveResult:

@@ -1,4 +1,4 @@
-"""Bounded-variable primal simplex for the LP relaxations.
+"""Bounded-variable dual and primal simplex for the LP relaxations.
 
 The engine works on the computational form ``A x + s = b`` where every
 row gets one slack column whose bounds encode the row sense (``<=`` gives
@@ -7,19 +7,32 @@ Nonbasic variables rest on one of their bounds and the basis inverse is
 kept explicitly as a dense matrix, updated by elementary row operations
 and rebuilt from scratch every ``REFACTOR_EVERY`` pivots.
 
-Phase 1 appends one artificial column per initially violated row and
-minimizes their sum; phase 2 pins the artificials to zero and optimizes
-the true costs from the phase-1 basis.  Pricing is Dantzig's rule with a
-switch to Bland's rule while the objective stalls, which breaks cycling
-on degenerate vertices.  Optimal bases are re-verified against primal
-residual and reduced-cost sign conditions; verification failures trigger
-refactorize-and-resume retries and finally an explicit numeric-failure
-status rather than a wrong answer.
+The bounded dual simplex does most solves: dual steepest-edge choice of
+the leaving row, and a long-step ratio test that flips boxed columns to
+their other bound instead of entering them while the leaving row stays
+infeasible.  A root LP starts it from the slack basis with every column
+on its lower bound, which is dual feasible for nonnegative costs, as in
+every model variant; a branch-and-bound child starts it from its parent's
+optimal basis, which one bound fix leaves dual feasible.
+
+The two-phase primal simplex solves LPs without such a start and takes
+over dual runs that fail.  Phase 1 appends one artificial column per
+initially violated row and minimizes their sum; phase 2 pins the
+artificials to zero and optimizes the true costs.  Pricing is Dantzig's
+rule with a switch to Bland's rule while the objective stalls, which
+breaks cycling on degenerate vertices.  Every optimum, the dual's
+included, passes a phase-2 pricing pass and is re-verified against
+primal residual and reduced-cost sign conditions; verification failures
+trigger refactorize-and-resume retries and finally an explicit
+numeric-failure status rather than a wrong answer.  A deadline is read
+every ``DEADLINE_EVERY`` iterations and ends a solve with a time-limit
+status once passed.
 """
 
 from __future__ import annotations
 
 import enum
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +47,10 @@ SMALL_PIVOT = 1e-5
 REFACTOR_EVERY = 100
 STALL_LIMIT = 100
 VERIFY_RETRIES = 3
+#: iterations between two reads of the clock against a solve's deadline
+DEADLINE_EVERY = 20
+#: dual iterations per row and column before the primal takes over a stalled run
+DUAL_ITER_PER_DIM = 2
 
 AT_LOWER, AT_UPPER, BASIC, FREE = 0, 1, 2, 3
 
@@ -46,6 +63,7 @@ class LpStatus(enum.Enum):
     UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration_limit"
     NUMERIC_FAILURE = "numeric_failure"
+    TIME_LIMIT = "time_limit"
 
 
 class NumericalFailure(RuntimeError):
@@ -91,20 +109,31 @@ def standard_form(model: IpModel) -> "SimplexEngine":
 
 
 @dataclass
+class Basis:
+    """A basis to start a solve from: the basic column of each row and the
+    status of every structural and slack column.  The solve refactors it,
+    which costs little: only its structural columns are inverted."""
+
+    basis: np.ndarray
+    vstat: np.ndarray
+
+
+@dataclass
 class _RawResult:
     status: LpStatus
     x: np.ndarray | None
     objective: float | None
     duals: np.ndarray | None
     iterations: int
+    basis: Basis | None = None
 
 
 class _State:
     """Mutable per-solve state; everything on the engine stays read-only."""
 
-    __slots__ = ("bl", "bu", "x", "vstat", "basis", "pos", "binv", "cost",
+    __slots__ = ("bl", "bu", "x", "vstat", "basis", "binv", "cost",
                  "n_art", "art_row", "art_sign", "iterations", "pivots",
-                 "stall", "bland", "obj", "refactor_every", "want_refactor")
+                 "stall", "bland", "obj", "refactor_every", "want_refactor", "fresh")
 
     def __init__(self) -> None:
         self.iterations = 0
@@ -113,6 +142,10 @@ class _State:
         self.bland = False
         self.refactor_every = REFACTOR_EVERY
         self.want_refactor = False
+        self.fresh = False
+        self.n_art = 0
+        self.art_row = np.zeros(0, dtype=np.int64)
+        self.art_sign = np.zeros(0)
 
 
 class SimplexEngine:
@@ -142,21 +175,15 @@ class SimplexEngine:
 
     # column j layout: [0, n) structural, [n, n+m) slack, [n+m, ...) artificial
 
-    def _column(self, st: _State, j: int) -> tuple[np.ndarray, np.ndarray]:
+    def _ftran(self, st: _State, j: int) -> np.ndarray:
+        """``B^-1`` times column ``j``, as a new array."""
         n, m = self.n, self.m
         if j < n:
             lo, hi = self.a_csc.indptr[j], self.a_csc.indptr[j + 1]
-            return self.a_csc.indices[lo:hi], self.a_csc.data[lo:hi]
+            return st.binv[:, self.a_csc.indices[lo:hi]] @ self.a_csc.data[lo:hi]
         if j < n + m:
-            return np.array([j - n]), np.array([1.0])
-        k = j - n - m
-        return np.array([st.art_row[k]]), np.array([float(st.art_sign[k])])
-
-    def _ftran(self, st: _State, j: int) -> np.ndarray:
-        rows, vals = self._column(st, j)
-        if len(rows) == 1:
-            return st.binv[:, rows[0]] * vals[0]
-        return st.binv[:, rows] @ vals
+            return st.binv[:, j - n].copy()
+        return st.binv[:, st.art_row[j - n - m]] * st.art_sign[j - n - m]
 
     def _reduced_costs(self, st: _State) -> tuple[np.ndarray, np.ndarray]:
         cb = st.cost[st.basis]
@@ -170,75 +197,149 @@ class SimplexEngine:
         return d, y
 
     def _refactor(self, st: _State) -> None:
-        m = self.m
-        bmat = np.zeros((m, m))
-        for pos in range(m):
-            rows, vals = self._column(st, int(st.basis[pos]))
-            bmat[rows, pos] = vals
+        """Invert the basis through its structural block alone.
+
+        Slack and artificial columns are signed unit columns.  With the rows
+        they cover permuted last, ``B = [[B11, 0], [B21, D]]`` for a diagonal
+        sign matrix ``D``, so ``B^-1 = [[B11^-1, 0], [-D B21 B11^-1, D]]``
+        and only the structural block ``B11`` is inverted.
+        """
+        n, m = self.n, self.m
+        unit = np.flatnonzero(st.basis >= n)
+        struct = np.flatnonzero(st.basis < n)
+        unit_row, unit_sign = st.basis[unit] - n, np.ones(len(unit))
+        art = unit_row >= m
+        unit_sign[art] = st.art_sign[unit_row[art] - m]
+        unit_row[art] = st.art_row[unit_row[art] - m]
+        rest = np.setdiff1d(np.arange(m), unit_row)
+        if len(rest) != len(struct):
+            raise NumericalFailure("singular basis during refactorization")
+        cols = self.a_csc[:, st.basis[struct]]
         try:
-            st.binv = np.linalg.inv(bmat)
+            b11_inv = np.linalg.inv(cols[rest].toarray())
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("singular basis during refactorization") from exc
+        st.binv = np.zeros((m, m))
+        st.binv[np.ix_(struct, rest)] = b11_inv
+        st.binv[unit, unit_row] = unit_sign
+        st.binv[np.ix_(unit, rest)] = -unit_sign[:, None] * (cols[unit_row] @ b11_inv)
+        st.fresh = True
         # recompute basic values from the nonbasic point to kill drift
         xn = st.x.copy()
         xn[st.basis] = 0.0
-        rhs = self.b - self.a_csc @ xn[:self.n]
-        rhs -= xn[self.n:self.n + self.m]
-        for k in range(st.n_art):
-            rhs[st.art_row[k]] -= st.art_sign[k] * xn[self.n + self.m + k]
+        rhs = self.b - self.a_csc @ xn[:n] - xn[n:n + m]
+        np.subtract.at(rhs, st.art_row, st.art_sign * xn[n + m:])
         st.x[st.basis] = st.binv @ rhs
-        st.obj = float(st.cost @ st.x)
+
+    def _pivot(self, st: _State, r: int, q: int, w: np.ndarray) -> bool:
+        """Make column ``q`` basic in row ``r`` given its ftran ``w``, updating
+        the inverse by row operations; True when that refactorized."""
+        piv = w[r]
+        if abs(piv) < PIVOT_EPS:
+            raise NumericalFailure("pivot element vanished")
+        st.basis[r] = q
+        st.vstat[q] = BASIC
+        st.binv[r, :] /= piv
+        wcol = w.copy()
+        wcol[r] = 0.0
+        st.binv -= np.outer(wcol, st.binv[r, :])
+        st.pivots += 1
+        st.fresh = False
+        if abs(piv) < SMALL_PIVOT or st.want_refactor or st.pivots % st.refactor_every == 0:
+            self._refactor(st)
+            st.want_refactor = False
+            return True
+        return False
+
+    def _stopped(self, st: _State, max_iter: int, deadline: float | None) -> LpStatus | None:
+        if st.iterations >= max_iter:
+            return LpStatus.ITERATION_LIMIT
+        if (deadline is not None and st.iterations % DEADLINE_EVERY == 0
+                and time.monotonic() > deadline):
+            return LpStatus.TIME_LIMIT
+        return None
+
+    def _resting(self, st: _State, lower: np.ndarray, upper: np.ndarray,
+                 start: Basis | None = None) -> None:
+        """Bounds, basis and nonbasic point: those of ``start``, or else the
+        slack basis with every structural on a finite bound, lower first, and
+        a free one at 0."""
+        n, m = self.n, self.m
+        st.bl = np.concatenate([lower, self.slack_lo])
+        st.bu = np.concatenate([upper, self.slack_hi])
+        if start is None:
+            st.vstat = np.concatenate([np.where(lower > -INF, AT_LOWER, np.where(upper < INF, AT_UPPER, FREE)),
+                                       np.full(m, BASIC)]).astype(np.int8)
+            st.basis = n + np.arange(m)
+        else:
+            st.vstat, st.basis = start.vstat.copy(), start.basis.copy()
+        st.x = np.where(st.vstat == AT_LOWER, st.bl, np.where(st.vstat == AT_UPPER, st.bu, 0.0))
+        st.x[st.basis] = 0.0
 
     def _init_state(self, lower: np.ndarray, upper: np.ndarray) -> _State:
         n, m = self.n, self.m
         st = _State()
-        bl = np.concatenate([lower, self.slack_lo])
-        bu = np.concatenate([upper, self.slack_hi])
-        # structurals rest on a finite bound, lower first; free ones at 0
-        has_lo, has_hi = bl[:n] > -INF, bu[:n] < INF
-        x = np.concatenate([np.where(has_lo, bl[:n], np.where(has_hi, bu[:n], 0.0)), np.zeros(m)])
-        vstat = np.concatenate([np.where(has_lo, AT_LOWER, np.where(has_hi, AT_UPPER, FREE)),
-                                np.full(m, BASIC)]).astype(np.int8)
-
+        self._resting(st, lower, upper)
         # a slack takes its row's residual if its bounds allow, else the
         # nearest bound, and an artificial column covers the rest
-        r = self.b - self.a_csc @ x[:n]
+        r = self.b - self.a_csc @ st.x[:n]
         ok = (self.slack_lo - FEAS_EPS <= r) & (r <= self.slack_hi + FEAS_EPS)
         clamped = np.minimum(np.maximum(r, self.slack_lo), self.slack_hi)
-        x[n:] = np.where(ok, r, clamped)
+        st.x[n:] = np.where(ok, r, clamped)
         st.art_row = np.flatnonzero(~ok)
         st.n_art = len(st.art_row)
-        vstat[n + st.art_row] = np.where(clamped[st.art_row] == self.slack_lo[st.art_row],
-                                         AT_LOWER, AT_UPPER)
+        st.vstat[n + st.art_row] = np.where(clamped[st.art_row] == self.slack_lo[st.art_row],
+                                            AT_LOWER, AT_UPPER)
         excess = r[st.art_row] - clamped[st.art_row]
         st.art_sign = np.where(excess > 0, 1.0, -1.0)
-        basis = n + np.arange(m)
-        basis[st.art_row] = n + m + np.arange(st.n_art)
-        st.bl = np.concatenate([bl, np.zeros(st.n_art)])
-        st.bu = np.concatenate([bu, np.full(st.n_art, INF)])
-        st.x = np.concatenate([x, np.abs(excess)])
-        st.vstat = np.concatenate([vstat, np.full(st.n_art, BASIC, dtype=np.int8)])
-        st.basis = basis
-        st.binv = np.eye(m)
-        st.binv[st.art_row, st.art_row] = st.art_sign
+        st.basis[st.art_row] = n + m + np.arange(st.n_art)
+        st.bl = np.concatenate([st.bl, np.zeros(st.n_art)])
+        st.bu = np.concatenate([st.bu, np.full(st.n_art, INF)])
+        st.x = np.concatenate([st.x, np.abs(excess)])
+        st.vstat = np.concatenate([st.vstat, np.full(st.n_art, BASIC, dtype=np.int8)])
+        self._refactor(st)
         return st
 
-    def _iterate(self, st: _State, max_iter: int) -> LpStatus:
+    def _dual_state(self, lower: np.ndarray, upper: np.ndarray, start: Basis | None) -> _State | None:
+        """A dual-feasible state under the given bounds, or None for want of one.
+
+        A start's basis was optimal under looser bounds, so its reduced costs
+        keep their signs; it serves unless a nonbasic column would rest off a
+        finite point within its bounds.  Without one, the primal's starting
+        point serves when its costs already have the signs of reduced costs
+        at an optimum, as every variant's do.
+        """
+        st = _State()
+        self._resting(st, lower, upper, start)
+        st.cost = np.concatenate([self.c, np.zeros(self.m)])
+        nb = st.vstat != BASIC
+        if not np.all(np.isfinite(st.x[nb]) & (st.x[nb] >= st.bl[nb]) & (st.x[nb] <= st.bu[nb])):
+            return None
+        if start is None and self._priced(st, st.cost, 0.0).any():
+            return None
+        self._refactor(st)
+        return st
+
+    def _priced(self, st: _State, d: np.ndarray, eps: float) -> np.ndarray:
+        """Nonbasic columns free to move whose reduced cost has the wrong sign
+        for an optimum by more than ``eps``."""
+        vs = st.vstat
+        return (vs != BASIC) & (st.bu > st.bl) & (
+            ((vs == AT_LOWER) & (d < -eps)) | ((vs == AT_UPPER) & (d > eps))
+            | ((vs == FREE) & (np.abs(d) > eps)))
+
+    def _iterate(self, st: _State, max_iter: int, deadline: float | None) -> LpStatus:
         """Run pricing/ratio/pivot until the current cost vector is optimal."""
         n, m = self.n, self.m
         st.obj = float(st.cost @ st.x)
-        movable = (st.bu - st.bl) > 0
         while True:
-            if st.iterations >= max_iter:
-                return LpStatus.ITERATION_LIMIT
+            stop = self._stopped(st, max_iter, deadline)
+            if stop is not None:
+                return stop
             st.iterations += 1
 
             d, _ = self._reduced_costs(st)
-            eps = OPT_EPS * (1.0 + float(np.max(np.abs(st.cost))))
-            eligible = (st.vstat != BASIC) & movable & (
-                ((st.vstat == AT_LOWER) & (d < -eps))
-                | ((st.vstat == AT_UPPER) & (d > eps))
-                | ((st.vstat == FREE) & (np.abs(d) > eps)))
+            eligible = self._priced(st, d, OPT_EPS * (1.0 + float(np.max(np.abs(st.cost)))))
             if not eligible.any():
                 return LpStatus.OPTIMAL
             if st.bland:
@@ -293,21 +394,7 @@ class SimplexEngine:
                 else:
                     st.x[leave] = st.bl[leave]
                     st.vstat[leave] = AT_LOWER
-                st.basis[r] = q
-                st.vstat[q] = BASIC
-                piv = w[r]
-                if abs(piv) < PIVOT_EPS:
-                    raise NumericalFailure("pivot element vanished")
-                st.binv[r, :] /= piv
-                wcol = w.copy()
-                wcol[r] = 0.0
-                st.binv -= np.outer(wcol, st.binv[r, :])
-                st.pivots += 1
-                if abs(piv) < SMALL_PIVOT:
-                    st.want_refactor = True
-                if st.want_refactor or st.pivots % st.refactor_every == 0:
-                    self._refactor(st)
-                    st.want_refactor = False
+                self._pivot(st, r, q, w)
 
             st.obj = float(st.cost @ st.x)
             if st.obj < old_obj - 1e-12 * (1.0 + abs(old_obj)):
@@ -318,33 +405,108 @@ class SimplexEngine:
                 if st.stall >= STALL_LIMIT:
                     st.bland = True
 
+    def _dual(self, st: _State, max_iter: int, deadline: float | None) -> LpStatus:
+        """Bounded dual simplex from a dual-feasible state.
+
+        Each iteration picks the basic variable whose bound violation is
+        largest relative to its row of the inverse (dual steepest edge) and
+        sends it to the violated bound.  The entering column is found by the
+        long-step ratio test: breakpoints are passed in ratio order, the
+        larger pivot first among ties, while the leaving row stays
+        infeasible, and each boxed column passed flips to its other bound
+        instead of losing dual feasibility.  OPTIMAL means primal feasible;
+        INFEASIBLE comes from a row that no move of the nonbasic columns
+        within their bounds can repair, on a fresh inverse.
+        """
+        n, m = self.n, self.m
+        movable = (st.bu - st.bl) > 0
+        d, _ = self._reduced_costs(st)
+        while True:
+            xb = st.x[st.basis]
+            below, above = st.bl[st.basis] - xb, xb - st.bu[st.basis]
+            infeas = np.maximum(below, above)
+            if infeas.max(initial=0.0) <= FEAS_EPS:
+                return LpStatus.OPTIMAL
+            score = np.where(infeas > FEAS_EPS, infeas * infeas, 0.0) / np.einsum("ij,ij->i", st.binv, st.binv)
+            r = int(np.argmax(score))
+            stop = self._stopped(st, max_iter, deadline)
+            if stop is not None:
+                return stop
+            st.iterations += 1
+
+            s = 1.0 if below[r] > 0 else -1.0
+            leave = int(st.basis[r])
+            alpha = s * np.concatenate([self.at_csr @ st.binv[r], st.binv[r]])
+            vs = st.vstat
+            j = np.flatnonzero(movable & (
+                ((vs == AT_LOWER) & (alpha < -PIVOT_EPS)) | ((vs == AT_UPPER) & (alpha > PIVOT_EPS))
+                | ((vs == FREE) & (np.abs(alpha) > PIVOT_EPS))))
+            ratio = np.where(vs[j] == FREE, 0.0, np.maximum(-d[j] / alpha[j], 0.0))
+            order = np.lexsort((-np.abs(alpha[j]), ratio))
+            j, ratio = j[order], ratio[order]
+            slope = infeas[r] - np.cumsum((st.bu[j] - st.bl[j]) * np.abs(alpha[j]))
+            passed = np.flatnonzero(slope <= 0.0)
+            if len(passed) == 0:
+                if st.fresh:
+                    return LpStatus.INFEASIBLE
+                self._refactor(st)
+                d, _ = self._reduced_costs(st)
+                continue
+            k = int(passed[0])
+            q, t = int(j[k]), float(ratio[k])
+
+            d += t * alpha
+            d[q] = 0.0
+            flip = j[:k]
+            if len(flip):
+                up = vs[flip] == AT_LOWER
+                dx = np.zeros(n + m)
+                dx[flip] = np.where(up, st.bu[flip], st.bl[flip]) - st.x[flip]
+                st.x[flip] += dx[flip]
+                vs[flip] = np.where(up, AT_UPPER, AT_LOWER)
+                st.x[st.basis] -= st.binv @ (self.a_csc @ dx[:n] + dx[n:])
+
+            w = self._ftran(st, q)
+            if abs(w[r] - s * alpha[q]) > 1e-6 * (1.0 + abs(w[r])):
+                st.want_refactor = True  # row and column disagree: the inverse has drifted
+            target = st.bl[leave] if s > 0 else st.bu[leave]
+            theta = (st.x[leave] - target) / w[r]
+            st.x[st.basis] -= theta * w
+            st.x[q] += theta
+            st.x[leave] = target
+            vs[leave] = AT_LOWER if s > 0 else AT_UPPER
+            if self._pivot(st, r, q, w):
+                d, _ = self._reduced_costs(st)
+
     def _verified_optimal(self, st: _State) -> bool:
         n, m = self.n, self.m
         x = st.x
         if np.any(x < st.bl - FEAS_EPS) or np.any(x > st.bu + FEAS_EPS):
             return False
         act = self.a_csc @ x[:n] + x[n:n + m]
-        for k in range(st.n_art):
-            act[st.art_row[k]] += st.art_sign[k] * x[n + m + k]
+        np.add.at(act, st.art_row, st.art_sign * x[n + m:])
         if float(np.max(np.abs(act - self.b), initial=0.0)) > FEAS_EPS * self._res_scale:
             return False
         d, _ = self._reduced_costs(st)
-        eps = 10 * OPT_EPS * (1.0 + float(np.max(np.abs(st.cost))))
-        movable = (st.bu - st.bl) > 0
-        bad = (st.vstat != BASIC) & movable & (
-            ((st.vstat == AT_LOWER) & (d < -eps))
-            | ((st.vstat == AT_UPPER) & (d > eps))
-            | ((st.vstat == FREE) & (np.abs(d) > eps)))
-        return not bool(bad.any())
+        return not self._priced(st, d, 10 * OPT_EPS * (1.0 + float(np.max(np.abs(st.cost))))).any()
 
     def solve(self, lower: np.ndarray | None = None,
               upper: np.ndarray | None = None, *,
-              max_iter: int | None = None, stable: bool = False) -> _RawResult:
+              max_iter: int | None = None, stable: bool = False,
+              start: Basis | None = None, deadline: float | None = None) -> _RawResult:
         """Solve the LP under the given variable bounds.
 
-        Returns raw arrays; :func:`solve_lp` wraps them in the public type.
-        ``stable`` trades speed for robustness (Bland's rule throughout and
-        frequent refactorization), used to retry a failed solve.
+        Returns raw arrays, with the optimal basis; :func:`solve_lp` wraps
+        them in the public type.  The bounded dual simplex runs from
+        ``start``, a basis that was optimal under looser bounds (a branching
+        parent's), or else from the slack basis.  When that start is not
+        dual feasible, or the dual run fails numerically, stalls past
+        ``DUAL_ITER_PER_DIM`` iterations per row and column or does not
+        verify, the two-phase primal simplex solves from scratch.  ``stable`` goes
+        straight to the primal with Bland's rule throughout and frequent
+        refactorization, used to retry a failed solve.  Past ``deadline``
+        (a :func:`time.monotonic` value, checked every ``DEADLINE_EVERY``
+        iterations) the solve ends with ``TIME_LIMIT``.
         """
         lo = self.default_lower if lower is None else lower
         hi = self.default_upper if upper is None else upper
@@ -353,24 +515,42 @@ class SimplexEngine:
         if max_iter is None:
             max_iter = 50 * (self.n + self.m) + 2000
 
-        if self.m == 0:
-            return self._solve_boxed(lo, hi)
+        lo, hi = lo.astype(float), hi.astype(float)
+        used = 0
+        if not stable:
+            st = None
+            try:
+                st = self._dual_state(lo, hi, start)
+                if st is not None:
+                    cap = min(max_iter, DUAL_ITER_PER_DIM * (self.n + self.m))
+                    status = self._dual(st, cap, deadline)
+                    if status is LpStatus.OPTIMAL:
+                        raw = self._run_phases(st, max_iter, deadline, False)
+                        if raw.status is not LpStatus.NUMERIC_FAILURE:
+                            return raw
+                    elif status is not LpStatus.ITERATION_LIMIT or cap == max_iter:
+                        return _RawResult(status, None, None, None, st.iterations)
+            except NumericalFailure:
+                pass
+            used = 0 if st is None else st.iterations
 
-        st = self._init_state(lo.astype(float), hi.astype(float))
+        st = self._init_state(lo, hi)
+        st.iterations = used
         if stable:
             st.bland = True
             st.refactor_every = 20
         try:
-            return self._run_phases(st, max_iter, stable)
+            return self._run_phases(st, max_iter, deadline, stable)
         except NumericalFailure:
             return _RawResult(LpStatus.NUMERIC_FAILURE, None, None, None, st.iterations)
 
-    def _run_phases(self, st: _State, max_iter: int, stable: bool) -> _RawResult:
+    def _run_phases(self, st: _State, max_iter: int, deadline: float | None,
+                    stable: bool) -> _RawResult:
         if st.n_art:
             st.cost = np.zeros(self.n + self.m + st.n_art)
             st.cost[self.n + self.m:] = 1.0
-            status = self._iterate(st, max_iter)
-            if status is LpStatus.ITERATION_LIMIT:
+            status = self._iterate(st, max_iter, deadline)
+            if status in (LpStatus.ITERATION_LIMIT, LpStatus.TIME_LIMIT):
                 return _RawResult(status, None, None, None, st.iterations)
             if status is LpStatus.UNBOUNDED:
                 raise NumericalFailure("phase 1 reported unbounded")
@@ -383,7 +563,7 @@ class SimplexEngine:
         st.stall = 0
         st.bland = stable
         for attempt in range(VERIFY_RETRIES + 1):
-            status = self._iterate(st, max_iter)
+            status = self._iterate(st, max_iter, deadline)
             if status is not LpStatus.OPTIMAL:
                 return _RawResult(status, None, None, None, st.iterations)
             if self._verified_optimal(st):
@@ -395,53 +575,28 @@ class SimplexEngine:
         _, y = self._reduced_costs(st)
         xs = st.x[:self.n].copy()
         obj = float(self.c @ xs)
-        return _RawResult(LpStatus.OPTIMAL, xs, obj, y * self.row_scale, st.iterations)
+        nm = self.n + self.m
+        basis = Basis(st.basis, st.vstat[:nm]) if np.all(st.basis < nm) else None
+        return _RawResult(LpStatus.OPTIMAL, xs, obj, y * self.row_scale, st.iterations, basis)
 
     def _pin_artificials(self, st: _State) -> None:
         """Fix artificials to zero; pivot basic ones out where possible."""
         n, m = self.n, self.m
         st.bl[n + m:] = 0.0
         st.bu[n + m:] = 0.0
-        for k in range(st.n_art):
-            st.x[n + m + k] = 0.0 if abs(st.x[n + m + k]) < FEAS_EPS else st.x[n + m + k]
-        for pos in range(m):
+        st.x[n + m:][np.abs(st.x[n + m:]) < FEAS_EPS] = 0.0
+        for pos in np.flatnonzero(st.basis >= n + m):
             j = int(st.basis[pos])
-            if j < n + m:
-                continue
-            # row of the tableau: e_pos^T Binv A over candidate columns
-            row = st.binv[pos, :]
-            alpha_struct = self.at_csr @ row
-            pivot_col = -1
-            for cand in range(n + m):
-                if st.vstat[cand] == BASIC or st.bu[cand] - st.bl[cand] <= 0:
-                    continue
-                alpha = alpha_struct[cand] if cand < n else row[cand - n]
-                if abs(alpha) > 1e-7:
-                    pivot_col = cand
-                    break
-            if pivot_col < 0:
+            # row of the tableau, e_pos^T Binv [A I], over candidate columns
+            alpha = np.concatenate([self.at_csr @ st.binv[pos], st.binv[pos]])
+            cand = np.flatnonzero((st.vstat[:n + m] != BASIC) & (st.bu[:n + m] > st.bl[:n + m])
+                                  & (np.abs(alpha) > 1e-7))
+            if len(cand) == 0:
                 continue  # redundant row; artificial stays basic at zero
             # degenerate swap: entering keeps its current bound value
-            w = self._ftran(st, pivot_col)
-            st.basis[pos] = pivot_col
-            st.vstat[pivot_col] = BASIC
             st.vstat[j] = AT_LOWER
             st.x[j] = 0.0
-            piv = w[pos]
-            st.binv[pos, :] /= piv
-            wcol = w.copy()
-            wcol[pos] = 0.0
-            st.binv -= np.outer(wcol, st.binv[pos, :])
-            st.pivots += 1
-
-    def _solve_boxed(self, lo: np.ndarray, hi: np.ndarray) -> _RawResult:
-        c = self.c
-        if np.any((c > 0) & (lo == -INF)) or np.any((c < 0) & (hi == INF)):
-            return _RawResult(LpStatus.UNBOUNDED, None, None, None, 0)
-        # each column at its cheaper bound; a costless one at any finite bound
-        x = np.where(c > 0, lo, np.where(c < 0, hi, np.where(
-            lo > -INF, lo, np.where(hi < INF, hi, 0.0)))).astype(float)
-        return _RawResult(LpStatus.OPTIMAL, x, float(c @ x), np.zeros(0), 0)
+            self._pivot(st, pos, int(cand[0]), self._ftran(st, int(cand[0])))
 
 
 def solve_lp(model: IpModel, *, max_iter: int | None = None) -> LpSolution:

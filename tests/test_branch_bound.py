@@ -30,9 +30,9 @@ from cohort_shuffle import (
     solve_ip,
     weighted_deviation,
 )
-from cohort_shuffle.branch_bound import _canonical_point, _point_feasible
+from cohort_shuffle.branch_bound import _canonical_point, _point_feasible, _Search
 from cohort_shuffle.ipmodel import IpModel, LinearRow, Sense, VarKind, Variable
-from cohort_shuffle.simplex import standard_form
+from cohort_shuffle.simplex import DEADLINE_EVERY, standard_form
 from conftest import balanced_roster, mk_student, oracle_best, oracle_instance
 
 MIN = ModelVariant.MIN_SAME_COMPANY
@@ -168,6 +168,21 @@ class TestBudgets:
                        SolveOptions(time_limit_s=0.0))
         assert res.status is SolveStatus.TIME_LIMIT_NO_SOLUTION
         assert res.assignment is None
+
+    def test_lp_stopped_by_the_deadline_returns_the_incumbent(self, tiny_roster, monkeypatch):
+        """A deadline already past when the root LP starts: the LP stops at
+        once, its node goes back on the heap under the floor, and the warm
+        start comes back with that bound."""
+        warm = cyclic_deal(tiny_roster)
+        checks = iter([False])  # let the search loop pop the root once
+        monkeypatch.setattr(_Search, "_out_of_budget", lambda self: next(checks, True))
+        res = solve_ip(compile_model(tiny_roster, DEV),
+                       SolveOptions(warm_start=warm, time_limit_s=-1.0))
+        assert res.status is SolveStatus.FEASIBLE_GAP
+        assert res.objective == weighted_deviation(tiny_roster, warm)
+        assert res.bound == 0.0
+        assert res.stats.nodes == 0
+        assert res.stats.lp_iterations <= DEADLINE_EVERY
 
     def test_infeasible_instance(self):
         # locked into a single-company battalion while forbidden to stay

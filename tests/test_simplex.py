@@ -4,19 +4,31 @@ Random models are cross-checked against scipy's HiGHS frontend: statuses
 must agree, optimal objectives must match to 1e-6, and the returned
 point must satisfy every row.  Duals follow the change-in-objective-per-
 unit-rhs convention, verified on fixed instances where the dual vector
-is unique.
+is unique.  Warm re-solves from a parent's optimal basis after one bound
+fix are checked against HiGHS the same way, infeasible children included.
 """
 
 from __future__ import annotations
 
 import random
+import time
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog
 
-from cohort_shuffle import LpStatus, ModelVariant, compile_model, solve_lp, standard_form
+from cohort_shuffle import (
+    LpStatus,
+    ModelVariant,
+    compile_model,
+    desk_spec,
+    generate,
+    solve_lp,
+    standard_form,
+)
 from cohort_shuffle.ipmodel import IpModel, LinearRow, Sense, VarKind, Variable
+from cohort_shuffle.simplex import DEADLINE_EVERY, NumericalFailure, SimplexEngine
 
 INF = float("inf")
 
@@ -217,3 +229,166 @@ class TestStandardForm:
         assert np.array_equal(engine.a_csc.toarray(), dense)
         assert engine.b.tolist() == [row.rhs * s for row, s in zip(model.rows, scale)]
         assert list(zip(engine.slack_lo.tolist(), engine.slack_hi.tolist())) == slack
+
+
+def engine_linprog(engine, lower, upper):
+    """HiGHS on an engine's computational form under the given bounds."""
+    a = engine.a_csc.tocsr()
+    eq = engine.slack_lo == engine.slack_hi
+    le = ~eq & (engine.slack_lo == 0.0)
+    ge = ~eq & ~le
+    return linprog(engine.c, A_ub=sparse.vstack([a[le], -a[ge]]),
+                   b_ub=np.concatenate([engine.b[le], -engine.b[ge]]),
+                   A_eq=a[eq], b_eq=engine.b[eq],
+                   bounds=np.column_stack([lower, upper]), method="highs")
+
+
+def assert_matches(raw, ref):
+    if ref.status == 2:
+        assert raw.status is LpStatus.INFEASIBLE
+        return
+    assert ref.status == 0, f"reference solver returned status {ref.status}"
+    assert raw.status is LpStatus.OPTIMAL
+    assert raw.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-7)
+
+
+def fixed(engine, col, value):
+    lower, upper = engine.default_lower.copy(), engine.default_upper.copy()
+    lower[col] = upper[col] = value
+    return lower, upper
+
+
+@pytest.fixture
+def pricing_passes(monkeypatch):
+    """Iterations of every primal loop run; after a dual run that ended
+    optimal on its own, only one pricing pass that finds nothing to enter."""
+    passes = []
+    original = SimplexEngine._iterate
+
+    def counted(self, st, *args):
+        before = st.iterations
+        status = original(self, st, *args)
+        passes.append(st.iterations - before)
+        return status
+
+    monkeypatch.setattr(SimplexEngine, "_iterate", counted)
+    return passes
+
+
+@pytest.fixture(scope="module")
+def desk_dev_root():
+    """Desk seed 7 ``dev``: the engine, its root LP and its first branching column."""
+    model = compile_model(generate(desk_spec(), seed=7), ModelVariant.MERIT_DEVIATION)
+    engine = standard_form(model)
+    root = engine.solve()
+    binary = np.array(model.binary_columns())
+    xb = root.x[binary]
+    frac = np.flatnonzero(np.abs(xb - np.round(xb)) > 1e-6)
+    col = int(binary[frac[np.argmin(np.abs(xb[frac] - 0.5))]])
+    return engine, root, col
+
+
+class TestWarmStarts:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_bound_fixed_children_match_reference_solver(self, seed, pricing_passes):
+        """Every column fixed at the floor and at the ceiling of its LP value,
+        re-solved from the parent's basis; infeasible children included.  A
+        warm child is solved by the dual alone, never by the primal."""
+        costs, bounds, rows = random_lp(seed)
+        engine = standard_form(lp_model(costs, bounds, rows))
+        parent = engine.solve()
+        if parent.status is not LpStatus.OPTIMAL:
+            return
+        for col, value in enumerate(parent.x):
+            for bound in {np.floor(round(value, 9)), np.ceil(round(value, 9))}:
+                pricing_passes.clear()
+                child = engine.solve(*fixed(engine, col, bound), start=parent.basis)
+                child_bounds = list(bounds)
+                child_bounds[col] = (bound, bound)
+                assert_matches(child, scipy_solve(costs, child_bounds, rows))
+                if parent.basis is not None:
+                    assert pricing_passes == ([1] if child.status is LpStatus.OPTIMAL else [])
+
+    def test_desk_dev_root_and_first_children_match_reference_solver(self, desk_dev_root,
+                                                                      pricing_passes):
+        engine, root, col = desk_dev_root
+        assert root.basis is not None
+        assert_matches(root, engine_linprog(engine, engine.default_lower, engine.default_upper))
+        for value in (0.0, 1.0):
+            child = engine.solve(*fixed(engine, col, value), start=root.basis)
+            assert_matches(child, engine_linprog(engine, *fixed(engine, col, value)))
+        assert pricing_passes == [1, 1]
+
+    def test_child_lp_reuses_the_parent_basis(self, desk_dev_root):
+        engine, root, col = desk_dev_root
+        for value in (0.0, 1.0):
+            bounds = fixed(engine, col, value)
+            warm = engine.solve(*bounds, start=root.basis)
+            cold = engine.solve(*bounds)
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert warm.iterations < cold.iterations / 4
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_dense_root_is_solved_by_the_dual_alone(self, seed, pricing_passes):
+        """Nonnegative costs over a feasible dense system: the dual runs from
+        the slack basis to an optimum that the phase-2 pricing pass accepts."""
+        rng = random.Random(seed)
+        n, m = 30, 20
+        costs = tuple(float(rng.randint(0, 9)) for _ in range(n))
+        bounds = [(0.0, float(rng.randint(1, 4))) for _ in range(n)]
+        point = [rng.uniform(lo, hi) for lo, hi in bounds]
+        rows = []
+        for _ in range(m):
+            coefs = tuple(float(rng.randint(-2, 5)) for _ in range(n))
+            sense = rng.choice((Sense.LE, Sense.GE, Sense.EQ))
+            lhs = float(np.dot(coefs, point))
+            rows.append((coefs, sense, lhs + {Sense.LE: 2.0, Sense.GE: -2.0, Sense.EQ: 0.0}[sense]))
+        raw = standard_form(lp_model(costs, bounds, rows)).solve()
+        assert_matches(raw, scipy_solve(costs, bounds, rows))
+        assert pricing_passes == [1]
+
+    @pytest.mark.parametrize("failure", ["stall", "numeric"])
+    def test_failed_dual_falls_back_to_the_primal(self, monkeypatch, failure):
+        def failed(self, st, *args):
+            st.iterations += 5
+            if failure == "numeric":
+                raise NumericalFailure("injected")
+            return LpStatus.ITERATION_LIMIT
+
+        costs, bounds = (2.0, 3.0), [(0.0, 10.0)] * 2
+        rows = [((1.0, 1.0), Sense.GE, 4.0), ((1.0, -1.0), Sense.LE, 1.0)]
+        monkeypatch.setattr(SimplexEngine, "_dual", failed)
+        raw = standard_form(lp_model(costs, bounds, rows)).solve()
+        assert_matches(raw, scipy_solve(costs, bounds, rows))
+        assert raw.iterations > 5  # the dual's iterations count toward the solve
+
+    def test_negative_cost_on_column_unbounded_above_takes_the_primal_path(self, monkeypatch):
+        costs, bounds = (-1.0, 2.0), [(0.0, INF), (0.0, 3.0)]
+        rows = [((1.0, 1.0), Sense.LE, 4.0), ((1.0, -1.0), Sense.GE, -1.0)]
+        dual_runs = []
+        monkeypatch.setattr(SimplexEngine, "_dual", lambda *args: dual_runs.append(args))
+        raw = standard_form(lp_model(costs, bounds, rows)).solve()
+        assert dual_runs == []
+        assert_matches(raw, scipy_solve(costs, bounds, rows))
+
+
+class TestDeadline:
+    def test_past_deadline_stops_the_dual(self, desk_dev_root):
+        engine, root, col = desk_dev_root
+        raw = engine.solve(deadline=time.monotonic() - 1.0)
+        assert raw.status is LpStatus.TIME_LIMIT
+        assert raw.iterations <= DEADLINE_EVERY
+        warm = engine.solve(*fixed(engine, col, 1.0), start=root.basis,
+                            deadline=time.monotonic() - 1.0)
+        assert warm.status is LpStatus.TIME_LIMIT
+        assert warm.iterations <= DEADLINE_EVERY
+
+    @pytest.mark.parametrize("stable", [False, True])
+    def test_past_deadline_stops_the_primal(self, stable):
+        costs, bounds = (-1.0, -2.0), [(0.0, INF), (0.0, INF)]
+        rows = [((1.0, 1.0), Sense.LE, 4.0), ((1.0, -1.0), Sense.GE, -1.0)]
+        engine = standard_form(lp_model(costs, bounds, rows))
+        raw = engine.solve(stable=stable, deadline=time.monotonic() - 1.0)
+        assert raw.status is LpStatus.TIME_LIMIT
+        assert raw.iterations <= DEADLINE_EVERY
+        assert engine.solve(stable=stable).status is LpStatus.OPTIMAL
