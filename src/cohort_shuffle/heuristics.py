@@ -8,7 +8,10 @@ which makes it an optimality witness on balanced instances.
 per-company statistic of a feasible previous assignment.  ``local_search``
 runs :func:`descend`, the one local search, from any start, feasible or
 not, down to the variant's objective floor; the branch-and-bound root
-heuristic runs the same descent from the rounded relaxation.
+heuristic runs the same descent from the rounded relaxation.  Once the
+assignment is feasible, the descent skips any move a row rejected while
+that row's activity and the moving students' companies are unchanged:
+such a move would be rejected again, so skipping it changes no decision.
 """
 
 from __future__ import annotations
@@ -206,7 +209,13 @@ class MoveEvaluator:
 
     def try_moves(self, moves: Sequence[Move]) -> bool:
         """Make ``moves`` if they lower (violation, objective)
-        lexicographically; report whether they did."""
+        lexicographically; report whether they did.
+
+        ``blocked`` is left at the row that rejected them when the
+        assignment is feasible and they would push a row past its bounds,
+        and at None otherwise.
+        """
+        self.blocked = None
         deltas = self._row_deltas(moves)
         if self.bad:
             total, bad = self._violation_after(deltas)
@@ -218,6 +227,7 @@ class MoveEvaluator:
             for r, da in deltas:
                 x = act[r] + da
                 if x - hi[r] > FEAS_TOL or lo[r] - x > FEAS_TOL:
+                    self.blocked = r
                     return False
             total, bad = 0.0, 0
         obj = self._objective_after(moves)
@@ -261,16 +271,49 @@ def descend(ev: MoveEvaluator, rng: random.Random, budget: int, floor: float) ->
     local optimum, after ``budget`` accepted moves, or once the assignment
     is feasible with its objective at ``floor``, a lower bound no move can
     beat.  From a feasible start every accepted move keeps it feasible.
+
+    A move rejected by a row while the assignment is feasible is skipped
+    until that row's activity or a moving student's company changes: the
+    row's activity change depends only on those companies, so the same
+    float would break the same bound again.  The descent never returns to
+    infeasible, so the skip changes no decision.
     """
-    n, n_c = ev.n, ev.n_c
+    n, n_c, asg, act = ev.n, ev.n_c, ev.asg, ev.act
+    # per relocation: the row that rejected it, that row's activity and the
+    # student's company at the time
+    rel_row, rel_act, rel_src = [-1] * (n * n_c), [0.0] * (n * n_c), [-1] * (n * n_c)
+    # per tried swap: (row, activity, company of i, company of j)
+    swap_memo: dict[int, tuple[int, float, int, int]] = {}
 
     def relocate(k: int) -> bool:
         i, dst = divmod(k, n_c)
-        return dst != ev.asg[i] and ev.try_moves(((i, dst),))
+        src = asg[i]
+        if dst == src:
+            return False
+        r = rel_row[k]
+        if r >= 0 and rel_src[k] == src and act[r] == rel_act[k]:
+            return False
+        if ev.try_moves(((i, dst),)):
+            return True
+        r = ev.blocked
+        if r is not None:
+            rel_row[k], rel_act[k], rel_src[k] = r, act[r], src
+        return False
 
     def swap(k: int) -> bool:
         i, j = divmod(k, n)
-        return ev.asg[i] != ev.asg[j] and ev.try_moves(((i, ev.asg[j]), (j, ev.asg[i])))
+        ci, cj = asg[i], asg[j]
+        if ci == cj:
+            return False
+        memo = swap_memo.get(k)
+        if memo is not None and memo[2] == ci and memo[3] == cj and act[memo[0]] == memo[1]:
+            return False
+        if ev.try_moves(((i, cj), (j, ci))):
+            return True
+        r = ev.blocked
+        if r is not None:
+            swap_memo[k] = (r, act[r], ci, cj)
+        return False
 
     order = list(range(n * n_c))
     rng.shuffle(order)

@@ -11,16 +11,20 @@ from cohort_shuffle import (
     Roster,
     SolveOptions,
     SolveStatus,
+    balanced_spec,
     certify,
     compile_model,
     count_pairs,
     cyclic_deal,
+    generate,
     optimality_gap,
     pairs_lower_bound,
     solve_ip,
+    solve_roster,
 )
+from cohort_shuffle.bounds import objective_floor
 from cohort_shuffle.branch_bound import SolveResult, SolveStats
-from conftest import balanced_roster, mk_student
+from conftest import balanced_roster, mk_student, oracle_best, oracle_instance
 
 MIN = ModelVariant.MIN_SAME_COMPANY
 DEV = ModelVariant.MERIT_DEVIATION
@@ -60,6 +64,35 @@ class TestPairsLowerBound:
         for n_c, size in ((3, 4), (4, 6), (5, 7)):
             r = balanced_roster(n_c, size)
             assert count_pairs(r, cyclic_deal(r)) == pairs_lower_bound(r).total
+
+
+class TestObjectiveFloor:
+    def test_pairs_floor_deals_each_company_evenly(self):
+        # 3 destinations: 7 students go 3+2+2 (3 + 1 + 1 pairs), 4 go 2+1+1
+        r = roster_from_sizes([7, 3, 2, 4])
+        assert objective_floor(r, PAIRS) == 6.0
+        assert pairs_lower_bound(r).total == 5
+        assert objective_floor(r, MIN) == objective_floor(r, DEV) == 0.0
+
+    def test_floor_never_exceeds_the_exhaustive_optimum(self):
+        tighter = 0
+        for seed in range(60):
+            roster = oracle_instance(seed)
+            best = oracle_best(roster, PAIRS)
+            floor = objective_floor(roster, PAIRS)
+            if best is not None:
+                assert floor <= best, seed
+            tighter += floor > pairs_lower_bound(roster).total
+        assert tighter > 0
+
+    @pytest.mark.parametrize("num_companies,size,pairs", [(6, 14, 78.0), (5, 12, 60.0)])
+    def test_overfull_balanced_rosters_are_proven(self, num_companies, size, pairs):
+        roster = generate(balanced_spec(num_companies, size), seed=1)
+        out = solve_roster(roster, PAIRS)
+        assert out.result.status is SolveStatus.PROVEN_OPTIMAL
+        assert out.result.objective == pairs
+        assert out.result.stats.nodes == 0
+        assert out.certificate.ok and out.certificate.optimal_by_bound
 
 
 class TestOptimalityGap:

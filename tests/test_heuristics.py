@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 
 import pytest
 
@@ -27,8 +28,10 @@ from cohort_shuffle import (
     weighted_deviation,
 )
 from cohort_shuffle import pipeline
+from cohort_shuffle.bounds import objective_floor
 from cohort_shuffle.compiler import assignment_block
-from cohort_shuffle.heuristics import MoveEvaluator, descend
+from cohort_shuffle.heuristics import EPS, MoveEvaluator, _take_first, descend
+from cohort_shuffle.roster import FEAS_TOL
 from conftest import balanced_roster, identity_assignment, mk_student, oracle_instance
 
 MIN = ModelVariant.MIN_SAME_COMPANY
@@ -212,3 +215,116 @@ class TestMoveEvaluator:
                 self.assert_agrees(roster, ev, variant)
             descend(ev, rng, 10 * n, -math.inf)
             self.assert_agrees(roster, ev, variant)
+
+
+def reference_descend(ev, rng, budget, floor):
+    """``descend`` without the rejection memo: every move is tried."""
+    n, n_c = ev.n, ev.n_c
+
+    def relocate(k):
+        i, dst = divmod(k, n_c)
+        return dst != ev.asg[i] and ev.try_moves(((i, dst),))
+
+    def swap(k):
+        i, j = divmod(k, n)
+        return ev.asg[i] != ev.asg[j] and ev.try_moves(((i, ev.asg[j]), (j, ev.asg[i])))
+
+    order = list(range(n * n_c))
+    rng.shuffle(order)
+    relocates, swaps = deque(order), None
+    for _ in range(budget):
+        if ev.violation == 0.0 and ev.objective <= floor + EPS:
+            return
+        if _take_first(relocates, relocate):
+            continue
+        if swaps is None:
+            order = [i * n + j for i in range(n) for j in range(i + 1, n)]
+            rng.shuffle(order)
+            swaps = deque(order)
+        if not _take_first(swaps, swap):
+            return
+
+
+class TestRejectionMemo:
+    """The memo in ``descend`` skips only moves that would be rejected."""
+
+    @staticmethod
+    def starts(roster):
+        rng = random.Random(len(roster.students))
+        yield cyclic_deal(roster)
+        yield rotate_within_battalions(roster)
+        yield rotate_within_battalions(roster, shift=2)
+        yield {s.id: rng.randrange(roster.num_companies) for s in roster.students}
+
+    @staticmethod
+    def counted_descent(descent, roster, variant, start, budget):
+        ev = MoveEvaluator(*assignment_block(roster, variant), variant)
+        ev.load([start[s.id] for s in roster.students])
+        tries = [0]
+        real = ev.try_moves
+
+        def counted(moves):
+            tries[0] += 1
+            return real(moves)
+
+        ev.try_moves = counted
+        descent(ev, random.Random(3), budget, objective_floor(roster, variant))
+        return ev, tries[0]
+
+    @pytest.mark.parametrize("roster", [
+        *(pytest.param(("oracle", seed), id=f"oracle-{seed}") for seed in range(60)),
+        *(pytest.param(("desk", seed), id=f"desk-{seed}") for seed in (1, 2, 3, 4, 7)),
+    ])
+    def test_memo_changes_no_decision(self, roster):
+        kind, seed = roster
+        roster = oracle_instance(seed) if kind == "oracle" else generate(desk_spec(), seed=seed)
+        budget = 10 * len(roster.students) if kind == "oracle" else 200
+        for variant in ModelVariant:
+            for start in self.starts(roster):
+                ev, _ = self.counted_descent(descend, roster, variant, start, budget)
+                ref, _ = self.counted_descent(reference_descend, roster, variant, start, budget)
+                assert ev.asg == ref.asg
+                assert ev.objective == ref.objective
+                assert ev.violation == ref.violation
+
+    def test_memo_halves_the_tries(self):
+        roster = generate(desk_spec(), seed=7)
+        start = rotate_within_battalions(roster)
+        ev, tries = self.counted_descent(descend, roster, DEV, start, 200)
+        ref, ref_tries = self.counted_descent(reference_descend, roster, DEV, start, 200)
+        assert ev.asg == ref.asg
+        assert 2 * tries <= ref_tries
+
+    def test_blocking_row_is_one_the_move_breaks(self):
+        by_row = by_objective = 0
+        for seed in range(60):
+            roster = oracle_instance(seed)
+            rng = random.Random(seed)
+            n, n_c = len(roster.students), roster.num_companies
+            for variant in ModelVariant:
+                block = assignment_block(roster, variant)
+                ev, probe = MoveEvaluator(*block, variant), MoveEvaluator(*block, variant)
+                ev.load([rng.randrange(n_c) for _ in range(n)])
+                descend(ev, rng, 10 * n, -math.inf)
+                if ev.violation != 0.0:
+                    continue
+                moves = [((i, c),) for i in range(n) for c in range(n_c) if c != ev.asg[i]]
+                moves += [((i, ev.asg[j]), (j, ev.asg[i]))
+                          for i in range(n) for j in range(i + 1, n) if ev.asg[i] != ev.asg[j]]
+                rng.shuffle(moves)
+                for move in moves:
+                    probe.load(ev.asg)
+                    if ev.try_moves(move):
+                        assert ev.blocked is None
+                        continue
+                    probe.apply(move)
+                    r = ev.blocked
+                    if r is None:
+                        by_objective += 1
+                        assert probe.bad == 0
+                        assert probe.objective >= ev.objective - EPS
+                    else:
+                        by_row += 1
+                        x = probe.act[r]
+                        assert max(probe.lo[r] - x, x - probe.hi[r]) > FEAS_TOL
+        assert by_row > 0 and by_objective > 0
