@@ -72,8 +72,9 @@ class SolveOptions:
     ``warm_start`` seeds the incumbent with a known assignment (silently
     skipped if it violates the model rows).  ``node_limit`` and
     ``time_limit_s`` stop the search early with the best incumbent found.
-    ``workers`` is accepted and recorded but the search runs on one
-    thread, so every run is bit-deterministic for any value.
+    Node LPs run under the simplex engine's own iteration cap.  ``workers``
+    is accepted and recorded but the search runs on one thread, so every
+    run is bit-deterministic for any value.
     """
 
     time_limit_s: float | None = None
@@ -84,7 +85,6 @@ class SolveOptions:
     external_lb: float | None = None
     warm_start: Assignment | None = None
     node_limit: int | None = None
-    max_lp_iter: int | None = None
 
 
 @dataclass(frozen=True)
@@ -193,8 +193,6 @@ class _Search:
         self.inc_x: np.ndarray | None = None
         self.nodes = 0
         self.lp_iters = 0
-        self.stop_reason: str | None = None
-        self.stop_glb: float | None = None
         self.deadline = (time.monotonic() + opts.time_limit_s
                          if opts.time_limit_s is not None else None)
 
@@ -278,19 +276,17 @@ class _Search:
         """Dive from one node, pushing siblings while descending.
 
         Each LP but the root's starts from its parent's optimal basis.  An LP
-        stopped by the deadline puts its node back on the heap under the
-        parent's bound.
+        that fails numerically or hits the engine's iteration cap is solved
+        once more in the engine's stable mode, with both runs' iterations
+        counted.  An LP stopped by the deadline puts its node back on the
+        heap under the parent's bound.
         """
         eng = self.engine
         while True:
             lo, hi = self._materialize(fixes)
-            raw = eng.solve(lo, hi, max_iter=self.opts.max_lp_iter, start=start,
-                            deadline=self.deadline)
+            raw = eng.solve(lo, hi, start=start, deadline=self.deadline)
             if raw.status in (LpStatus.NUMERIC_FAILURE, LpStatus.ITERATION_LIMIT):
-                retry_iter = self.opts.max_lp_iter
-                if retry_iter is not None:
-                    retry_iter *= 4
-                retry = eng.solve(lo, hi, max_iter=retry_iter, stable=True, deadline=self.deadline)
+                retry = eng.solve(lo, hi, stable=True, deadline=self.deadline)
                 retry.iterations += raw.iterations
                 raw = retry
             self.lp_iters += raw.iterations
@@ -334,6 +330,20 @@ class _Search:
 
     # --- driver -------------------------------------------------------------
 
+    def _search(self) -> bool:
+        """Best-bound search until the heap empties or the incumbent is
+        proved; True when a budget stopped it.  A node whose bound proves the
+        incumbent stays on the heap."""
+        while not self._out_of_budget():
+            if not self.heap:
+                return False
+            glb = max(self.heap[0][0], self.floor)
+            if self.inc_obj is not None and (glb >= self._cutoff() or self._proved(glb)):
+                return False
+            bound, _, fixes, start = heapq.heappop(self.heap)
+            self._plunge(bound, fixes, start, at_root=self.nodes == 0)
+        return True
+
     def run(self) -> SolveResult:
         t0 = time.monotonic()
         opts = self.opts
@@ -343,56 +353,31 @@ class _Search:
             asg = np.array([opts.warm_start[sid] for sid in ids], dtype=np.int64)
             self._try_incumbent(asg, None)
 
-        proven_exact = self._at_floor()
-        if not proven_exact:
+        budget = False
+        if not self._at_floor():
             self.heap = [(self.floor, 0, (), None)]
-            proven_exact = self._drive_sequential()
+            budget = self._search()
 
-        wall = time.monotonic() - t0
-        stats = SolveStats(self.nodes, self.lp_iters, wall)
+        stats = SolveStats(self.nodes, self.lp_iters, time.monotonic() - t0)
+        glb = max(self.floor, self.heap[0][0]) if self.heap else math.inf
+        inc = self.inc_obj
+        if inc is None:
+            status = SolveStatus.TIME_LIMIT_NO_SOLUTION if budget else SolveStatus.INFEASIBLE
+            return SolveResult(status, None, None, glb, None, stats, None)
 
-        if self.inc_obj is None:
-            if self.stop_reason == "budget":
-                return SolveResult(SolveStatus.TIME_LIMIT_NO_SOLUTION, None, None,
-                                   max(self.floor, self._heap_bound()), None, stats, None)
-            return SolveResult(SolveStatus.INFEASIBLE, None, None, math.inf, None, stats, None)
-
+        glb = min(glb, inc)
+        if not budget and inc - glb <= self.impr_eps:
+            bound, gap = inc, 0.0
+        else:
+            bound, gap = glb, optimality_gap(inc, glb)
+        status = (SolveStatus.PROVEN_OPTIMAL if inc - bound <= self._stop_tol()
+                  else SolveStatus.FEASIBLE_GAP)
         assignment = None
         if self.inc_asg is not None:
             ids = self.model.meta["student_ids"]
             assignment = {sid: int(self.inc_asg[i]) for i, sid in enumerate(ids)}
         primal = tuple(float(v) for v in self.inc_x)
-
-        if proven_exact:
-            return SolveResult(SolveStatus.PROVEN_OPTIMAL, assignment, self.inc_obj,
-                               self.inc_obj, 0.0, stats, primal)
-        glb = max(self.floor, self._heap_bound())
-        glb = min(glb, self.inc_obj)
-        gap = optimality_gap(self.inc_obj, glb)
-        if self.inc_obj - glb <= self._stop_tol():
-            return SolveResult(SolveStatus.PROVEN_OPTIMAL, assignment, self.inc_obj,
-                               glb, gap, stats, primal)
-        return SolveResult(SolveStatus.FEASIBLE_GAP, assignment, self.inc_obj,
-                           glb, gap, stats, primal)
-
-    def _heap_bound(self) -> float:
-        if self.stop_glb is not None:
-            return self.stop_glb
-        return self.heap[0][0] if self.heap else (self.inc_obj if self.inc_obj is not None else math.inf)
-
-    def _drive_sequential(self) -> bool:
-        while True:
-            if self._out_of_budget():
-                self.stop_reason = "budget"
-                return False
-            if not self.heap:
-                return True
-            bound, _, fixes, start = heapq.heappop(self.heap)
-            glb = max(bound, self.floor)
-            if self.inc_obj is not None and (glb >= self._cutoff() or self._proved(glb)):
-                self.stop_glb = glb
-                return self.inc_obj - glb <= self.impr_eps or glb >= self._cutoff()
-            self._plunge(bound, fixes, start, at_root=self.nodes == 0)
+        return SolveResult(status, assignment, inc, bound, gap, stats, primal)
 
 
 def solve_ip(model: IpModel, opts: SolveOptions | None = None) -> SolveResult:

@@ -153,11 +153,11 @@ class RowBuilder:
             return
         cols = np.asarray(cols, dtype=np.int32)
         families, senses, rhs = zip(*specs)
+        reps = n_rows // len(specs)
         self.parts.append((np.full(n_rows, cols.shape[-1]) if lengths is None else lengths,
                            cols.ravel(), np.broadcast_to(coefs, cols.shape).ravel(),
-                           np.resize(np.array([SENSES.index(s) for s in senses], dtype=np.int8),
-                                     n_rows),
-                           np.resize(np.array(rhs, dtype=float), n_rows)))
+                           np.tile(np.array([SENSES.index(s) for s in senses], dtype=np.int8), reps),
+                           np.tile(np.array(rhs, dtype=float), reps)))
         self.blocks.append((self.count, families, outer, inner))
         self.count += n_rows
 

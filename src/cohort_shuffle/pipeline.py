@@ -28,7 +28,7 @@ from cohort_shuffle.roster import (
     validate_roster,
 )
 
-WARM_STRATEGIES = ("auto", "none", "deal", "rotate", "deal+ls")
+WARM_STRATEGIES = ("auto", "none", "deal")
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,11 @@ def build_warm_start(roster: Roster, variant: ModelVariant,
                      ls_budget: int = 200) -> Assignment | None:
     """Cheapest feasible assignment the heuristics can find, else None.
 
-    Each constructive start is descended by ``local_search`` when the
-    strategy asks for it, feasible or not, until one meets the objective
-    floor.  Only assignments that pass the feasibility check the certificate
-    uses are returned, so a warm start can never poison a solve.
+    ``deal`` offers the cyclic deal as it is.  ``auto`` adds the two
+    battalion rotations and, for ``min``, the identity, and descends each
+    start with ``local_search``, feasible or not, until one meets the
+    objective floor.  Only assignments that pass the feasibility check the
+    certificate uses are returned, so a warm start can never poison a solve.
     """
     if strategy not in WARM_STRATEGIES:
         raise ValueError(f"unknown warm-start strategy {strategy!r}")
@@ -54,19 +55,16 @@ def build_warm_start(roster: Roster, variant: ModelVariant,
         return None
     forbid = variant is not ModelVariant.MIN_SAME_COMPANY
 
-    candidates: list[Assignment] = []
-    if strategy in ("deal", "deal+ls", "auto"):
-        candidates.append(cyclic_deal(roster))
-    if strategy in ("rotate", "auto"):
-        candidates.append(rotate_within_battalions(roster))
-        candidates.append(rotate_within_battalions(roster, shift=2))
-    if strategy == "auto" and not forbid:
-        candidates.append({s.id: s.old_company for s in roster.students})
+    candidates = [cyclic_deal(roster)]
+    if strategy == "auto":
+        candidates += [rotate_within_battalions(roster), rotate_within_battalions(roster, shift=2)]
+        if not forbid:
+            candidates.append({s.id: s.old_company for s in roster.students})
 
     floor = objective_floor(roster, variant)
     best, best_obj = None, math.inf
     for asg in candidates:
-        if strategy in ("deal+ls", "auto"):
+        if strategy == "auto":
             asg = local_search(roster, asg, variant, ls_budget, seed=seed)
         if not check_feasible(roster, asg, forbid_same_company=forbid).feasible:
             continue

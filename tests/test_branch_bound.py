@@ -32,7 +32,7 @@ from cohort_shuffle import (
 )
 from cohort_shuffle.branch_bound import _canonical_point, _point_feasible, _Search
 from cohort_shuffle.ipmodel import IpModel, LinearRow, Sense, VarKind, Variable
-from cohort_shuffle.simplex import DEADLINE_EVERY, standard_form
+from cohort_shuffle.simplex import DEADLINE_EVERY, NumericalFailure, SimplexEngine, standard_form
 from conftest import balanced_roster, mk_student, oracle_best, oracle_instance
 
 MIN = ModelVariant.MIN_SAME_COMPANY
@@ -56,6 +56,35 @@ def test_matches_exhaustive_enumeration(seed):
                 f"seed {seed} {variant.value}: {res.status}"
             assert res.objective == pytest.approx(expected, abs=1e-9)
             assert res.assignment is not None
+
+
+@pytest.mark.parametrize("seed", [1, 3, 5, 8, 9])
+def test_failed_node_lps_are_solved_again_in_stable_mode(seed, monkeypatch):
+    """Every LP phase run outside the engine's stable mode fails, so the
+    warm dual finish and the cold primal both fail and each node LP is
+    only solved by the search's stable retry."""
+    run_phases, solve = SimplexEngine._run_phases, SimplexEngine.solve
+
+    def failing(self, st, max_iter, deadline, stable):
+        if not stable:
+            raise NumericalFailure("injected")
+        return run_phases(self, st, max_iter, deadline, stable)
+
+    stable_calls = []
+
+    def counting(self, *args, **kwargs):
+        stable_calls.append(kwargs.get("stable", False))
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimplexEngine, "_run_phases", failing)
+    monkeypatch.setattr(SimplexEngine, "solve", counting)
+    roster = oracle_instance(seed)
+    for variant in ModelVariant:
+        stable_calls.clear()
+        res = solve_ip(compile_model(roster, variant))
+        assert res.status is SolveStatus.PROVEN_OPTIMAL, (variant, res.status)
+        assert res.objective == pytest.approx(oracle_best(roster, variant), abs=1e-9)
+        assert any(stable_calls)
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -7,7 +7,10 @@ byte-identity check across real processes lives in the acceptance suite.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -225,3 +228,69 @@ class TestDeterministicArtifacts:
                        "--variant", "min", "--out", str(out)])
         assert rc == 0
         assert fileio.read_meta(tmp_path / "env.csv.meta.json")["workers"] == 2
+
+
+#: sha256 of each artifact of the README walkthrough roster (desk seed 7),
+#: pinned across commits: a change that moves a solve's status, bound,
+#: gap, node count or LP iterations changes one of them.  Each case is
+#: (solve arguments, exit code, stdout, assignment CSV, ``.meta.json``).
+WALKTHROUGH_SHA256 = {
+    "pairs": (["--variant", "pairs"], 0,
+              "32d183f09feda9c3239547410ee9ac193a7ec2a828ace4b97565ab3303d1b625",
+              "92f58358e62b0f85aa46a0bd1511577756793390b20a4abef5ee9b26af0a3b33",
+              "a09f7cecef9eedae87d1ba2c64e04ea098bb4a33c15eea67d210e875b021dd04"),
+    "min": (["--variant", "min"], 0,
+            "1f42fddd061178183f221197b79266da889e8817d0bd9bbd2c9fee53d067770d",
+            "72f2a0a590e194775fc0deda519adbaf1f005c5a7ed23a8fe55443bc1f05fecd",
+            "19c3034ca3fb18ec2e292c78993d6244fa6c96b1352cb0feb9eb193a2ab37179"),
+    "dev-nodes-2": (["--variant", "dev", "--node-limit", "2"], 3,
+                    "60bedd00a8b9315f940fdb4a97c4ed660f3ac013ada56b5ff4d21e6fadd78bf9",
+                    "27246ca5d2da858580ade592fda4466ecaafb2c38f5387e5bc601b3b6cf5eab8",
+                    "b19e7b3d116ea8c9aec91674155eec2958392ff7d25ecb751c89ef87fafaeabb"),
+    "dev-no-time": (["--variant", "dev", "--time-limit", "0", "--warm", "none"], 3,
+                    "d9f4a5e6ac380ea85924aea907cf7d9f86132a07f060bae40dc3278d1a26dedd",
+                    None, None),
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestWalkthroughArtifacts:
+    @pytest.fixture
+    def walkthrough_files(self, tmp_path):
+        roster, config = tmp_path / "roster.csv", tmp_path / "roster.cfg"
+        assert cli.main(["generate", "--preset", "desk", "--seed", "7",
+                         "--roster", str(roster), "--config", str(config)]) == 0
+        return roster, config
+
+    def _solve(self, files, args, out, capsys) -> tuple[int, str]:
+        roster, config = files
+        capsys.readouterr()
+        rc = cli.main(["solve", "--roster", str(roster), "--config", str(config),
+                       *args, "--out", str(out)])
+        return rc, capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", sorted(WALKTHROUGH_SHA256))
+    def test_artifacts_match_the_pinned_hashes(self, case, walkthrough_files, tmp_path, capsys):
+        args, code, stdout_sha, csv_sha, meta_sha = WALKTHROUGH_SHA256[case]
+        out = tmp_path / "new.csv"
+        rc, stdout = self._solve(walkthrough_files, args, out, capsys)
+        meta = tmp_path / "new.csv.meta.json"
+        assert rc == code
+        assert _sha(stdout.encode()) == stdout_sha, stdout
+        if csv_sha is None:
+            assert not out.exists() and not meta.exists()
+        else:
+            assert _sha(out.read_bytes()) == csv_sha
+            assert _sha(meta.read_bytes()) == meta_sha, meta.read_text()
+
+    def test_readme_shows_the_pairs_stdout(self, walkthrough_files, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        shown = re.search(r"--variant pairs --out new\.csv\n```\n\n```\n(.*?)```",
+                          readme, re.S)
+        assert shown is not None
+        _, stdout = self._solve(walkthrough_files, ["--variant", "pairs"],
+                                tmp_path / "new.csv", capsys)
+        assert stdout == shown.group(1)
