@@ -195,22 +195,11 @@ def _cmd_generate(args) -> int:
             raise UsageError("--preset balanced needs --companies and --company-size")
         spec = balanced_spec(args.companies, args.company_size)
     else:
-        spec = GenSpec()
-        if args.class_year is not None:
-            spec = reference_spec(args.class_year)
-    patch = {}
-    if args.companies is not None:
-        patch["num_companies"] = args.companies
-    if args.battalions is not None:
-        patch["num_battalions"] = args.battalions
-    if args.company_size is not None and args.preset != "balanced":
-        patch["company_size"] = args.company_size
-    if args.conflict_pairs is not None:
-        patch["num_conflict_pairs"] = args.conflict_pairs
-    if args.bare:
-        patch["bare"] = True
-    if patch:
-        spec = dataclasses.replace(spec, **patch)
+        spec = GenSpec() if args.class_year is None else reference_spec(args.class_year)
+    patch = {"num_companies": args.companies, "num_battalions": args.battalions,
+             "company_size": args.company_size, "num_conflict_pairs": args.conflict_pairs,
+             "bare": True if args.bare else None}
+    spec = dataclasses.replace(spec, **{k: v for k, v in patch.items() if v is not None})
     roster = generate(spec, args.seed)
     write_roster(roster, args.roster, args.config)
     print(f"wrote {len(roster.students)} students / {roster.num_companies} companies "

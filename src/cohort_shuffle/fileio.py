@@ -13,14 +13,20 @@ from __future__ import annotations
 
 import csv
 import json
+from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
 from cohort_shuffle.generator import GenSpec, MetricSpec
-from cohort_shuffle.roster import Assignment, Roster, Student, Tolerances
+from cohort_shuffle.roster import METRICS, WINDOWS, Assignment, Roster, Student, Tolerances
 
-ROSTER_FIELDS = ("id", "aom", "mom", "prt", "gender", "race", "old_company",
-                 "battalion", "task_force", "prior_service", "sapr",
-                 "international", "batt_locked", "sports")
+#: The roster CSV's 0/1 columns, as (column, ``Student`` attribute).
+FLAG_COLUMNS = (("task_force", "is_task_force"), ("prior_service", "is_prior_service"),
+                ("sapr", "is_sapr_guide"), ("international", "is_international"),
+                ("batt_locked", "battalion_locked"))
+
+ROSTER_FIELDS = ("id", *METRICS, "gender", "race", "old_company", "battalion",
+                 *(col for col, _ in FLAG_COLUMNS), "sports")
 
 
 def _num(v: float) -> str:
@@ -29,16 +35,15 @@ def _num(v: float) -> str:
 
 def write_roster(roster: Roster, roster_path: str | Path, config_path: str | Path) -> None:
     """Write the student CSV and its companion config."""
+    scores, flags = attrgetter(*METRICS), attrgetter(*(attr for _, attr in FLAG_COLUMNS))
     with open(roster_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(ROSTER_FIELDS)
         for s in roster.students:
             w.writerow([
-                s.id, _num(s.aom), _num(s.mom), _num(s.prt), s.gender, s.race,
+                s.id, *map(_num, scores(s)), s.gender, s.race,
                 s.old_company + 1, roster.battalion_of(s.old_company) + 1,
-                int(s.is_task_force), int(s.is_prior_service),
-                int(s.is_sapr_guide), int(s.is_international),
-                int(s.battalion_locked), ";".join(sorted(s.sports)),
+                *map(int, flags(s)), ";".join(sorted(s.sports)),
             ])
     Path(config_path).write_text("\n".join(config_lines(roster)) + "\n")
 
@@ -57,22 +62,10 @@ def config_lines(roster: Roster) -> list[str]:
         f"aom_weight = {_num(roster.aom_weight)}",
         f"mom_weight = {_num(roster.mom_weight)}",
     ]
-    for key in sorted(tol.count_min):
-        lines.append(f"min_number_{key} = {tol.count_min[key]}")
-    for key in sorted(tol.count_max):
-        lines.append(f"max_number_{key} = {tol.count_max[key]}")
-    for key in sorted(tol.merit_min):
-        lines.append(f"min_avg_score_{key} = {_num(tol.merit_min[key])}")
-    for key in sorted(tol.merit_max):
-        lines.append(f"max_avg_score_{key} = {_num(tol.merit_max[key])}")
-    for key in sorted(tol.gender_min):
-        lines.append(f"min_gender_{key} = {_num(tol.gender_min[key])}")
-    for key in sorted(tol.gender_max):
-        lines.append(f"max_gender_{key} = {_num(tol.gender_max[key])}")
-    for key in sorted(tol.race_min):
-        lines.append(f"min_race_{key} = {_num(tol.race_min[key])}")
-    for key in sorted(tol.race_max):
-        lines.append(f"max_race_{key} = {_num(tol.race_max[key])}")
+    for stem, name, _ in WINDOWS:
+        for side in ("min", "max"):
+            bounds = getattr(tol, f"{stem}_{side}")
+            lines.extend(f"{side}_{name}_{key} = {_num(bounds[key])}" for key in sorted(bounds))
     for key in sorted(tol.sport_max):
         lines.append(f"max_athlete_{key} = {tol.sport_max[key]}")
     if tol.min_sapr:
@@ -115,26 +108,20 @@ def read_roster(roster_path: str | Path, config_path: str | Path) -> Roster:
     """Read a roster CSV plus companion config back into a Roster."""
     cfg = parse_config(config_path)
     students: list[Student] = []
+    batt_cells: list[tuple[int, str]] = []  # (previous company, raw battalion cell)
     with open(roster_path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != ROSTER_FIELDS:
             raise ValueError(f"{roster_path}: expected header {','.join(ROSTER_FIELDS)}")
         for row in reader:
+            scores = {m: float(row[m]) for m in METRICS}
+            old = int(row["old_company"]) - 1
             students.append(Student(
-                id=row["id"],
-                aom=float(row["aom"]),
-                mom=float(row["mom"]),
-                prt=float(row["prt"]),
-                gender=row["gender"],
-                race=row["race"],
-                old_company=int(row["old_company"]) - 1,
-                is_task_force=row["task_force"] == "1",
-                is_prior_service=row["prior_service"] == "1",
-                is_sapr_guide=row["sapr"] == "1",
-                is_international=row["international"] == "1",
-                battalion_locked=row["batt_locked"] == "1",
-                sports=frozenset(v for v in row["sports"].split(";") if v),
+                id=row["id"], gender=row["gender"], race=row["race"], old_company=old,
+                sports=frozenset(v for v in row["sports"].split(";") if v), **scores,
+                **{attr: row[col] == "1" for col, attr in FLAG_COLUMNS},
             ))
+            batt_cells.append((old, row["battalion"]))
 
     declared = _single(cfg, "num_companies")
     num_companies = int(declared) if declared else (
@@ -146,29 +133,19 @@ def read_roster(roster_path: str | Path, config_path: str | Path) -> Roster:
         if len(batt_of) != num_companies:
             raise ValueError("battalions line must list one battalion per company")
     else:
-        batt_of = [0] * num_companies
-        seen = [False] * num_companies
-        with open(roster_path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                c = int(row["old_company"]) - 1
-                batt_of[c] = int(row["battalion"])
-                seen[c] = True
-        if not all(seen):
+        # a company outside range(num_companies) is left to validate_roster
+        named = {c: int(cell) for c, cell in batt_cells}
+        if any(c not in named for c in range(num_companies)):
             raise ValueError("some companies have no students; add a 'battalions' "
                              "line to the config")
+        batt_of = [named[c] for c in range(num_companies)]
     groups: dict[int, list[int]] = {}
     for c, b in enumerate(batt_of):
         groups.setdefault(b, []).append(c)
     battalions = tuple(tuple(groups[b]) for b in sorted(groups))
 
     def fmap(prefix: str, cast) -> dict:
-        out = {}
-        for key, vals in cfg.items():
-            if key.startswith(prefix):
-                if len(vals) > 1:
-                    raise ValueError(f"config key {key!r} given more than once")
-                out[key[len(prefix):]] = cast(vals[0])
-        return out
+        return {key[len(prefix):]: cast(_single(cfg, key)) for key in cfg if key.startswith(prefix)}
 
     def companies(key: str) -> frozenset[int] | None:
         raw = _single(cfg, key)
@@ -177,14 +154,8 @@ def read_roster(roster_path: str | Path, config_path: str | Path) -> Roster:
         return frozenset(int(v) - 1 for v in raw.split(","))
 
     tol = Tolerances(
-        count_min=fmap("min_number_", int),
-        count_max=fmap("max_number_", int),
-        merit_min=fmap("min_avg_score_", float),
-        merit_max=fmap("max_avg_score_", float),
-        gender_min=fmap("min_gender_", float),
-        gender_max=fmap("max_gender_", float),
-        race_min=fmap("min_race_", float),
-        race_max=fmap("max_race_", float),
+        **{f"{stem}_{side}": fmap(f"{side}_{name}_", cast)
+           for stem, name, cast in WINDOWS for side in ("min", "max")},
         sport_max=fmap("max_athlete_", int),
         min_sapr=int(_single(cfg, "min_sapr", "0")),
         num_intl=(lambda v: int(v) if v is not None else None)(_single(cfg, "num_intl")),
@@ -236,6 +207,10 @@ def read_meta(path: str | Path) -> dict:
 
 _METRIC_FIELDS = ("lo", "hi", "mean", "between_std", "within_std")
 
+#: How a scalar ``GenSpec`` field reads, by its annotated type; the other
+#: fields (score models and tuples) have keys of their own.
+_SCALAR_CASTS = {int: int, float: float, str: str, bool: lambda v: v == "1", int | None: int}
+
 
 def genspec_from_config(path: str | Path) -> GenSpec:
     """Generator spec from the same key-value grammar.
@@ -258,20 +233,10 @@ def genspec_from_config(path: str | Path) -> GenSpec:
             merged = {f: fields.get(f, getattr(cur, f)) for f in _METRIC_FIELDS}
             kwargs[metric] = MetricSpec(**merged)
 
-    casts = {
-        "num_companies": int, "num_battalions": int, "company_size": int,
-        "male_fraction": float, "focus_race": str, "focus_race_fraction": float,
-        "other_race": str, "intl_per_company": int, "sapr_per_company": int,
-        "task_force_fraction": float, "prior_service_fraction": float,
-        "battalion_locked_fraction": float, "athlete_fraction": float,
-        "num_conflict_pairs": int, "conflict_cross_gender": lambda v: v == "1",
-        "count_slack": int, "fraction_slack": float,
-        "bare": lambda v: v == "1", "aom_weight": float, "mom_weight": float,
-    }
-    for key, cast in casts.items():
-        raw = _single(cfg, key)
+    for key, hint in get_type_hints(GenSpec).items():
+        raw = _single(cfg, key) if hint in _SCALAR_CASTS else None
         if raw is not None:
-            kwargs[key] = cast(raw)
+            kwargs[key] = _SCALAR_CASTS[hint](raw)
     raw = _single(cfg, "company_sizes")
     if raw is not None:
         kwargs["company_sizes"] = tuple(int(v) for v in raw.split(","))

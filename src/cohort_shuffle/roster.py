@@ -89,6 +89,14 @@ class Tolerances:
     intl_companies: frozenset[int] | None = None
 
 
+#: The four two-sided windows, as (``Tolerances`` field stem of the
+#: ``_min``/``_max`` pair, config-key stem, bound type).  The config spells
+#: them ``min_<key>_<subkey>`` and ``max_<key>_<subkey>``; the last two
+#: bound shares, which must lie in [0, 1].
+WINDOWS = (("count", "number", int), ("merit", "avg_score", float),
+           ("gender", "gender", float), ("race", "race", float))
+
+
 @dataclass(frozen=True)
 class Roster:
     """A full problem instance."""
@@ -199,21 +207,17 @@ def validate_roster(roster: Roster) -> list[Violation]:
                 out.append(Violation("unknown_student", sid, f"conflict pair references unknown student {sid!r}"))
 
     tol = roster.tolerances
-    for name, lo_map, hi_map in (
-        ("number", tol.count_min, tol.count_max),
-        ("avg_score", tol.merit_min, tol.merit_max),
-        ("gender", tol.gender_min, tol.gender_max),
-        ("race", tol.race_min, tol.race_max),
-    ):
-        for key, lo in lo_map.items():
+    for stem, name, _ in WINDOWS:
+        hi_map = getattr(tol, f"{stem}_max")
+        for key, lo in getattr(tol, f"{stem}_min").items():
             hi = hi_map.get(key)
             if hi is not None and lo > hi:
                 out.append(Violation("inverted_bound", key, f"min_{name}[{key}] = {lo} exceeds max_{name}[{key}] = {hi}"))
-    for frac_map, name in ((tol.gender_min, "min_gender"), (tol.gender_max, "max_gender"),
-                           (tol.race_min, "min_race"), (tol.race_max, "max_race")):
-        for key, frac in frac_map.items():
-            if not (0.0 <= frac <= 1.0):
-                out.append(Violation("bad_fraction", key, f"{name}[{key}] = {frac} is outside [0, 1]"))
+    for stem, name, _ in WINDOWS[2:]:
+        for side in ("min", "max"):
+            for key, frac in getattr(tol, f"{stem}_{side}").items():
+                if not (0.0 <= frac <= 1.0):
+                    out.append(Violation("bad_fraction", key, f"{side}_{name}[{key}] = {frac} is outside [0, 1]"))
 
     for subset, label in ((tol.sapr_companies, "sapr_companies"), (tol.intl_companies, "intl_companies")):
         if subset is not None:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cohort_shuffle import Roster, Tolerances, cli, desk_spec, fileio, generate
+from cohort_shuffle import GenSpec, Roster, Tolerances, cli, desk_spec, fileio, generate
 from conftest import mk_student
 
 
@@ -294,3 +294,181 @@ class TestWalkthroughArtifacts:
         _, stdout = self._solve(walkthrough_files, ["--variant", "pairs"],
                                 tmp_path / "new.csv", capsys)
         assert stdout == shown.group(1)
+
+
+def _generate(tmp_path, *args) -> tuple[Path, Path]:
+    roster, config = tmp_path / "roster.csv", tmp_path / "roster.cfg"
+    assert cli.main(["generate", *args, "--roster", str(roster), "--config", str(config)]) == 0
+    return roster, config
+
+
+def _edit_config(config: Path, **values) -> None:
+    """Rewrite ``key = value`` lines in place; a value of None drops the key."""
+    lines = []
+    for line in config.read_text().splitlines():
+        key = line.split("=", 1)[0].strip()
+        if key not in values:
+            lines.append(line)
+        elif values[key] is not None:
+            lines.append(f"{key} = {values[key]}")
+    config.write_text("\n".join(lines) + "\n")
+
+
+#: sha256 of the (roster CSV, companion config) that ``generate`` writes,
+#: pinned across commits, for each preset and each flag that patches one.
+GENERATE_SHA256 = {
+    "reference": (["--preset", "reference", "--seed", "1"],
+                  "0a553345f43a60aaaa15778c1a25a33837e35722b6ad08c9f235eabe585dce7d",
+                  "c6962bfba142662a7c01b30172fd932bd4a645c63c0cf7b6fb9b5a691512bf50"),
+    "reference-2024": (["--preset", "reference", "--class-year", "2024", "--seed", "1"],
+                       "ce1dc6524ef76e510c532c8fbdd4d70653d73d8436d9dd026e40ea53c316b9a3",
+                       "c8d95c78830bde06154e33ddc4dacc1ce53e78ea26e59196ece03a62dfa31040"),
+    "default-2024": (["--class-year", "2024", "--seed", "1"],
+                     "ce1dc6524ef76e510c532c8fbdd4d70653d73d8436d9dd026e40ea53c316b9a3",
+                     "c8d95c78830bde06154e33ddc4dacc1ce53e78ea26e59196ece03a62dfa31040"),
+    "balanced": (["--preset", "balanced", "--companies", "6", "--company-size", "14",
+                  "--seed", "1"],
+                 "c884f774e0ba1fb90230cfc0dc6cf1b51a325d891eab97ac214f734093bf5bce",
+                 "5880d9598e9a09879eb10885fea6235889e7f12d59e5909a8126a0b1a1d35bbc"),
+    "spec": (["--spec", "{spec}", "--seed", "2"],
+             "691af3fbc8b6eb06117cda6d62130bc29e8e755317a10e6ea112148e69d837a5",
+             "d9a9f264ec6912ac285743ce78f4c32581e16af830953b8deb365cafde9232ff"),
+    "companies": (["--preset", "desk", "--companies", "6", "--seed", "3"],
+                  "84b555a930050cde004534487cfdc799275e87e72bd16a55373ce4e48b454a3e",
+                  "d53d995e54c7f0e15a11f5059431b4f243a6e89babb5c41a7b7d2fdbaa6c2517"),
+    "battalions": (["--preset", "desk", "--battalions", "2", "--seed", "3"],
+                   "d5116d907f465e7a58417b13e1ac353ecc79c299bf8258435d76c81d2444dd62",
+                   "c4466511f1c6d3aace2d5cc3e10fc2f620e1b6a117dd22c81c22b7d09c94918f"),
+    "company-size": (["--preset", "desk", "--company-size", "5", "--seed", "3"],
+                     "208ccbe7b435e63ef4e7236251ac686e248bcc763232aa70dae9c16ebf066efe",
+                     "8ff71978b52d19d41316bedf353c4e760550e669b7ac14ddd0403d419619bde5"),
+    "conflict-pairs": (["--preset", "desk", "--conflict-pairs", "2", "--seed", "3"],
+                       "cdd3c6e72c8876d41cedefbfacb3be4f9af1ad1dcd2b5fdc0e9b01832232ca83",
+                       "18327c04cf58ed29f992311584d28df791c71edb2fde878b8324a2527779c385"),
+    "bare": (["--preset", "desk", "--bare", "--seed", "3"],
+             "cdd3c6e72c8876d41cedefbfacb3be4f9af1ad1dcd2b5fdc0e9b01832232ca83",
+             "bf2b9a52c589f81c38e08306cbfbf9fb25d3bfbf43f5e958520d981c9787f7bc"),
+}
+
+GENERATOR_SPEC = ("num_companies = 5\nnum_battalions = 1\ncompany_size = 6\n"
+                  "num_conflict_pairs = 2\naom_mean = 560\nsports = crew, golf\n")
+
+
+class TestGenerate:
+    @pytest.mark.parametrize("case", sorted(GENERATE_SHA256))
+    def test_files_match_the_pinned_hashes(self, case, tmp_path):
+        args, csv_sha, cfg_sha = GENERATE_SHA256[case]
+        spec = tmp_path / "gen.cfg"
+        spec.write_text(GENERATOR_SPEC)
+        out = tmp_path / "out"
+        out.mkdir()
+        roster, config = _generate(out, *(a.format(spec=spec) for a in args))
+        assert (_sha(roster.read_bytes()), _sha(config.read_bytes())) == (csv_sha, cfg_sha)
+
+    @pytest.mark.parametrize("given", [["--companies", "6"], ["--company-size", "14"]])
+    def test_balanced_needs_both_shape_flags(self, given, tmp_path, capsys):
+        rc = cli.main(["generate", "--preset", "balanced", *given,
+                       "--roster", str(tmp_path / "r.csv"), "--config", str(tmp_path / "r.cfg")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: --preset balanced needs --companies and --company-size\n")
+        assert not (tmp_path / "r.csv").exists()
+
+
+class TestConfigInput:
+    def test_battalions_default_to_the_csv_column(self, tmp_path):
+        roster, config = _generate(tmp_path, "--preset", "desk", "--battalions", "2",
+                                   "--seed", "7")
+        original = fileio.read_roster(roster, config)
+        assert len(original.battalions) == 2
+        _edit_config(config, battalions=None)
+        assert fileio.read_roster(roster, config) == original
+
+    def test_a_company_without_students_needs_a_battalions_line(self, tmp_path):
+        roster, config = _generate(tmp_path, "--preset", "desk", "--seed", "7")
+        _edit_config(config, battalions=None, num_companies=9)
+        with pytest.raises(ValueError, match="some companies have no students; "
+                                             "add a 'battalions' line to the config"):
+            fileio.read_roster(roster, config)
+        assert cli.main(["validate", "--roster", str(roster), "--config", str(config)]) == 1
+
+    def test_a_company_past_num_companies_is_an_unknown_company(self, tmp_path, capsys):
+        roster, config = _generate(tmp_path, "--preset", "desk", "--seed", "7")
+        _edit_config(config, battalions=None, num_companies=7)
+        args = ["--roster", str(roster), "--config", str(config)]
+        capsys.readouterr()
+        assert cli.main(["validate", *args]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"invalid: student 's{i:04d}' references company index 7" for i in range(57, 65)]
+        assert cli.main(["solve", *args, "--variant", "pairs"]) == 1
+        assert "error: invalid roster: student 's0057'" in capsys.readouterr().err
+
+    def test_header_mismatch(self, desk_files):
+        roster, config = desk_files
+        lines = roster.read_text().splitlines(keepends=True)
+        roster.write_text(lines[0].replace("prt", "pt") + "".join(lines[1:]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{roster}: expected header {','.join(fileio.ROSTER_FIELDS)}")):
+            fileio.read_roster(roster, config)
+
+    def test_malformed_line(self, desk_files):
+        roster, config = desk_files
+        config.write_text(config.read_text() + "conflict_pair s0001,s0002\n")
+        lineno = len(config.read_text().splitlines())
+        with pytest.raises(ValueError, match=re.escape(
+                f"{config}:{lineno}: expected 'key = value', got 'conflict_pair s0001,s0002'")):
+            fileio.read_roster(roster, config)
+
+    @pytest.mark.parametrize("key", ["num_companies", "min_number_all", "max_athlete_crew",
+                                     "max_race_white"])
+    def test_repeated_key(self, key, desk_files):
+        roster, config = desk_files
+        config.write_text(config.read_text() + f"{key} = 3\n{key} = 3\n")
+        with pytest.raises(ValueError, match=f"config key '{key}' given more than once"):
+            fileio.read_roster(roster, config)
+
+    def test_every_tolerance_round_trips(self, tmp_path):
+        tol = Tolerances(
+            count_min={"all": 1, "task_force": 0}, count_max={"all": 3, "prior_service": 2},
+            merit_min={"aom": 450.5, "prt": 80.0}, merit_max={"mom": 600.25},
+            gender_min={"female": 0.125}, gender_max={"male": 0.875},
+            race_min={"other": 0.1}, race_max={"white": 0.9},
+            sport_max={"crew": 1}, min_sapr=1, num_intl=0,
+            sapr_companies=frozenset({0}), intl_companies=frozenset({1}))
+        original = Roster(
+            students=(mk_student(0, 0, is_task_force=True, is_international=True),
+                      mk_student(1, 1, aom=612.5, gender="female", race="other",
+                                 is_prior_service=True, battalion_locked=True,
+                                 sports=frozenset({"crew", "golf"}))),
+            num_companies=2, battalions=((0, 1),), conflict_pairs=(("s00", "s01"),),
+            tolerances=tol)
+        fileio.write_roster(original, tmp_path / "r.csv", tmp_path / "r.cfg")
+        assert fileio.read_roster(tmp_path / "r.csv", tmp_path / "r.cfg") == original
+
+    def test_generator_spec_lists_and_flags(self, tmp_path):
+        spec_file = tmp_path / "gen.cfg"
+        spec_file.write_text("company_sizes = 5,6,7\nsize_range = 4,9\n"
+                             "sports = crew, golf,\nconflict_cross_gender = 0\nbare = 1\n"
+                             "company_size = 6\nfocus_race = other\nmale_fraction = 0.5\n")
+        assert fileio.genspec_from_config(spec_file) == GenSpec(
+            company_sizes=(5, 6, 7), size_range=(4, 9), sports=("crew", "golf"),
+            conflict_cross_gender=False, bare=True, company_size=6,
+            focus_race="other", male_fraction=0.5)
+
+    def test_validate_lists_window_defects_in_order(self, tmp_path, capsys):
+        tol = Tolerances(count_min={"all": 9}, count_max={"all": 7},
+                         merit_min={"aom": 400.0}, merit_max={"aom": 600.0},
+                         gender_min={"female": 1.25}, gender_max={"male": 1.5},
+                         race_min={"white": 0.8}, race_max={"white": 0.6})
+        roster = Roster(students=(mk_student(0, 0), mk_student(1, 1)), num_companies=2,
+                        battalions=((0, 1),), tolerances=tol)
+        fileio.write_roster(roster, tmp_path / "r.csv", tmp_path / "r.cfg")
+        capsys.readouterr()
+        assert cli.main(["validate", "--roster", str(tmp_path / "r.csv"),
+                         "--config", str(tmp_path / "r.cfg")]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "invalid: min_number[all] = 9 exceeds max_number[all] = 7",
+            "invalid: min_race[white] = 0.8 exceeds max_race[white] = 0.6",
+            "invalid: min_gender[female] = 1.25 is outside [0, 1]",
+            "invalid: max_gender[male] = 1.5 is outside [0, 1]",
+        ]

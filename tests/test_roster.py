@@ -27,6 +27,8 @@ from cohort_shuffle import (
     validate_roster,
     weighted_deviation,
 )
+from cohort_shuffle.roster import FEAS_TOL
+from cohort_shuffle.simplex import FEAS_EPS
 from conftest import balanced_roster, identity_assignment, mk_student
 
 # Deterministic shuffle of tiny_roster used by the frozen-value tests:
@@ -129,6 +131,11 @@ class TestFeasibilityFamilies:
         students = (mk_student(0, 0, **flags), mk_student(1, 1, **flags))
         return Roster(students=students, num_companies=2,
                       battalions=((0, 1),), tolerances=tol)
+
+    def test_auditor_tolerance_is_the_solvers(self):
+        # heuristics reads FEAS_TOL and branch_bound._point_feasible reads
+        # FEAS_EPS; a solver point must re-validate under the auditor's.
+        assert FEAS_TOL == FEAS_EPS
 
     def test_count_window(self):
         r = self.two_students(Tolerances(count_max={"all": 1}, count_min={"all": 1}))
