@@ -24,12 +24,7 @@ from pathlib import Path
 
 from cohort_shuffle import __version__
 from cohort_shuffle.bounds import certify, optimality_gap, pairs_lower_bound
-from cohort_shuffle.branch_bound import (
-    SolveOptions,
-    SolveResult,
-    SolveStats,
-    SolveStatus,
-)
+from cohort_shuffle.branch_bound import SolveOptions, SolveResult, SolveStats, SolveStatus
 from cohort_shuffle.compiler import compile_model
 from cohort_shuffle.fileio import (
     config_lines,
@@ -105,10 +100,6 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="companion config file")
 
 
-def _variant(name: str) -> ModelVariant:
-    return ModelVariant(name)
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="cohort-shuffle",
                   description="Reassign students to companies under balance rules.")
@@ -128,9 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--conflict-pairs", type=int, default=None)
     p.add_argument("--bare", action="store_true",
                    help="emit only the core constraints (no tolerance windows)")
-    _add_out = p.add_argument
-    _add_out("--roster", required=True, help="output student CSV")
-    _add_out("--config", required=True, help="output companion config")
+    p.add_argument("--roster", required=True, help="output student CSV")
+    p.add_argument("--config", required=True, help="output companion config")
 
     p = sub.add_parser("validate", help="check roster structure")
     _add_instance_args(p)
@@ -221,7 +211,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_solve(args) -> int:
     roster = read_roster(args.roster, args.config)
-    variant = _variant(args.variant)
+    variant = ModelVariant(args.variant)
     workers = args.workers if args.workers is not None else _default_workers()
     opts = SolveOptions(
         time_limit_s=args.time_limit,
@@ -281,7 +271,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_certify(args) -> int:
     roster = read_roster(args.roster, args.config)
-    variant = _variant(args.variant)
+    variant = ModelVariant(args.variant)
     asg = read_assignment(args.result)
 
     meta_path = args.meta or f"{args.result}.meta.json"
@@ -317,17 +307,15 @@ def _cmd_certify(args) -> int:
 
 def _cmd_export_lp(args) -> int:
     roster = read_roster(args.roster, args.config)
-    model = compile_model(roster, _variant(args.variant))
+    model = compile_model(roster, ModelVariant(args.variant))
     _emit(export_lp(model), args.out)
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
     roster = read_roster(args.roster, args.config)
-    if args.assignment:
-        asg = read_assignment(args.assignment)
-    else:
-        asg = {s.id: s.old_company for s in roster.students}
+    asg = (read_assignment(args.assignment) if args.assignment
+           else {s.id: s.old_company for s in roster.students})
     table = company_stats(roster, asg, focus_race=args.focus_race)
     _emit(render(table, format=args.format), args.out)
     return EXIT_OK

@@ -114,6 +114,9 @@ def read_roster(roster_path: str | Path, config_path: str | Path) -> Roster:
         if reader.fieldnames is None or tuple(reader.fieldnames) != ROSTER_FIELDS:
             raise ValueError(f"{roster_path}: expected header {','.join(ROSTER_FIELDS)}")
         for row in reader:
+            if None in row or None in row.values():  # a long row or a short one
+                raise ValueError(f"{roster_path}:{reader.line_num}: expected "
+                                 f"{len(ROSTER_FIELDS)} cells, one per header column")
             scores = {m: float(row[m]) for m in METRICS}
             old = int(row["old_company"]) - 1
             students.append(Student(

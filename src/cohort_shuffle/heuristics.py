@@ -7,11 +7,13 @@ which makes it an optimality witness on balanced instances.
 ``rotate_within_battalions`` moves companies wholesale, preserving every
 per-company statistic of a feasible previous assignment.  ``local_search``
 runs :func:`descend`, the one local search, from any start, feasible or
-not, down to the variant's objective floor; the branch-and-bound root
-heuristic runs the same descent from the rounded relaxation.  Once the
-assignment is feasible, the descent skips any move a row rejected while
-that row's activity and the moving students' companies are unchanged:
-such a move would be rejected again, so skipping it changes no decision.
+not, down to the variant's objective floor; the warm start builds one
+:class:`MoveEvaluator` and loads each candidate start into it, and the
+branch-and-bound root heuristic runs the same descent from the rounded
+relaxation.  Once the assignment is feasible, the descent skips any move
+a row rejected while that row's activity and the moving students'
+companies are unchanged: such a move would be rejected again, so
+skipping it changes no decision.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -83,18 +85,22 @@ class MoveEvaluator:
     """Row violation and objective of one assignment, updated per move.
 
     Built from the x-block arrays of :func:`~cohort_shuffle.compiler.assignment_block`;
-    :meth:`load` sets the assignment.  A row over one student's columns keeps
-    a coefficient per company; every other row lies within one company and
-    sits, through one CSC conversion, in plain row and coefficient lists per
-    column, so a move costs O(touched rows).  ``violation`` sums how far rows
-    miss their bounds beyond ``FEAS_TOL``, as ``check_feasible`` counts them,
-    and is exactly 0.0 when none does.  The objective comes from the (new, old) cohort matrix
-    (stays are its diagonal) or the per-company aom/mom sums.
+    :meth:`load` sets the assignment, so one evaluator serves any number of
+    starts.  A row over one student's columns keeps a coefficient per
+    company; every other row lies within one company and sits, through one
+    CSC conversion, in the flat lists ``ptr``, ``idx`` and ``val`` (its
+    ``indptr``, ``indices`` and ``data``), column ``k`` being
+    ``idx[ptr[k]:ptr[k+1]]``, so a move costs O(touched rows) and a build
+    makes no list per column.  ``violation`` sums how far rows miss their
+    bounds beyond ``FEAS_TOL``, as ``check_feasible`` counts them, and is
+    exactly 0.0 when none does.  The objective comes from the (new, old)
+    cohort matrix (stays are its diagonal) or the per-company aom/mom sums.
     """
 
     def __init__(self, rows: RowStore, meta: dict, variant: ModelVariant) -> None:
         self.variant = variant
-        self.n = n = len(meta["student_ids"])
+        self.ids = meta["student_ids"]
+        self.n = n = len(self.ids)
         self.n_c = n_c = len(meta["company_labels"])
         self.old = list(meta["old_company"])
         self.scores = (list(meta["aom_scores"]), list(meta["mom_scores"]))
@@ -112,34 +118,29 @@ class MoveEvaluator:
             coefs = np.zeros(n_c)
             np.add.at(coefs, rows.cols[lo:hi] % n_c, rows.coefs[lo:hi])
             self.student_rows[student[lo]].append((r, coefs.tolist()))
-        # parallel lists rather than (row, coef) tuples: freed en masse, small
-        # tuples linger on the interpreter's free list and pin their memory
         keep = ~own[row_of] & (rows.coefs != 0.0)
-        shared = sparse.csc_matrix((rows.coefs[keep], (row_of[keep], rows.cols[keep])),
-                                   shape=(len(rows), n * n_c))
-        ptr = shared.indptr.tolist()
-        self.col_rows, self.col_coefs = ([values[a:b] for a, b in zip(ptr, ptr[1:])]
-                                         for values in (shared.indices.tolist(), shared.data.tolist()))
+        csc = sparse.csc_matrix((rows.coefs[keep], (row_of[keep], rows.cols[keep])),
+                                shape=(len(rows), n * n_c))
+        self.ptr, self.idx, self.val = (a.tolist() for a in (csc.indptr, csc.indices, csc.data))
 
     def load(self, asg: Sequence[int]) -> None:
         """Make ``asg`` (company per student index) the current assignment."""
         n_c = self.n_c
         self.asg = [int(c) for c in asg]
         self.act = [0.0] * len(self.lo)
-        for i, c in enumerate(self.asg):
-            for r, a in zip(self.col_rows[i * n_c + c], self.col_coefs[i * n_c + c]):
-                self.act[r] += a
-            for r, coefs in self.student_rows[i]:
-                self.act[r] += coefs[c]
-        self.viol = [self._excess(r, x) for r, x in enumerate(self.act)]
-        self.bad = sum(1 for v in self.viol if v > 0.0)
-        self.violation = math.fsum(self.viol)
         self.cohort = [[0] * n_c for _ in range(n_c)]
         self.sums = ([0.0] * n_c, [0.0] * n_c)
         for i, c in enumerate(self.asg):
+            for r, a in self._column(i * n_c + c):
+                self.act[r] += a
+            for r, coefs in self.student_rows[i]:
+                self.act[r] += coefs[c]
             self.cohort[c][self.old[i]] += 1
             for sums, score in zip(self.sums, self.scores):
                 sums[c] += score[i]
+        self.viol = [self._excess(r, x) for r, x in enumerate(self.act)]
+        self.bad = sum(1 for v in self.viol if v > 0.0)
+        self.violation = math.fsum(self.viol)
         if self.variant is ModelVariant.MIN_SAME_COMPANY:
             self.objective = float(sum(self.cohort[c][c] for c in range(n_c)))
         elif self.variant is ModelVariant.MERIT_DEVIATION:
@@ -147,25 +148,29 @@ class MoveEvaluator:
         else:
             self.objective = float(sum(k * (k - 1) // 2 for row in self.cohort for k in row))
 
+    def _column(self, k: int) -> Iterator[tuple[int, float]]:
+        """(row, coefficient) of column ``k`` over the shared rows."""
+        a, b = self.ptr[k], self.ptr[k + 1]
+        return zip(self.idx[a:b], self.val[a:b])
+
     def _excess(self, r: int, x: float) -> float:
         e = max(self.lo[r] - x, x - self.hi[r])
         return e if e > FEAS_TOL else 0.0
 
     def _row_deltas(self, moves: Sequence[Move]) -> list[tuple[int, float]]:
         """Activity change of every row the moves touch, each row once."""
-        n_c, asg, rows, coefs = self.n_c, self.asg, self.col_rows, self.col_coefs
+        n_c, asg, column = self.n_c, self.asg, self._column
         if len(moves) == 1 and moves[0][1] != asg[moves[0][0]]:
             # a relocation's two columns share no row
             ((i, dst),) = moves
-            src, dst = i * n_c + asg[i], i * n_c + dst
-            out = [(r, -a) for r, a in zip(rows[src], coefs[src])]
-            out += zip(rows[dst], coefs[dst])
+            out = [(r, -a) for r, a in column(i * n_c + asg[i])]
+            out += column(i * n_c + dst)
         else:
             d: dict[int, float] = {}
             for i, dst in moves:
-                for r, a in zip(rows[i * n_c + asg[i]], coefs[i * n_c + asg[i]]):
+                for r, a in column(i * n_c + asg[i]):
                     d[r] = d.get(r, 0.0) - a
-                for r, a in zip(rows[i * n_c + dst], coefs[i * n_c + dst]):
+                for r, a in column(i * n_c + dst):
                     d[r] = d.get(r, 0.0) + a
             out = list(d.items())
         for i, dst in moves:
@@ -332,19 +337,20 @@ def descend(ev: MoveEvaluator, rng: random.Random, budget: int, floor: float) ->
 
 
 def local_search(roster: Roster, start: Assignment, objective: ModelVariant,
-                 budget: int, *, seed: int = 0) -> Assignment:
+                 budget: int, *, seed: int = 0,
+                 evaluator: MoveEvaluator | None = None) -> Assignment:
     """Seeded :func:`descend` from ``start`` over the roster's x-block rows,
     down to the variant's :func:`~cohort_shuffle.bounds.objective_floor`.
 
     A feasible start stays feasible and only the objective falls; an
-    infeasible one is first walked toward feasibility.
+    infeasible one is first walked toward feasibility.  An ``evaluator``
+    built for the same roster and variant is loaded and reused.
     """
     asg = dict(start)
     if budget <= 0:
         return asg
-    rows, meta = assignment_block(roster, objective)
-    ev = MoveEvaluator(rows, meta, objective)
-    ev.load([asg[sid] for sid in meta["student_ids"]])
+    ev = evaluator or MoveEvaluator(*assignment_block(roster, objective), objective)
+    ev.load([asg[sid] for sid in ev.ids])
     descend(ev, random.Random(seed), budget, objective_floor(roster, objective))
-    asg.update(zip(meta["student_ids"], ev.asg))
+    asg.update(zip(ev.ids, ev.asg))
     return asg

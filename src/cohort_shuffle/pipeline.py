@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from cohort_shuffle.bounds import Certificate, certify, objective_floor
 from cohort_shuffle.bounds import pairs_lower_bound  # noqa: F401  perfbench/tracer.py wraps it here
 from cohort_shuffle.branch_bound import SolveOptions, SolveResult, solve_ip
-from cohort_shuffle.compiler import compile_model
-from cohort_shuffle.heuristics import cyclic_deal, local_search, rotate_within_battalions
+from cohort_shuffle.compiler import assignment_block, compile_model
+from cohort_shuffle.heuristics import (MoveEvaluator, cyclic_deal, local_search,
+                                       rotate_within_battalions)
 from cohort_shuffle.ipmodel import ModelVariant
 from cohort_shuffle.roster import (
     Assignment,
@@ -45,9 +46,10 @@ def build_warm_start(roster: Roster, variant: ModelVariant,
 
     ``deal`` offers the cyclic deal as it is.  ``auto`` adds the two
     battalion rotations and, for ``min``, the identity, and descends each
-    start with ``local_search``, feasible or not, until one meets the
-    objective floor.  Only assignments that pass the feasibility check the
-    certificate uses are returned, so a warm start can never poison a solve.
+    start, feasible or not, with ``local_search`` on one shared move
+    evaluator until one meets the objective floor.  Only assignments that
+    pass the feasibility check the certificate uses are returned, so a
+    warm start can never poison a solve.
     """
     if strategy not in WARM_STRATEGIES:
         raise ValueError(f"unknown warm-start strategy {strategy!r}")
@@ -60,12 +62,13 @@ def build_warm_start(roster: Roster, variant: ModelVariant,
         candidates += [rotate_within_battalions(roster), rotate_within_battalions(roster, shift=2)]
         if not forbid:
             candidates.append({s.id: s.old_company for s in roster.students})
+        ev = MoveEvaluator(*assignment_block(roster, variant), variant)
 
     floor = objective_floor(roster, variant)
     best, best_obj = None, math.inf
     for asg in candidates:
         if strategy == "auto":
-            asg = local_search(roster, asg, variant, ls_budget, seed=seed)
+            asg = local_search(roster, asg, variant, ls_budget, seed=seed, evaluator=ev)
         if not check_feasible(roster, asg, forbid_same_company=forbid).feasible:
             continue
         obj = assignment_objective(roster, asg, variant)

@@ -23,6 +23,7 @@ from cohort_shuffle import (
     desk_spec,
     generate,
     local_search,
+    reference_spec,
     rotate_within_battalions,
     solve_roster,
     weighted_deviation,
@@ -188,6 +189,27 @@ class TestWarmStart:
         assert out.certificate.ok
 
 
+class TestFullScale:
+    """Full-class solves (reference 2023, 1,097 students) with no tree search."""
+
+    @pytest.fixture(scope="class")
+    def roster(self):
+        return generate(reference_spec(2023), seed=1)
+
+    def test_min_is_proven_at_zero(self, roster):
+        out = solve_roster(roster, MIN, SolveOptions(node_limit=0))
+        assert out.certificate.ok
+        assert out.result.status is SolveStatus.PROVEN_OPTIMAL
+        assert out.result.objective == 0.0
+
+    def test_pairs_keeps_the_descended_warm_start(self, roster):
+        out = solve_roster(roster, PAIRS, SolveOptions(node_limit=0))
+        assert out.certificate.ok
+        assert out.result.objective >= objective_floor(roster, PAIRS)
+        # the descended first battalion rotation, the best of the three starts
+        assert assignment_objective(roster, out.warm_start, PAIRS) == 13137.0
+
+
 class TestMoveEvaluator:
     """The incremental evaluator against the independent auditor."""
 
@@ -215,6 +237,28 @@ class TestMoveEvaluator:
                 self.assert_agrees(roster, ev, variant)
             descend(ev, rng, 10 * n, -math.inf)
             self.assert_agrees(roster, ev, variant)
+
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    def test_loading_after_a_descent_matches_a_fresh_evaluator(self, variant):
+        roster = generate(desk_spec(), seed=7)
+        block = assignment_block(roster, variant)
+        ev, fresh = MoveEvaluator(*block, variant), MoveEvaluator(*block, variant)
+        first, second = cyclic_deal(roster), rotate_within_battalions(roster)
+        ev.load([first[s.id] for s in roster.students])
+        descend(ev, random.Random(0), 200, -math.inf)
+        assert ev.asg != [first[s.id] for s in roster.students]
+        ev.load([second[s.id] for s in roster.students])
+        fresh.load([second[s.id] for s in roster.students])
+        for attr in ("act", "viol", "bad", "violation", "objective", "cohort", "sums", "asg"):
+            assert getattr(ev, attr) == getattr(fresh, attr), attr
+
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    def test_local_search_reuses_an_evaluator(self, variant):
+        roster = generate(desk_spec(), seed=7)
+        ev = MoveEvaluator(*assignment_block(roster, variant), variant)
+        for start in TestRejectionMemo.starts(roster):
+            assert (local_search(roster, start, variant, 200, seed=3, evaluator=ev)
+                    == local_search(roster, start, variant, 200, seed=3))
 
 
 def reference_descend(ev, rng, budget, floor):

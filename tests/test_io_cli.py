@@ -411,6 +411,19 @@ class TestConfigInput:
                 f"{roster}: expected header {','.join(fileio.ROSTER_FIELDS)}")):
             fileio.read_roster(roster, config)
 
+    @pytest.mark.parametrize("edit", ["short", "long"])
+    def test_row_without_one_cell_per_column(self, edit, desk_files, capsys):
+        roster, config = desk_files
+        lines = roster.read_text().splitlines()
+        cells = lines[3].split(",")
+        lines[3] = ",".join(cells[:3] if edit == "short" else cells + ["1"])
+        roster.write_text("\n".join(lines) + "\n")
+        message = f"{roster}:4: expected {len(fileio.ROSTER_FIELDS)} cells, one per header column"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fileio.read_roster(roster, config)
+        assert cli.main(["validate", "--roster", str(roster), "--config", str(config)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_malformed_line(self, desk_files):
         roster, config = desk_files
         config.write_text(config.read_text() + "conflict_pair s0001,s0002\n")
