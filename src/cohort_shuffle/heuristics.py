@@ -91,10 +91,10 @@ class MoveEvaluator:
     CSC conversion, in the flat lists ``ptr``, ``idx`` and ``val`` (its
     ``indptr``, ``indices`` and ``data``), column ``k`` being
     ``idx[ptr[k]:ptr[k+1]]``, so a move costs O(touched rows) and a build
-    makes no list per column.  ``violation`` sums how far rows miss their
-    bounds beyond ``FEAS_TOL``, as ``check_feasible`` counts them, and is
-    exactly 0.0 when none does.  The objective comes from the (new, old)
-    cohort matrix (stays are its diagonal) or the per-company aom/mom sums.
+    makes no list per column and no object per entry.  ``violation`` sums
+    how far rows miss their bounds beyond ``FEAS_TOL``, as ``check_feasible``
+    counts them, and is exactly 0.0 when none does.  The objective comes from the
+    (new, old) cohort matrix (stays are its diagonal) or the per-company aom/mom sums.
     """
 
     def __init__(self, rows: RowStore, meta: dict, variant: ModelVariant) -> None:
@@ -121,7 +121,11 @@ class MoveEvaluator:
         keep = ~own[row_of] & (rows.coefs != 0.0)
         csc = sparse.csc_matrix((rows.coefs[keep], (row_of[keep], rows.cols[keep])),
                                 shape=(len(rows), n * n_c))
-        self.ptr, self.idx, self.val = (a.tolist() for a in (csc.indptr, csc.indices, csc.data))
+        # one object per distinct row and coefficient; 800k per build fragmented memory
+        values, which = np.unique(csc.data, return_inverse=True)
+        self.ptr = csc.indptr.tolist()
+        self.idx = np.arange(len(rows)).astype(object)[csc.indices].tolist()
+        self.val = values.astype(object)[which].tolist()
 
     def load(self, asg: Sequence[int]) -> None:
         """Make ``asg`` (company per student index) the current assignment."""

@@ -260,6 +260,14 @@ class TestMoveEvaluator:
             assert (local_search(roster, start, variant, 200, seed=3, evaluator=ev)
                     == local_search(roster, start, variant, 200, seed=3))
 
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    def test_shared_rows_hold_one_object_per_distinct_value(self, variant):
+        roster = generate(desk_spec(), seed=7)
+        ev = MoveEvaluator(*assignment_block(roster, variant), variant)
+        assert len(ev.idx) > len(set(ev.idx)) and len(ev.val) > len(set(ev.val))
+        for values in (ev.idx, ev.val):
+            assert len({id(v) for v in values}) == len(set(values))
+
 
 def reference_descend(ev, rng, budget, floor):
     """``descend`` without the rejection memo: every move is tried."""
