@@ -24,6 +24,7 @@ bound.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import heapq
 import math
@@ -37,14 +38,7 @@ from cohort_shuffle.bounds import optimality_gap
 from cohort_shuffle.heuristics import MoveEvaluator, descend
 from cohort_shuffle.ipmodel import IpModel, ModelVariant
 from cohort_shuffle.roster import Assignment, deviation_from_sums
-from cohort_shuffle.simplex import (
-    FEAS_EPS,
-    Basis,
-    LpStatus,
-    NumericalFailure,
-    SimplexEngine,
-    standard_form,
-)
+from cohort_shuffle.simplex import Basis, LpStatus, NumericalFailure, standard_form
 
 INT_EPS = 1e-6
 #: slack subtracted before bound strengthening, absorbing simplex tolerance
@@ -96,7 +90,8 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of a branch-and-bound run."""
+    """Outcome of a branch-and-bound run; ``primal`` is the incumbent's
+    canonical point as a read-only float64 array."""
 
     status: SolveStatus
     assignment: Assignment | None
@@ -104,7 +99,7 @@ class SolveResult:
     bound: float
     gap: float | None
     stats: SolveStats
-    primal: tuple[float, ...] | None
+    primal: np.ndarray | None
 
     @property
     def proven_optimal(self) -> bool:
@@ -159,14 +154,6 @@ def _canonical_point(model: IpModel, asg: np.ndarray) -> tuple[np.ndarray, float
     return x, float(np.count_nonzero(extra))
 
 
-def _point_feasible(engine: SimplexEngine, x: np.ndarray) -> bool:
-    if np.any(x < engine.default_lower - FEAS_EPS) or np.any(x > engine.default_upper + FEAS_EPS):
-        return False
-    r = engine.b - engine.a_csc @ x
-    eps = FEAS_EPS * engine._res_scale
-    return bool(np.all(r >= engine.slack_lo - eps) and np.all(r <= engine.slack_hi + eps))
-
-
 class _Search:
     def __init__(self, model: IpModel, opts: SolveOptions) -> None:
         self.model = model
@@ -204,14 +191,12 @@ class _Search:
             x, obj = _canonical_point(self.model, asg)
         elif x_raw is not None:
             x = x_raw.copy()
-            bc = self.binary_cols
-            if len(bc):
-                x[bc] = np.round(x[bc])
+            x[self.binary_cols] = np.round(x[self.binary_cols])
             obj = float(self.engine.c @ x)
             asg = None
         else:
             return
-        if not _point_feasible(self.engine, x):
+        if not self.engine.feasible(x):
             return
         if self.inc_obj is None or obj < self.inc_obj - 1e-12:
             self.inc_obj = obj
@@ -287,8 +272,7 @@ class _Search:
             raw = eng.solve(lo, hi, start=start, deadline=self.deadline)
             if raw.status in (LpStatus.NUMERIC_FAILURE, LpStatus.ITERATION_LIMIT):
                 retry = eng.solve(lo, hi, stable=True, deadline=self.deadline)
-                retry.iterations += raw.iterations
-                raw = retry
+                raw = dataclasses.replace(retry, iterations=retry.iterations + raw.iterations)
             self.lp_iters += raw.iterations
             if raw.status is LpStatus.TIME_LIMIT:
                 self.seq += 1
@@ -303,19 +287,19 @@ class _Search:
             if node_bound >= self._cutoff():
                 return
             if at_root:
-                self._round_and_repair(raw.x)
+                self._round_and_repair(raw.values)
                 at_root = False
                 if node_bound >= self._cutoff() or self._at_floor():
                     return
 
-            xb = raw.x[self.binary_cols] if len(self.binary_cols) else np.zeros(0)
+            xb = raw.values[self.binary_cols]
             frac = np.abs(xb - np.round(xb))
             cand = np.nonzero(frac > INT_EPS)[0]
             if len(cand) == 0:
                 if self.domain:
-                    self._try_incumbent(self._rounded(raw.x), None)
+                    self._try_incumbent(self._rounded(raw.values), None)
                 else:
-                    self._try_incumbent(None, raw.x)
+                    self._try_incumbent(None, raw.values)
                 return
 
             pick = cand[np.argmin(np.abs(xb[cand] - 0.5))]
@@ -372,12 +356,10 @@ class _Search:
             bound, gap = glb, optimality_gap(inc, glb)
         status = (SolveStatus.PROVEN_OPTIMAL if inc - bound <= self._stop_tol()
                   else SolveStatus.FEASIBLE_GAP)
-        assignment = None
-        if self.inc_asg is not None:
-            ids = self.model.meta["student_ids"]
-            assignment = {sid: int(self.inc_asg[i]) for i, sid in enumerate(ids)}
-        primal = tuple(float(v) for v in self.inc_x)
-        return SolveResult(status, assignment, inc, bound, gap, stats, primal)
+        assignment = (None if self.inc_asg is None
+                      else dict(zip(self.model.meta["student_ids"], self.inc_asg.tolist())))
+        self.inc_x.setflags(write=False)
+        return SolveResult(status, assignment, inc, bound, gap, stats, self.inc_x)
 
 
 def solve_ip(model: IpModel, opts: SolveOptions | None = None) -> SolveResult:

@@ -47,7 +47,7 @@ from cohort_shuffle.generator import (
 from cohort_shuffle.ipmodel import ModelVariant, export_lp
 from cohort_shuffle.pipeline import WARM_STRATEGIES, solve_roster
 from cohort_shuffle.reporting import company_stats, render
-from cohort_shuffle.roster import assignment_objective, validate_roster
+from cohort_shuffle.roster import Assignment, Roster, assignment_objective, validate_roster
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -173,6 +173,19 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _read_assignment(path: str, roster: Roster) -> Assignment:
+    """The assignment CSV at ``path``, with a row for each roster student and no other."""
+    asg = read_assignment(path)
+    for s in roster.students:
+        if s.id not in asg:
+            raise ValueError(f"{path}: no row for roster student {s.id!r}")
+    known = {s.id for s in roster.students}
+    for sid in asg:
+        if sid not in known:
+            raise ValueError(f"{path}: student {sid!r} is not in the roster")
+    return asg
+
+
 def _cmd_generate(args) -> int:
     if args.spec:
         spec = genspec_from_config(args.spec)
@@ -272,7 +285,7 @@ def _cmd_solve(args) -> int:
 def _cmd_certify(args) -> int:
     roster = read_roster(args.roster, args.config)
     variant = ModelVariant(args.variant)
-    asg = read_assignment(args.result)
+    asg = _read_assignment(args.result, roster)
 
     meta_path = args.meta or f"{args.result}.meta.json"
     meta = read_meta(meta_path) if Path(meta_path).exists() else {}
@@ -314,7 +327,7 @@ def _cmd_export_lp(args) -> int:
 
 def _cmd_report(args) -> int:
     roster = read_roster(args.roster, args.config)
-    asg = (read_assignment(args.assignment) if args.assignment
+    asg = (_read_assignment(args.assignment, roster) if args.assignment
            else {s.id: s.old_company for s in roster.students})
     table = company_stats(roster, asg, focus_race=args.focus_race)
     _emit(render(table, format=args.format), args.out)

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
 
-from cohort_shuffle.generator import GenSpec, MetricSpec
+from cohort_shuffle.generator import GenSpec
 from cohort_shuffle.roster import METRICS, WINDOWS, Assignment, Roster, Student, Tolerances
 
 #: The roster CSV's 0/1 columns, as (column, ``Student`` attribute).
@@ -27,6 +28,22 @@ FLAG_COLUMNS = (("task_force", "is_task_force"), ("prior_service", "is_prior_ser
 
 ROSTER_FIELDS = ("id", *METRICS, "gender", "race", "old_company", "battalion",
                  *(col for col, _ in FLAG_COLUMNS), "sports")
+
+ASSIGNMENT_FIELDS = ("id", "old_company", "new_company")
+
+
+def _csv_rows(path: str | Path, header: tuple[str, ...]):
+    """Yield (line number, row) over a CSV file that starts with ``header``
+    and has one cell per column on every row; anything else is a ValueError."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if tuple(reader.fieldnames or ()) != header:
+            raise ValueError(f"{path}: expected header {','.join(header)}")
+        for row in reader:
+            if None in row or None in row.values():  # a long row or a short one
+                raise ValueError(f"{path}:{reader.line_num}: expected "
+                                 f"{len(header)} cells, one per header column")
+            yield reader.line_num, row
 
 
 def _num(v: float) -> str:
@@ -109,22 +126,15 @@ def read_roster(roster_path: str | Path, config_path: str | Path) -> Roster:
     cfg = parse_config(config_path)
     students: list[Student] = []
     batt_cells: list[tuple[int, str]] = []  # (previous company, raw battalion cell)
-    with open(roster_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != ROSTER_FIELDS:
-            raise ValueError(f"{roster_path}: expected header {','.join(ROSTER_FIELDS)}")
-        for row in reader:
-            if None in row or None in row.values():  # a long row or a short one
-                raise ValueError(f"{roster_path}:{reader.line_num}: expected "
-                                 f"{len(ROSTER_FIELDS)} cells, one per header column")
-            scores = {m: float(row[m]) for m in METRICS}
-            old = int(row["old_company"]) - 1
-            students.append(Student(
-                id=row["id"], gender=row["gender"], race=row["race"], old_company=old,
-                sports=frozenset(v for v in row["sports"].split(";") if v), **scores,
-                **{attr: row[col] == "1" for col, attr in FLAG_COLUMNS},
-            ))
-            batt_cells.append((old, row["battalion"]))
+    for _, row in _csv_rows(roster_path, ROSTER_FIELDS):
+        scores = {m: float(row[m]) for m in METRICS}
+        old = int(row["old_company"]) - 1
+        students.append(Student(
+            id=row["id"], gender=row["gender"], race=row["race"], old_company=old,
+            sports=frozenset(v for v in row["sports"].split(";") if v), **scores,
+            **{attr: row[col] == "1" for col, attr in FLAG_COLUMNS},
+        ))
+        batt_cells.append((old, row["battalion"]))
 
     declared = _single(cfg, "num_companies")
     num_companies = int(declared) if declared else (
@@ -186,16 +196,18 @@ def write_assignment(path: str | Path, roster: Roster, asg: Assignment) -> None:
     """Assignment CSV: one (id, old company, new company) row per student."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["id", "old_company", "new_company"])
+        w.writerow(ASSIGNMENT_FIELDS)
         for s in roster.students:
             w.writerow([s.id, s.old_company + 1, asg[s.id] + 1])
 
 
 def read_assignment(path: str | Path) -> Assignment:
+    """Student id -> company index; an id on two rows is a ValueError."""
     out: Assignment = {}
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out[row["id"]] = int(row["new_company"]) - 1
+    for line, row in _csv_rows(path, ASSIGNMENT_FIELDS):
+        if row["id"] in out:
+            raise ValueError(f"{path}:{line}: student {row['id']!r} appears on an earlier row")
+        out[row["id"]] = int(row["new_company"]) - 1
     return out
 
 
@@ -226,15 +238,9 @@ def genspec_from_config(path: str | Path) -> GenSpec:
     kwargs: dict = {}
     base = GenSpec()
     for metric in ("aom", "mom", "prt"):
-        fields = {}
-        for f in _METRIC_FIELDS:
-            raw = _single(cfg, f"{metric}_{f}")
-            if raw is not None:
-                fields[f] = float(raw)
-        if fields:
-            cur = getattr(base, metric)
-            merged = {f: fields.get(f, getattr(cur, f)) for f in _METRIC_FIELDS}
-            kwargs[metric] = MetricSpec(**merged)
+        given = {f: float(_single(cfg, f"{metric}_{f}")) for f in _METRIC_FIELDS if f"{metric}_{f}" in cfg}
+        if given:
+            kwargs[metric] = replace(getattr(base, metric), **given)
 
     for key, hint in get_type_hints(GenSpec).items():
         raw = _single(cfg, key) if hint in _SCALAR_CASTS else None

@@ -45,11 +45,10 @@ def build_warm_start(roster: Roster, variant: ModelVariant,
     """Cheapest feasible assignment the heuristics can find, else None.
 
     ``deal`` offers the cyclic deal as it is.  ``auto`` adds the two
-    battalion rotations and, for ``min``, the identity, and descends each
-    start, feasible or not, with ``local_search`` on one shared move
-    evaluator until one meets the objective floor.  Only assignments that
-    pass the feasibility check the certificate uses are returned, so a
-    warm start can never poison a solve.
+    battalion rotations and descends each start, feasible or not, with
+    ``local_search`` on one shared move evaluator until one meets the
+    objective floor.  Only assignments that pass the feasibility check the
+    certificate uses are returned, so a warm start can never poison a solve.
     """
     if strategy not in WARM_STRATEGIES:
         raise ValueError(f"unknown warm-start strategy {strategy!r}")
@@ -60,8 +59,6 @@ def build_warm_start(roster: Roster, variant: ModelVariant,
     candidates = [cyclic_deal(roster)]
     if strategy == "auto":
         candidates += [rotate_within_battalions(roster), rotate_within_battalions(roster, shift=2)]
-        if not forbid:
-            candidates.append({s.id: s.old_company for s in roster.students})
         ev = MoveEvaluator(*assignment_block(roster, variant), variant)
 
     floor = objective_floor(roster, variant)

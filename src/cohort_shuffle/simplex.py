@@ -27,6 +27,10 @@ trigger refactorize-and-resume retries and finally an explicit
 numeric-failure status rather than a wrong answer.  A deadline is read
 every ``DEADLINE_EVERY`` iterations and ends a solve with a time-limit
 status once passed.
+
+Every solve returns an :class:`LpSolution` of float64 arrays, and
+:meth:`SimplexEngine.feasible` checks any point against the scaled rows
+under the tolerance an optimum is verified to.
 """
 
 from __future__ import annotations
@@ -72,13 +76,17 @@ class NumericalFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class LpSolution:
-    """Result of one LP solve over the relaxed model."""
+    """Result of one LP solve.  An optimum sets ``values`` (float64, one
+    per column), ``duals`` (one per model row), ``objective`` and ``basis``
+    (None while an artificial column stays basic); a solve that stops or
+    fails leaves them None."""
 
     status: LpStatus
-    values: tuple[float, ...]
-    objective: float | None
-    duals: tuple[float, ...]
     iterations: int
+    values: np.ndarray | None = None
+    duals: np.ndarray | None = None
+    objective: float | None = None
+    basis: Basis | None = None
 
 
 def standard_form(model: IpModel) -> "SimplexEngine":
@@ -118,16 +126,6 @@ class Basis:
     vstat: np.ndarray
 
 
-@dataclass
-class _RawResult:
-    status: LpStatus
-    x: np.ndarray | None
-    objective: float | None
-    duals: np.ndarray | None
-    iterations: int
-    basis: Basis | None = None
-
-
 class _State:
     """Mutable per-solve state; everything on the engine stays read-only."""
 
@@ -159,7 +157,7 @@ class SimplexEngine:
     def __init__(self, c: np.ndarray, a_csc: sparse.csc_matrix, b: np.ndarray,
                  slack_lo: np.ndarray, slack_hi: np.ndarray,
                  default_lower: np.ndarray, default_upper: np.ndarray,
-                 row_scale: np.ndarray | None = None) -> None:
+                 row_scale: np.ndarray) -> None:
         self.n = a_csc.shape[1]
         self.m = a_csc.shape[0]
         self.c = c
@@ -170,8 +168,17 @@ class SimplexEngine:
         self.slack_hi = slack_hi
         self.default_lower = default_lower
         self.default_upper = default_upper
-        self.row_scale = np.ones(self.m) if row_scale is None else row_scale
+        self.row_scale = row_scale
         self._res_scale = 1.0 + (float(np.max(np.abs(b))) if len(b) else 0.0)
+
+    def feasible(self, x: np.ndarray) -> bool:
+        """Whether a structural point keeps its default bounds and satisfies
+        every scaled row, within the tolerance an optimum is verified to."""
+        if np.any(x < self.default_lower - FEAS_EPS) or np.any(x > self.default_upper + FEAS_EPS):
+            return False
+        r = self.b - self.a_csc @ x
+        eps = FEAS_EPS * self._res_scale
+        return bool(np.all(r >= self.slack_lo - eps) and np.all(r <= self.slack_hi + eps))
 
     # column j layout: [0, n) structural, [n, n+m) slack, [n+m, ...) artificial
 
@@ -493,25 +500,24 @@ class SimplexEngine:
     def solve(self, lower: np.ndarray | None = None,
               upper: np.ndarray | None = None, *,
               max_iter: int | None = None, stable: bool = False,
-              start: Basis | None = None, deadline: float | None = None) -> _RawResult:
+              start: Basis | None = None, deadline: float | None = None) -> LpSolution:
         """Solve the LP under the given variable bounds.
 
-        Returns raw arrays, with the optimal basis; :func:`solve_lp` wraps
-        them in the public type.  The bounded dual simplex runs from
-        ``start``, a basis that was optimal under looser bounds (a branching
-        parent's), or else from the slack basis.  When that start is not
-        dual feasible, or the dual run fails numerically, stalls past
-        ``DUAL_ITER_PER_DIM`` iterations per row and column or does not
-        verify, the two-phase primal simplex solves from scratch.  ``stable`` goes
-        straight to the primal with Bland's rule throughout and frequent
-        refactorization, used to retry a failed solve.  Past ``deadline``
-        (a :func:`time.monotonic` value, checked every ``DEADLINE_EVERY``
-        iterations) the solve ends with ``TIME_LIMIT``.
+        The bounded dual simplex runs from ``start``, a basis that was
+        optimal under looser bounds (a branching parent's), or else from the
+        slack basis.  When that start is not dual feasible, or the dual run
+        fails numerically, stalls past ``DUAL_ITER_PER_DIM`` iterations per
+        row and column or does not verify, the two-phase primal simplex
+        solves from scratch.  ``stable`` goes straight to the primal with
+        Bland's rule throughout and frequent refactorization, used to retry
+        a failed solve.  Past ``deadline`` (a :func:`time.monotonic` value,
+        checked every ``DEADLINE_EVERY`` iterations) the solve ends with
+        ``TIME_LIMIT``.
         """
         lo = self.default_lower if lower is None else lower
         hi = self.default_upper if upper is None else upper
         if np.any(lo > hi + 1e-12):
-            return _RawResult(LpStatus.INFEASIBLE, None, None, None, 0)
+            return LpSolution(LpStatus.INFEASIBLE, 0)
         if max_iter is None:
             max_iter = 50 * (self.n + self.m) + 2000
 
@@ -529,7 +535,7 @@ class SimplexEngine:
                         if raw.status is not LpStatus.NUMERIC_FAILURE:
                             return raw
                     elif status is not LpStatus.ITERATION_LIMIT or cap == max_iter:
-                        return _RawResult(status, None, None, None, st.iterations)
+                        return LpSolution(status, st.iterations)
             except NumericalFailure:
                 pass
             used = 0 if st is None else st.iterations
@@ -542,20 +548,20 @@ class SimplexEngine:
         try:
             return self._run_phases(st, max_iter, deadline, stable)
         except NumericalFailure:
-            return _RawResult(LpStatus.NUMERIC_FAILURE, None, None, None, st.iterations)
+            return LpSolution(LpStatus.NUMERIC_FAILURE, st.iterations)
 
     def _run_phases(self, st: _State, max_iter: int, deadline: float | None,
-                    stable: bool) -> _RawResult:
+                    stable: bool) -> LpSolution:
         if st.n_art:
             st.cost = np.zeros(self.n + self.m + st.n_art)
             st.cost[self.n + self.m:] = 1.0
             status = self._iterate(st, max_iter, deadline)
             if status in (LpStatus.ITERATION_LIMIT, LpStatus.TIME_LIMIT):
-                return _RawResult(status, None, None, None, st.iterations)
+                return LpSolution(status, st.iterations)
             if status is LpStatus.UNBOUNDED:
                 raise NumericalFailure("phase 1 reported unbounded")
             if st.obj > 1e-7 * self._res_scale:
-                return _RawResult(LpStatus.INFEASIBLE, None, None, None, st.iterations)
+                return LpSolution(LpStatus.INFEASIBLE, st.iterations)
             self._pin_artificials(st)
 
         st.cost = np.zeros(self.n + self.m + st.n_art)
@@ -565,11 +571,11 @@ class SimplexEngine:
         for attempt in range(VERIFY_RETRIES + 1):
             status = self._iterate(st, max_iter, deadline)
             if status is not LpStatus.OPTIMAL:
-                return _RawResult(status, None, None, None, st.iterations)
+                return LpSolution(status, st.iterations)
             if self._verified_optimal(st):
                 break
             if attempt == VERIFY_RETRIES:
-                return _RawResult(LpStatus.NUMERIC_FAILURE, None, None, None, st.iterations)
+                return LpSolution(LpStatus.NUMERIC_FAILURE, st.iterations)
             self._refactor(st)
 
         _, y = self._reduced_costs(st)
@@ -577,7 +583,7 @@ class SimplexEngine:
         obj = float(self.c @ xs)
         nm = self.n + self.m
         basis = Basis(st.basis, st.vstat[:nm]) if np.all(st.basis < nm) else None
-        return _RawResult(LpStatus.OPTIMAL, xs, obj, y * self.row_scale, st.iterations, basis)
+        return LpSolution(LpStatus.OPTIMAL, st.iterations, xs, y * self.row_scale, obj, basis)
 
     def _pin_artificials(self, st: _State) -> None:
         """Fix artificials to zero; pivot basic ones out where possible."""
@@ -603,15 +609,10 @@ def solve_lp(model: IpModel, *, max_iter: int | None = None) -> LpSolution:
     """Solve the LP relaxation of a model as-is, with row duals.
 
     Integrality markers are ignored; binaries contribute their [0, 1]
-    bounds.  The solution reports one dual value per constraint row (the
-    sensitivity of the optimal objective to that row's right-hand side).
+    bounds.  At an optimum the solution holds the point and one dual value
+    per constraint row (the sensitivity of the optimal objective to that
+    row's right-hand side) as float64 arrays.
     """
     if model.num_vars < 1:
         raise ValueError("model has no variables")
-    engine = standard_form(model)
-    raw = engine.solve(max_iter=max_iter)
-    if raw.status is not LpStatus.OPTIMAL:
-        return LpSolution(raw.status, (), None, (), raw.iterations)
-    return LpSolution(LpStatus.OPTIMAL, tuple(float(v) for v in raw.x),
-                      raw.objective, tuple(float(v) for v in raw.duals),
-                      raw.iterations)
+    return standard_form(model).solve(max_iter=max_iter)

@@ -30,7 +30,7 @@ from cohort_shuffle import (
     solve_ip,
     weighted_deviation,
 )
-from cohort_shuffle.branch_bound import _canonical_point, _point_feasible, _Search
+from cohort_shuffle.branch_bound import _canonical_point, _Search
 from cohort_shuffle.ipmodel import IpModel, LinearRow, Sense, VarKind, Variable
 from cohort_shuffle.simplex import DEADLINE_EVERY, NumericalFailure, SimplexEngine, standard_form
 from conftest import balanced_roster, mk_student, oracle_best, oracle_instance
@@ -103,7 +103,7 @@ def test_compiled_rows_agree_with_the_auditor(seed):
             point, _ = _canonical_point(model, asg)
             audit = check_feasible(roster, dict(zip(model.meta["student_ids"], asg.tolist())),
                                    forbid_same_company=variant is not MIN)
-            assert _point_feasible(engine, point) == audit.feasible, (variant, asg)
+            assert engine.feasible(point) == audit.feasible, (variant, asg)
 
 
 def test_decoded_assignment_round_trips():
@@ -112,6 +112,13 @@ def test_decoded_assignment_round_trips():
     res = solve_ip(model)
     assert res.primal is not None
     assert decode_assignment(model, res.primal) == res.assignment
+
+
+def test_primal_is_a_read_only_float64_array():
+    res = solve_ip(compile_model(oracle_instance(3), MIN))
+    assert res.primal.dtype == np.float64 and not res.primal.flags.writeable
+    with pytest.raises(ValueError):
+        res.primal[0] = 2.0
 
 
 class TestDecodeErrors:
@@ -269,7 +276,7 @@ class TestDeterminismAndWorkers:
         assert a.objective == b.objective
         assert a.bound == b.bound
         assert a.assignment == b.assignment
-        assert a.primal == b.primal
+        assert np.array_equal(a.primal, b.primal)
         assert (a.stats.nodes, a.stats.lp_iterations) == (b.stats.nodes, b.stats.lp_iterations)
 
     @pytest.mark.parametrize("seed", [2, 9, 23])

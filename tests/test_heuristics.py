@@ -209,6 +209,14 @@ class TestFullScale:
         # the descended first battalion rotation, the best of the three starts
         assert assignment_objective(roster, out.warm_start, PAIRS) == 13137.0
 
+    def test_dev_keeps_the_descended_warm_start(self, roster):
+        out = solve_roster(roster, DEV, SolveOptions(node_limit=0))
+        assert out.certificate.ok
+        assert out.result.status is SolveStatus.FEASIBLE_GAP
+        assert out.result.bound == 0.0
+        warm = assignment_objective(roster, out.warm_start, DEV)
+        assert warm == pytest.approx(489170.3398499417, rel=1e-9, abs=0.0)
+
 
 class TestMoveEvaluator:
     """The incremental evaluator against the independent auditor."""

@@ -204,6 +204,43 @@ class TestExitCodes:
         assert "cohort-shuffle" in capsys.readouterr().out
 
 
+class TestAssignmentInput:
+    """A malformed or incomplete assignment file is an input error (exit 1)
+    for ``certify`` and ``report``, not an internal one."""
+
+    EDITS = {
+        "header": (lambda lines: ["id,old,new", *lines[1:]],
+                   "expected header id,old_company,new_company"),
+        "short_row": (lambda lines: [*lines[:3], "s0003,1", *lines[4:]],
+                      ":4: expected 3 cells, one per header column"),
+        "first_four_students": (lambda lines: lines[:5], "no row for roster student 's0005'"),
+        "unknown_student": (lambda lines: [*lines, "s9999,1,1"],
+                            "student 's9999' is not in the roster"),
+        "repeated_student": (lambda lines: [*lines, lines[1]],
+                             ":66: student 's0001' appears on an earlier row"),
+    }
+
+    @pytest.fixture
+    def solved(self, tmp_path):
+        roster, config, out = tmp_path / "roster.csv", tmp_path / "roster.cfg", tmp_path / "new.csv"
+        assert cli.main(["generate", "--preset", "desk", "--seed", "7",
+                         "--roster", str(roster), "--config", str(config)]) == 0
+        assert cli.main(["solve", "--roster", str(roster), "--config", str(config),
+                         "--variant", "min", "--out", str(out)]) == 0
+        return ["--roster", str(roster), "--config", str(config)], out
+
+    @pytest.mark.parametrize("case", sorted(EDITS))
+    def test_certify_and_report_exit_1(self, case, solved, capsys):
+        files, out = solved
+        edit, message = self.EDITS[case]
+        out.write_text("\n".join(edit(out.read_text().splitlines())) + "\n")
+        capsys.readouterr()
+        assert cli.main(["certify", *files, "--variant", "min", "--result", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert cli.main(["report", *files, "--assignment", str(out)]) == 1
+        assert message in capsys.readouterr().err
+
+
 class TestDeterministicArtifacts:
     def test_two_inprocess_runs_write_identical_bytes(self, tmp_path):
         blobs = []

@@ -133,7 +133,7 @@ class TestFeasibilityFamilies:
                       battalions=((0, 1),), tolerances=tol)
 
     def test_auditor_tolerance_is_the_solvers(self):
-        # heuristics reads FEAS_TOL and branch_bound._point_feasible reads
+        # heuristics reads FEAS_TOL and SimplexEngine.feasible reads
         # FEAS_EPS; a solver point must re-validate under the auditor's.
         assert FEAS_TOL == FEAS_EPS
 

@@ -19,6 +19,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from cohort_shuffle import (
+    LpSolution,
     LpStatus,
     ModelVariant,
     compile_model,
@@ -86,7 +87,7 @@ class TestHandBuiltCases:
     def test_infeasible_row(self):
         sol = solve_lp(lp_model((1.0,), [(0.0, 1.0)], [((1.0,), Sense.GE, 2.0)]))
         assert sol.status is LpStatus.INFEASIBLE
-        assert sol.objective is None and sol.values == ()
+        assert sol.objective is None and sol.values is None
 
     def test_unbounded_without_rows(self):
         sol = solve_lp(lp_model((-1.0,), [(0.0, INF)], []))
@@ -123,6 +124,19 @@ class TestHandBuiltCases:
         rows = [((1.0, 1.0), Sense.GE, 4.0), ((1.0, -1.0), Sense.LE, 1.0)]
         sol = solve_lp(lp_model((2.0, 3.0), [(0.0, 10.0)] * 2, rows), max_iter=1)
         assert sol.status is LpStatus.ITERATION_LIMIT
+
+    def test_engine_and_solve_lp_return_one_result(self):
+        """Both return an ``LpSolution``: float64 arrays at an optimum, and
+        only the status and the iterations when a solve stops."""
+        rows = [((1.0, 1.0), Sense.GE, 4.0), ((1.0, -1.0), Sense.LE, 1.0)]
+        model = lp_model((2.0, 3.0), [(0.0, 10.0)] * 2, rows)
+        raw, sol = standard_form(model).solve(), solve_lp(model)
+        assert type(raw) is type(sol) is LpSolution
+        assert sol.values.dtype == sol.duals.dtype == np.float64
+        assert np.array_equal(raw.values, sol.values) and np.array_equal(raw.duals, sol.duals)
+        assert sol.basis is not None
+        stopped = solve_lp(model, max_iter=1)
+        assert (stopped.values, stopped.duals, stopped.objective, stopped.basis) == (None,) * 4
 
     def test_model_without_variables_rejected(self):
         with pytest.raises(ValueError):
@@ -200,7 +214,8 @@ class TestEngineModes:
         model = compile_model(tiny_roster, ModelVariant.MERIT_DEVIATION)
         a = solve_lp(model)
         b = solve_lp(model)
-        assert a == b
+        assert (a.status, a.objective, a.iterations) == (b.status, b.objective, b.iterations)
+        assert np.array_equal(a.values, b.values) and np.array_equal(a.duals, b.duals)
 
     def test_relaxation_of_binary_model_solves(self, tiny_roster):
         model = compile_model(tiny_roster, ModelVariant.MIN_SAME_COMPANY)
@@ -282,7 +297,7 @@ def desk_dev_root():
     engine = standard_form(model)
     root = engine.solve()
     binary = np.array(model.binary_columns())
-    xb = root.x[binary]
+    xb = root.values[binary]
     frac = np.flatnonzero(np.abs(xb - np.round(xb)) > 1e-6)
     col = int(binary[frac[np.argmin(np.abs(xb[frac] - 0.5))]])
     return engine, root, col
@@ -299,7 +314,7 @@ class TestWarmStarts:
         parent = engine.solve()
         if parent.status is not LpStatus.OPTIMAL:
             return
-        for col, value in enumerate(parent.x):
+        for col, value in enumerate(parent.values):
             for bound in {np.floor(round(value, 9)), np.ceil(round(value, 9))}:
                 pricing_passes.clear()
                 child = engine.solve(*fixed(engine, col, bound), start=parent.basis)
