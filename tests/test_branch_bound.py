@@ -60,15 +60,14 @@ def test_matches_exhaustive_enumeration(seed):
 
 @pytest.mark.parametrize("seed", [1, 3, 5, 8, 9])
 def test_failed_node_lps_are_solved_again_in_stable_mode(seed, monkeypatch):
-    """Every LP phase run outside the engine's stable mode fails, so the
-    warm dual finish and the cold primal both fail and each node LP is
-    only solved by the search's stable retry."""
-    run_phases, solve = SimplexEngine._run_phases, SimplexEngine.solve
+    """Every dual run outside the engine's stable mode fails, so each node
+    LP is only solved by the search's stable retry."""
+    dual, solve = SimplexEngine._dual, SimplexEngine.solve
 
     def failing(self, st, max_iter, deadline, stable):
         if not stable:
             raise NumericalFailure("injected")
-        return run_phases(self, st, max_iter, deadline, stable)
+        return dual(self, st, max_iter, deadline, stable)
 
     stable_calls = []
 
@@ -76,7 +75,7 @@ def test_failed_node_lps_are_solved_again_in_stable_mode(seed, monkeypatch):
         stable_calls.append(kwargs.get("stable", False))
         return solve(self, *args, **kwargs)
 
-    monkeypatch.setattr(SimplexEngine, "_run_phases", failing)
+    monkeypatch.setattr(SimplexEngine, "_dual", failing)
     monkeypatch.setattr(SimplexEngine, "solve", counting)
     roster = oracle_instance(seed)
     for variant in ModelVariant:

@@ -29,7 +29,7 @@ from cohort_shuffle import (
     standard_form,
 )
 from cohort_shuffle.ipmodel import IpModel, LinearRow, Sense, VarKind, Variable
-from cohort_shuffle.simplex import DEADLINE_EVERY, NumericalFailure, SimplexEngine
+from cohort_shuffle.simplex import DEADLINE_EVERY, Basis, NumericalFailure, SimplexEngine
 
 INF = float("inf")
 
@@ -67,7 +67,9 @@ class TestHandBuiltCases:
         sol = solve_lp(lp_model((-1.0, -2.0), [(0.0, 2.0)] * 2, rows))
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective == pytest.approx(-4.0)
-        assert sol.values == pytest.approx((2 / 3, 5 / 3))
+        # the primal optimum is not unique: the segment from (2/3, 5/3) to
+        # (2, 1) lies at -4, and the dual simplex ends at its second end
+        assert sol.values == pytest.approx((2.0, 1.0))
         assert sol.duals == pytest.approx((0.0, 0.0, -1.0), abs=1e-9)
 
     def test_binding_rows_duals_are_rhs_sensitivities(self):
@@ -274,20 +276,24 @@ def fixed(engine, col, value):
 
 
 @pytest.fixture
-def pricing_passes(monkeypatch):
-    """Iterations of every primal loop run; after a dual run that ended
-    optimal on its own, only one pricing pass that finds nothing to enter."""
-    passes = []
-    original = SimplexEngine._iterate
+def dual_runs(monkeypatch):
+    """Status and final objective of every dual simplex run, in order: one
+    run for a solve from a dual-feasible start, after the auxiliary LP's
+    run when a dual phase 1 had to find that start."""
+    runs = []
+    original = SimplexEngine._dual
 
-    def counted(self, st, *args):
-        before = st.iterations
+    def recorded(self, st, *args):
         status = original(self, st, *args)
-        passes.append(st.iterations - before)
+        runs.append((status, float(st.cost @ st.x)))
         return status
 
-    monkeypatch.setattr(SimplexEngine, "_iterate", counted)
-    return passes
+    monkeypatch.setattr(SimplexEngine, "_dual", recorded)
+    return runs
+
+
+def statuses(runs):
+    return [status for status, _ in runs]
 
 
 @pytest.fixture(scope="module")
@@ -305,10 +311,10 @@ def desk_dev_root():
 
 class TestWarmStarts:
     @pytest.mark.parametrize("seed", range(60))
-    def test_bound_fixed_children_match_reference_solver(self, seed, pricing_passes):
+    def test_bound_fixed_children_match_reference_solver(self, seed, dual_runs):
         """Every column fixed at the floor and at the ceiling of its LP value,
         re-solved from the parent's basis; infeasible children included.  A
-        warm child is solved by the dual alone, never by the primal."""
+        warm child is solved by one dual run, with no phase 1."""
         costs, bounds, rows = random_lp(seed)
         engine = standard_form(lp_model(costs, bounds, rows))
         parent = engine.solve()
@@ -316,23 +322,22 @@ class TestWarmStarts:
             return
         for col, value in enumerate(parent.values):
             for bound in {np.floor(round(value, 9)), np.ceil(round(value, 9))}:
-                pricing_passes.clear()
+                dual_runs.clear()
                 child = engine.solve(*fixed(engine, col, bound), start=parent.basis)
                 child_bounds = list(bounds)
                 child_bounds[col] = (bound, bound)
                 assert_matches(child, scipy_solve(costs, child_bounds, rows))
-                if parent.basis is not None:
-                    assert pricing_passes == ([1] if child.status is LpStatus.OPTIMAL else [])
+                assert statuses(dual_runs) == [child.status]
 
     def test_desk_dev_root_and_first_children_match_reference_solver(self, desk_dev_root,
-                                                                      pricing_passes):
+                                                                      dual_runs):
         engine, root, col = desk_dev_root
         assert root.basis is not None
         assert_matches(root, engine_linprog(engine, engine.default_lower, engine.default_upper))
         for value in (0.0, 1.0):
             child = engine.solve(*fixed(engine, col, value), start=root.basis)
             assert_matches(child, engine_linprog(engine, *fixed(engine, col, value)))
-        assert pricing_passes == [1, 1]
+        assert statuses(dual_runs) == [LpStatus.OPTIMAL] * 2
 
     def test_child_lp_reuses_the_parent_basis(self, desk_dev_root):
         engine, root, col = desk_dev_root
@@ -344,9 +349,9 @@ class TestWarmStarts:
             assert warm.iterations < cold.iterations / 4
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_dense_root_is_solved_by_the_dual_alone(self, seed, pricing_passes):
-        """Nonnegative costs over a feasible dense system: the dual runs from
-        the slack basis to an optimum that the phase-2 pricing pass accepts."""
+    def test_dense_root_is_solved_by_the_dual_alone(self, seed, dual_runs):
+        """Nonnegative costs over a feasible dense system: one dual run from
+        the slack basis reaches the optimum, with no phase 1."""
         rng = random.Random(seed)
         n, m = 30, 20
         costs = tuple(float(rng.randint(0, 9)) for _ in range(n))
@@ -360,10 +365,12 @@ class TestWarmStarts:
             rows.append((coefs, sense, lhs + {Sense.LE: 2.0, Sense.GE: -2.0, Sense.EQ: 0.0}[sense]))
         raw = standard_form(lp_model(costs, bounds, rows)).solve()
         assert_matches(raw, scipy_solve(costs, bounds, rows))
-        assert pricing_passes == [1]
+        assert statuses(dual_runs) == [LpStatus.OPTIMAL]
 
     @pytest.mark.parametrize("failure", ["stall", "numeric"])
-    def test_failed_dual_falls_back_to_the_primal(self, monkeypatch, failure):
+    def test_failed_dual_returns_its_status(self, monkeypatch, failure):
+        """A failed dual run ends the solve with its status and iterations;
+        the search's stable retry then solves the node LP again."""
         def failed(self, st, *args):
             st.iterations += 5
             if failure == "numeric":
@@ -374,17 +381,48 @@ class TestWarmStarts:
         rows = [((1.0, 1.0), Sense.GE, 4.0), ((1.0, -1.0), Sense.LE, 1.0)]
         monkeypatch.setattr(SimplexEngine, "_dual", failed)
         raw = standard_form(lp_model(costs, bounds, rows)).solve()
-        assert_matches(raw, scipy_solve(costs, bounds, rows))
-        assert raw.iterations > 5  # the dual's iterations count toward the solve
+        assert raw.status is {"stall": LpStatus.ITERATION_LIMIT,
+                              "numeric": LpStatus.NUMERIC_FAILURE}[failure]
+        assert raw.iterations == 5  # the dual's iterations count toward the solve
 
-    def test_negative_cost_on_column_unbounded_above_takes_the_primal_path(self, monkeypatch):
+    def test_negative_cost_on_column_unbounded_above_takes_phase_1(self, dual_runs):
         costs, bounds = (-1.0, 2.0), [(0.0, INF), (0.0, 3.0)]
         rows = [((1.0, 1.0), Sense.LE, 4.0), ((1.0, -1.0), Sense.GE, -1.0)]
-        dual_runs = []
-        monkeypatch.setattr(SimplexEngine, "_dual", lambda *args: dual_runs.append(args))
         raw = standard_form(lp_model(costs, bounds, rows)).solve()
-        assert dual_runs == []
+        # the auxiliary LP, optimal at 0, then the LP itself from its basis
+        assert statuses(dual_runs) == [LpStatus.OPTIMAL] * 2
+        assert dual_runs[0][1] == pytest.approx(0.0, abs=1e-12)
         assert_matches(raw, scipy_solve(costs, bounds, rows))
+
+    def test_phase_1_tells_an_infeasible_lp_from_an_unbounded_one(self, dual_runs):
+        """min -x1 subject to x2 <= -1, x >= 0: no dual-feasible basis exists
+        and no point either.  The auxiliary LP ends at -1, and the run at
+        zero cost proves the rows infeasible."""
+        costs, bounds = (-1.0, 0.0), [(0.0, INF), (0.0, INF)]
+        rows = [((0.0, 1.0), Sense.LE, -1.0)]
+        raw = standard_form(lp_model(costs, bounds, rows)).solve()
+        assert raw.status is LpStatus.INFEASIBLE
+        assert statuses(dual_runs) == [LpStatus.OPTIMAL, LpStatus.INFEASIBLE]
+        assert dual_runs[0][1] == pytest.approx(-1.0)
+        assert scipy_solve(costs, bounds, rows).status == 2
+
+    def test_child_whose_candidates_just_repair_the_row_is_feasible(self):
+        """``random_lp(456)`` with the free column 1 fixed at -1, from its
+        root's optimal basis.  Moving every ratio-test candidate repairs the
+        leaving row exactly, so rounding may leave the last slope a hair
+        above 0; the child is still optimal at -1, not infeasible."""
+        costs = (2.0, 1.0, 1.0, 5.0, -5.0, 4.0)
+        bounds = [(0.0, INF), (-INF, INF), (0.0, 5.0), (0.0, 1.0), (1.0, 1.0), (0.0, 3.0)]
+        rows = [((-2.0, 2.0, 4.0, 4.0, 4.0, 3.0), Sense.GE, -8.0),
+                ((4.0, -4.0, 1.0, 0.0, 2.0, -1.0), Sense.GE, -6.0),
+                ((-1.0, 3.0, -2.0, 1.0, 1.0, -4.0), Sense.GE, -1.0)]
+        engine = standard_form(lp_model(costs, bounds, rows))
+        root = Basis(np.array([6, 7, 1]), np.array([0, 2, 0, 0, 0, 0, 2, 2, 1], dtype=np.int8))
+        assert engine.solve(start=root).objective == pytest.approx(-17 / 3)
+        child = engine.solve(*fixed(engine, 1, -1.0), start=root)
+        assert child.status is LpStatus.OPTIMAL
+        assert child.objective == pytest.approx(-1.0)
+        assert child.values == pytest.approx((0.0, -1.0, 0.0, 1.0, 1.0, 0.0))
 
 
 class TestDeadline:
@@ -399,7 +437,7 @@ class TestDeadline:
         assert warm.iterations <= DEADLINE_EVERY
 
     @pytest.mark.parametrize("stable", [False, True])
-    def test_past_deadline_stops_the_primal(self, stable):
+    def test_past_deadline_stops_phase_1(self, stable):
         costs, bounds = (-1.0, -2.0), [(0.0, INF), (0.0, INF)]
         rows = [((1.0, 1.0), Sense.LE, 4.0), ((1.0, -1.0), Sense.GE, -1.0)]
         engine = standard_form(lp_model(costs, bounds, rows))
