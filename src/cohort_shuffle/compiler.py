@@ -34,7 +34,7 @@ from cohort_shuffle.ipmodel import (
     VarKind,
     Variable,
 )
-from cohort_shuffle.roster import GENDERS, METRICS, QUALITIES, Roster
+from cohort_shuffle.roster import Roster, windows
 
 INF = float("inf")
 
@@ -108,23 +108,16 @@ def _assignment_rows(roster: Roster, variant: ModelVariant, rows: RowBuilder) ->
     rows.add([("assign_once", Sense.EQ, 1.0)], student_keys, ((),),
              x_column(everyone[:, None], companies[None, :], n_c), 1.0)
 
-    for q in QUALITIES:
-        members = members_where(lambda s: s.in_quality(q))
-        per_company(_window(f"count_{{}}_{q}", tol.count_min.get(q), tol.count_max.get(q),
-                            lambda b: (float(b), np.ones(len(members)))), members)
-
-    for m in METRICS:
-        scores = np.array([s.score(m) for s in students])
-        # homogenized: sum(score_i x) - bound * sum(x) vs 0
-        per_company(_window(f"merit_{{}}_{m}", tol.merit_min.get(m), tol.merit_max.get(m),
-                            lambda b: (0.0, scores - b)))
-
-    shares = [(f"gender_{{}}_{g}", [s.gender == g for s in students], tol.gender_min.get(g),
-               tol.gender_max.get(g)) for g in GENDERS]
-    shares += [(f"race_{{}}_{e}", [s.race == e for s in students], tol.race_min.get(e),
-                tol.race_max.get(e)) for e in sorted(set(tol.race_min) | set(tol.race_max))]
-    for family, inside, lo, hi in shares:
-        per_company(_window(family, lo, hi, lambda b: (0.0, np.where(inside, 1.0 - b, -b))))
+    for stem, key, lo, hi, per_member, measure in windows(tol):
+        family, added = f"{stem}_{{}}_{key}", np.array(measure(students, key))
+        if not per_member:
+            members = np.flatnonzero(added)
+            per_company(_window(family, lo, hi, lambda b: (float(b), np.ones(len(members)))),
+                        members)
+        else:  # homogenized: sum((added_i - bound) x) vs 0; a share's nonmember
+            # writes -bound, so a bound of 0 gives -0.0 as it always has
+            per_company(_window(family, lo, hi, lambda b: (
+                0.0, np.where(added, 1.0 - b, -b) if added.dtype == bool else added - b)))
 
     for v in sorted(tol.sport_max):
         members = members_where(lambda s: v in s.sports)

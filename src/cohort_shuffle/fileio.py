@@ -79,7 +79,7 @@ def config_lines(roster: Roster) -> list[str]:
         f"aom_weight = {_num(roster.aom_weight)}",
         f"mom_weight = {_num(roster.mom_weight)}",
     ]
-    for stem, name, _ in WINDOWS:
+    for stem, name, *_ in WINDOWS:
         for side in ("min", "max"):
             bounds = getattr(tol, f"{stem}_{side}")
             lines.extend(f"{side}_{name}_{key} = {_num(bounds[key])}" for key in sorted(bounds))
@@ -168,7 +168,7 @@ def read_roster(roster_path: str | Path, config_path: str | Path) -> Roster:
 
     tol = Tolerances(
         **{f"{stem}_{side}": fmap(f"{side}_{name}_", cast)
-           for stem, name, cast in WINDOWS for side in ("min", "max")},
+           for stem, name, cast, *_ in WINDOWS for side in ("min", "max")},
         sport_max=fmap("max_athlete_", int),
         min_sapr=int(_single(cfg, "min_sapr", "0")),
         num_intl=(lambda v: int(v) if v is not None else None)(_single(cfg, "num_intl")),

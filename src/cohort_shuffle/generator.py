@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cohort_shuffle.roster import Roster, Student, Tolerances
+from cohort_shuffle.roster import WINDOWS, Roster, Student, Tolerances
 
 #: Previous-enrollment company sizes of the two bundled class years.
 _REFERENCE_SIZES = {
@@ -235,42 +235,32 @@ def _calibrate(spec: GenSpec, students: list[Student], sizes: list[int],
     Count and fraction windows are the observed per-company ranges widened
     by the configured slack; merit windows are the hard clip ranges.
     """
-    def observed(counter) -> tuple[list[int], list[int]]:
+    def observed(added: list) -> list[int]:
         per = [0] * n_c
-        for s in students:
-            if counter(s):
-                per[s.old_company] += 1
-        return per, sizes
+        for s, v in zip(students, added):
+            per[s.old_company] += v
+        return per
 
-    count_min: dict[str, int] = {}
-    count_max: dict[str, int] = {}
-    count_min["all"] = max(0, min(sizes) - spec.count_slack)
-    count_max["all"] = max(sizes) + spec.count_slack
-    for q, pred in (("task_force", lambda s: s.is_task_force),
-                    ("prior_service", lambda s: s.is_prior_service)):
-        per, _ = observed(pred)
-        count_min[q] = max(0, min(per) - spec.count_slack)
-        count_max[q] = max(per) + spec.count_slack
+    _, _, _, groups, members = WINDOWS[0]  # the head-count window
+    counts = {q: observed(members(students, q)) for q in groups}
 
-    def fraction_window(pred) -> tuple[float, float]:
-        per, _ = observed(pred)
-        fracs = [per[c] / sizes[c] for c in range(n_c)]
+    def fraction_window(inside: list[bool]) -> tuple[float, float]:
+        fracs = [k / n for k, n in zip(observed(inside), sizes)]
         return (max(0.0, min(fracs) - spec.fraction_slack),
                 min(1.0, max(fracs) + spec.fraction_slack))
 
-    g_lo, g_hi = fraction_window(lambda s: s.gender == "male")
-    r_lo, r_hi = fraction_window(lambda s: s.race == spec.focus_race)
+    g_lo, g_hi = fraction_window([s.gender == "male" for s in students])
+    r_lo, r_hi = fraction_window([s.race == spec.focus_race for s in students])
 
     sport_max: dict[str, int] = {}
     for v in spec.sports:
-        per, _ = observed(lambda s, v=v: v in s.sports)
-        cap = max(per) + spec.count_slack
+        cap = max(observed([v in s.sports for s in students])) + spec.count_slack
         if cap > 0:
             sport_max[v] = cap
 
     return Tolerances(
-        count_min=count_min,
-        count_max=count_max,
+        count_min={q: max(0, min(per) - spec.count_slack) for q, per in counts.items()},
+        count_max={q: max(per) + spec.count_slack for q, per in counts.items()},
         merit_min={"aom": spec.aom.lo, "mom": spec.mom.lo, "prt": spec.prt.lo},
         merit_max={"aom": spec.aom.hi, "mom": spec.mom.hi, "prt": spec.prt.hi},
         gender_min={"male": g_lo},

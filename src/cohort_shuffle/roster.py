@@ -10,7 +10,8 @@ operation here is a pure function, so rosters can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping
 
 from cohort_shuffle.ipmodel import ModelVariant
 
@@ -18,8 +19,8 @@ GENDERS = ("male", "female")
 METRICS = ("aom", "mom", "prt")
 QUALITIES = ("all", "task_force", "prior_service")
 
-#: Absolute tolerance for real-valued feasibility comparisons.  Matches the
-#: solver's primal feasibility tolerance so solver output always re-validates.
+#: Absolute tolerance for real-valued feasibility comparisons, and the
+#: solver's primal feasibility tolerance, so solver output always re-validates.
 FEAS_TOL = 1e-6
 
 # Assignment: total map from student id to new company index.
@@ -53,16 +54,6 @@ class Student:
             return self.prt
         raise KeyError(f"unknown merit metric: {metric!r}")
 
-    def in_quality(self, quality: str) -> bool:
-        """Membership test for the counted student groups."""
-        if quality == "all":
-            return True
-        if quality == "task_force":
-            return self.is_task_force
-        if quality == "prior_service":
-            return self.is_prior_service
-        raise KeyError(f"unknown quality group: {quality!r}")
-
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -89,12 +80,30 @@ class Tolerances:
     intl_companies: frozenset[int] | None = None
 
 
-#: The four two-sided windows, as (``Tolerances`` field stem of the
-#: ``_min``/``_max`` pair, config-key stem, bound type).  The config spells
-#: them ``min_<key>_<subkey>`` and ``max_<key>_<subkey>``; the last two
-#: bound shares, which must lie in [0, 1].
-WINDOWS = (("count", "number", int), ("merit", "avg_score", float),
-           ("gender", "gender", float), ("race", "race", float))
+#: The four two-sided windows, in model order: (``Tolerances`` field stem,
+#: config-key stem, bound type, keys in model order or ``None`` for the
+#: free-form race labels, ``measure(students, key)``: what each student adds
+#: to the key's company total).  The config spells them ``min_<name>_<key>``
+#: and ``max_<name>_<key>``.  An ``int`` window bounds a count, a ``float``
+#: one the total per member: an average or, for the last two, a share.
+WINDOWS = (
+    ("count", "number", int, QUALITIES, lambda ss, q: [True] * len(ss) if q == "all"
+     else list(map(attrgetter("is_" + q), ss))),
+    ("merit", "avg_score", float, METRICS, lambda ss, m: list(map(attrgetter(m), ss))),
+    ("gender", "gender", float, GENDERS, lambda ss, g: [s.gender == g for s in ss]),
+    ("race", "race", float, None, lambda ss, e: [s.race == e for s in ss]),
+)
+
+
+def windows(tol: Tolerances) -> Iterator[tuple]:
+    """``(stem, key, lo, hi, per_member, measure)`` for every window key bounded
+    on either side, in model order; an open side is ``None``."""
+    for stem, _, cast, keys, measure in WINDOWS:
+        lo_map, hi_map = getattr(tol, f"{stem}_min"), getattr(tol, f"{stem}_max")
+        for key in keys or sorted(set(lo_map) | set(hi_map)):
+            lo, hi = lo_map.get(key), hi_map.get(key)
+            if lo is not None or hi is not None:
+                yield stem, key, lo, hi, cast is float, measure
 
 
 @dataclass(frozen=True)
@@ -207,13 +216,17 @@ def validate_roster(roster: Roster) -> list[Violation]:
                 out.append(Violation("unknown_student", sid, f"conflict pair references unknown student {sid!r}"))
 
     tol = roster.tolerances
-    for stem, name, _ in WINDOWS:
+    for stem, name, _, keys, _ in WINDOWS:
+        for side in ("min", "max") if keys else ():
+            out.extend(Violation("unknown_window_key", key, f"{side}_{name}[{key}] names no known "
+                                 f"key: {', '.join(keys)}")
+                       for key in getattr(tol, f"{stem}_{side}") if key not in keys)
         hi_map = getattr(tol, f"{stem}_max")
         for key, lo in getattr(tol, f"{stem}_min").items():
             hi = hi_map.get(key)
             if hi is not None and lo > hi:
                 out.append(Violation("inverted_bound", key, f"min_{name}[{key}] = {lo} exceeds max_{name}[{key}] = {hi}"))
-    for stem, name, _ in WINDOWS[2:]:
+    for stem, name, *_ in WINDOWS[2:]:
         for side in ("min", "max"):
             for key, frac in getattr(tol, f"{stem}_{side}").items():
                 if not (0.0 <= frac <= 1.0):
@@ -252,67 +265,41 @@ def company_members(roster: Roster, assignment: Assignment) -> list[list[Student
 
 
 def check_feasible(roster: Roster, assignment: Assignment, *,
-                   forbid_same_company: bool = False,
-                   tol: float = FEAS_TOL) -> FeasibilityReport:
+                   forbid_same_company: bool = False) -> FeasibilityReport:
     """Evaluate every constraint family on a concrete assignment.
 
-    Merit, gender, and race windows are checked in the same homogenized
-    (multiplied-through) form used by the compiled model, so an assignment
-    passes here exactly when its 0/1 vector satisfies every compiled row.
-    With ``forbid_same_company`` the no-stay rows of the deviation and
-    pairs variants are checked as well, and battalion-locked students must
-    leave their previous company.
+    Windows on averages and shares are checked in the same homogenized
+    (multiplied-through) form used by the compiled model, within
+    ``FEAS_TOL``, so an assignment passes here exactly when its 0/1 vector
+    satisfies every compiled row.  With ``forbid_same_company`` the no-stay
+    rows of the deviation and pairs variants are checked as well, and
+    battalion-locked students must leave their previous company.
     """
-    _require_total(roster, assignment)
     groups = company_members(roster, assignment)
     tolerances = roster.tolerances
     out: list[ConstraintViolation] = []
 
+    # each window key's company totals, summed over members in roster order
+    where = [assignment[s.id] for s in roster.students]
+    totals = []
+    for stem, key, lo, hi, per_member, measure in windows(tolerances):
+        total = [0] * roster.num_companies
+        for c, v in zip(where, measure(roster.students, key)):
+            total[c] += v
+        totals.append((stem, key, lo, hi, per_member, total))
+
+    def window_violation(c, stem, key, value, side, bound, slack) -> ConstraintViolation:
+        return ConstraintViolation(f"{stem}_{side}", c, (), slack, f"company {roster.company_label(c)} "
+                                   f"has {stem} {key} {value:.6g}, {side} {bound}")
+
     for c, members in enumerate(groups):
         n = len(members)
-        for q in QUALITIES:
-            cnt = sum(1 for s in members if s.in_quality(q))
-            hi = tolerances.count_max.get(q)
-            if hi is not None and cnt > hi:
-                out.append(ConstraintViolation("count_max", c, (), cnt - hi,
-                                               f"company {roster.company_label(c)} has {cnt} {q} students, max {hi}"))
-            lo = tolerances.count_min.get(q)
-            if lo is not None and cnt < lo:
-                out.append(ConstraintViolation("count_min", c, (), lo - cnt,
-                                               f"company {roster.company_label(c)} has {cnt} {q} students, min {lo}"))
-        for m in METRICS:
-            total = 0.0
-            for s in members:
-                total += s.score(m)
-            hi = tolerances.merit_max.get(m)
-            if hi is not None and total - hi * n > tol:
-                out.append(ConstraintViolation("merit_max", c, (), total - hi * n,
-                                               f"company {roster.company_label(c)} exceeds max average {m}"))
-            lo = tolerances.merit_min.get(m)
-            if lo is not None and lo * n - total > tol:
-                out.append(ConstraintViolation("merit_min", c, (), lo * n - total,
-                                               f"company {roster.company_label(c)} falls below min average {m}"))
-        for g in GENDERS:
-            cnt = sum(1 for s in members if s.gender == g)
-            hi = tolerances.gender_max.get(g)
-            if hi is not None and cnt - hi * n > tol:
-                out.append(ConstraintViolation("gender_max", c, (), cnt - hi * n,
-                                               f"company {roster.company_label(c)} exceeds max {g} fraction"))
-            lo = tolerances.gender_min.get(g)
-            if lo is not None and lo * n - cnt > tol:
-                out.append(ConstraintViolation("gender_min", c, (), lo * n - cnt,
-                                               f"company {roster.company_label(c)} falls below min {g} fraction"))
-        race_keys = set(tolerances.race_min) | set(tolerances.race_max)
-        for e in sorted(race_keys):
-            cnt = sum(1 for s in members if s.race == e)
-            hi = tolerances.race_max.get(e)
-            if hi is not None and cnt - hi * n > tol:
-                out.append(ConstraintViolation("race_max", c, (), cnt - hi * n,
-                                               f"company {roster.company_label(c)} exceeds max {e} fraction"))
-            lo = tolerances.race_min.get(e)
-            if lo is not None and lo * n - cnt > tol:
-                out.append(ConstraintViolation("race_min", c, (), lo * n - cnt,
-                                               f"company {roster.company_label(c)} falls below min {e} fraction"))
+        for stem, key, lo, hi, per_member, total in totals:
+            t, size = total[c], n if per_member else 1  # a count is bounded as is
+            if hi is not None and t - hi * size > FEAS_TOL:
+                out.append(window_violation(c, stem, key, t / size, "max", hi, t - hi * size))
+            if lo is not None and lo * size - t > FEAS_TOL:
+                out.append(window_violation(c, stem, key, t / size, "min", lo, lo * size - t))
         for v, cap in sorted(tolerances.sport_max.items()):
             cnt = sum(1 for s in members if v in s.sports)
             if cnt > cap:

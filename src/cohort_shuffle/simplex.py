@@ -48,8 +48,10 @@ import numpy as np
 from scipy import sparse
 
 from cohort_shuffle.ipmodel import SENSES, IpModel, Sense
+from cohort_shuffle.roster import FEAS_TOL
 
-FEAS_EPS = 1e-6
+#: primal feasibility tolerance: the auditor's, so a solver point re-validates
+FEAS_EPS = FEAS_TOL
 OPT_EPS = 1e-7
 PIVOT_EPS = 1e-9
 SMALL_PIVOT = 1e-5

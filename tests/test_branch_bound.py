@@ -7,7 +7,9 @@ the optimal objective and infeasibility verdicts.
 
 from __future__ import annotations
 
+import dataclasses
 import random
+import statistics
 
 import numpy as np
 import pytest
@@ -20,11 +22,14 @@ from cohort_shuffle import (
     SolveStatus,
     Tolerances,
     check_feasible,
+    company_members,
     compile_model,
     count_pairs,
     count_same_company,
     cyclic_deal,
     decode_assignment,
+    desk_spec,
+    generate,
     rotate_within_battalions,
     score_sums,
     solve_ip,
@@ -103,6 +108,85 @@ def test_compiled_rows_agree_with_the_auditor(seed):
             audit = check_feasible(roster, dict(zip(model.meta["student_ids"], asg.tolist())),
                                    forbid_same_company=variant is not MIN)
             assert engine.feasible(point) == audit.feasible, (variant, asg)
+
+
+# a desk roster whose companies are large enough, and whose task force and
+# prior service are common enough, that every window's binding company value
+# varies between random assignments
+WINDOW_DESK = dataclasses.replace(desk_spec(num_companies=4, company_size=16),
+                                  task_force_fraction=0.25, prior_service_fraction=0.25)
+
+
+def _random_assignments(roster: Roster, seed: str) -> list[dict]:
+    rng = random.Random(seed)
+    return [{s.id: rng.randrange(roster.num_companies) for s in roster.students}
+            for _ in range(40)]
+
+
+def _company_values(roster: Roster, asg: dict, stem: str, key: str) -> list[float]:
+    """Each nonempty company's count, average score or share for one window key."""
+    groups = [g for g in company_members(roster, asg) if g]
+    if stem == "count":
+        return [sum(key == "all" or getattr(s, f"is_{key}") for s in g) for g in groups]
+    if stem == "merit":
+        return [sum(s.score(key) for s in g) / len(g) for g in groups]
+    return [sum(getattr(s, stem) == key for s in g) / len(g) for g in groups]
+
+
+def _verdicts(roster: Roster, assignments: list[dict]) -> list[bool]:
+    """Whether each assignment passes, asserting that the compiled rows and
+    the auditor agree on it."""
+    model = compile_model(roster, MIN)
+    engine = standard_form(model)
+    out = []
+    for asg in assignments:
+        point, _ = _canonical_point(model, np.array([asg[s] for s in model.meta["student_ids"]]))
+        audit = check_feasible(roster, asg).feasible
+        assert engine.feasible(point) == audit, asg
+        out.append(audit)
+    return out
+
+
+def _median_bound(roster, assignments, stem, key, side):
+    """The median over the assignments of the binding company value: the
+    lowest for a min, the highest for a max."""
+    extreme = min if side == "min" else max
+    return statistics.median_low(extreme(_company_values(roster, asg, stem, key))
+                                 for asg in assignments)
+
+
+@pytest.mark.parametrize("stem, key, side", [
+    (stem, key, side)
+    for stem, keys in (("count", ("all", "task_force", "prior_service")),
+                       ("merit", ("aom", "mom", "prt")), ("gender", ("male", "female")),
+                       ("race", ("white", "other")))
+    for key in keys for side in ("min", "max")])
+def test_every_window_key_and_side_agrees_with_the_auditor(stem, key, side):
+    """A desk roster whose only constraint is one window, bounded at the
+    median binding company value: the compiled rows pass each random
+    assignment's canonical point exactly when the auditor passes it."""
+    base = dataclasses.replace(generate(WINDOW_DESK, seed=3), conflict_pairs=())
+    assignments = _random_assignments(base, f"{stem}_{side}_{key}")
+    bound = _median_bound(base, assignments, stem, key, side)
+    roster = dataclasses.replace(base, tolerances=Tolerances(**{f"{stem}_{side}": {key: bound}}))
+    assert set(_verdicts(roster, assignments)) == {True, False}
+
+
+@pytest.mark.parametrize("stem, key", [("gender", "female"), ("race", "white")])
+@pytest.mark.parametrize("side", ["min", "max"])
+@pytest.mark.parametrize("bound", [0.0, 1.0])
+def test_share_bounds_of_zero_and_one_agree_with_the_auditor(stem, key, side, bound):
+    """A share window at exactly 0 or 1, beside a head-count window at the
+    median largest company, still compiles to rows the auditor agrees with."""
+    base = dataclasses.replace(generate(WINDOW_DESK, seed=5), conflict_pairs=())
+    assignments = _random_assignments(base, f"{stem}_{side}_{bound}")
+    size_cap = _median_bound(base, assignments, "count", "all", "max")
+    roster = dataclasses.replace(base, tolerances=Tolerances(
+        count_max={"all": size_cap}, **{f"{stem}_{side}": {key: bound}}))
+    verdicts = _verdicts(roster, assignments)
+    # min 0 and max 1 never bind; max 0 and min 1 fail every company with
+    # members of both kinds
+    assert set(verdicts) == ({True, False} if (side == "min") == (bound == 0.0) else {False})
 
 
 def test_decoded_assignment_round_trips():

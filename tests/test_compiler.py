@@ -7,7 +7,9 @@ the compiler's own counting helper (which is itself under test).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -169,6 +171,19 @@ class TestRowFamilies:
         # males (s00, s02) get 1 - 0.8, the rest -0.8
         assert row.coefs == pytest.approx((0.2, -0.8, 0.2, -0.8))
         assert row.sense is Sense.LE and row.rhs == 0.0
+
+    def test_zero_coefficients_keep_their_sign(self):
+        # a score on its bound writes +0.0, and so does a member under a share
+        # bound of 1; a nonmember under a share bound of 0 writes -0.0
+        tol = Tolerances(merit_min={"aom": 20.0}, gender_max={"male": 1.0},
+                         race_min={"white": 0.0})
+        r = dataclasses.replace(self.full_roster(), tolerances=tol)
+        fams = rows_by_family(compile_model(r, MIN))
+        def zero_signs(row):
+            return [math.copysign(1.0, a) for a in row.coefs if a == 0.0]
+        assert zero_signs(fams["merit_min_aom"][0]) == [1.0]  # s01
+        assert zero_signs(fams["gender_max_male"][0]) == [1.0, 1.0]  # s00, s02
+        assert zero_signs(fams["race_min_white"][0]) == [-1.0, -1.0]  # s01, s03
 
     def test_battalion_lock_drops_old_company_under_no_stay(self):
         r = self.full_roster()

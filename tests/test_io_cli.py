@@ -440,6 +440,21 @@ class TestConfigInput:
         assert cli.main(["solve", *args, "--variant", "pairs"]) == 1
         assert "error: invalid roster: student 's0057'" in capsys.readouterr().err
 
+    def test_a_window_key_nothing_reads_is_rejected(self, tmp_path, capsys):
+        roster, config = _generate(tmp_path, "--preset", "desk", "--seed", "7")
+        config.write_text(config.read_text() + "max_number_taskforce = 0\n"
+                          "max_avg_score_gpa = 1\nmax_gender_nonbinary = 0\n")
+        args = ["--roster", str(roster), "--config", str(config)]
+        capsys.readouterr()
+        assert cli.main(["validate", *args]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "invalid: max_number[taskforce] names no known key: all, task_force, prior_service",
+            "invalid: max_avg_score[gpa] names no known key: aom, mom, prt",
+            "invalid: max_gender[nonbinary] names no known key: male, female",
+        ]
+        assert cli.main(["solve", *args, "--variant", "min"]) == 1
+        assert "error: invalid roster: max_number[taskforce] names" in capsys.readouterr().err
+
     def test_header_mismatch(self, desk_files):
         roster, config = desk_files
         lines = roster.read_text().splitlines(keepends=True)

@@ -94,6 +94,22 @@ class TestValidateRoster:
                      battalions=((0, 1, 2),), tolerances=tol)
         assert "bad_fraction" in {v.code for v in validate_roster(bad)}
 
+    def test_window_keys_outside_the_closed_sets(self, tiny_roster):
+        # nothing compiles or audits these keys, so they must not pass silently;
+        # race keys are free-form labels
+        tol = Tolerances(count_max={"taskforce": 0}, merit_min={"gpa": 1.0},
+                         gender_max={"nonbinary": 0.0}, race_max={"martian": 0.5},
+                         count_min={"all": 1}, merit_max={"prt": 95.0}, gender_min={"female": 0.1})
+        bad = Roster(students=tiny_roster.students, num_companies=3,
+                     battalions=((0, 1, 2),), tolerances=tol)
+        assert [(v.code, v.subject, v.message) for v in validate_roster(bad)] == [
+            ("unknown_window_key", "taskforce",
+             "max_number[taskforce] names no known key: all, task_force, prior_service"),
+            ("unknown_window_key", "gpa", "min_avg_score[gpa] names no known key: aom, mom, prt"),
+            ("unknown_window_key", "nonbinary",
+             "max_gender[nonbinary] names no known key: male, female"),
+        ]
+
     def test_weights_must_be_convex(self, tiny_roster):
         bad = Roster(students=tiny_roster.students, num_companies=3,
                      battalions=((0, 1, 2),), aom_weight=0.8, mom_weight=0.8)
