@@ -31,6 +31,12 @@ ROSTER_FIELDS = ("id", *METRICS, "gender", "race", "old_company", "battalion",
 
 ASSIGNMENT_FIELDS = ("id", "old_company", "new_company")
 
+#: The companion config's keys: whole names, then the prefixes of keyed ones.
+CONFIG_KEYS = ("num_companies", "battalions", "aom_weight", "mom_weight", "min_sapr",
+               "num_intl", "sapr_companies", "intl_companies", "conflict_pair")
+CONFIG_PREFIXES = (*(f"{side}_{name}_" for _, name, *_ in WINDOWS for side in ("min", "max")),
+                   "max_athlete_")
+
 
 def _csv_rows(path: str | Path, header: tuple[str, ...]):
     """Yield (line number, row) over a CSV file that starts with ``header``
@@ -124,6 +130,9 @@ def _single(cfg: dict[str, list[str]], key: str, default: str | None = None) -> 
 def read_roster(roster_path: str | Path, config_path: str | Path) -> Roster:
     """Read a roster CSV plus companion config back into a Roster."""
     cfg = parse_config(config_path)
+    for key in cfg:
+        if key not in CONFIG_KEYS and not key.startswith(CONFIG_PREFIXES):
+            raise ValueError(f"{config_path}: unknown config key {key!r}")
     students: list[Student] = []
     batt_cells: list[tuple[int, str]] = []  # (previous company, raw battalion cell)
     for _, row in _csv_rows(roster_path, ROSTER_FIELDS):

@@ -13,7 +13,10 @@ branch-and-bound root heuristic runs the same descent from the rounded
 relaxation.  Once the assignment is feasible, the descent skips any move
 a row rejected while that row's activity and the moving students'
 companies are unchanged: such a move would be rejected again, so
-skipping it changes no decision.
+skipping it changes no decision.  For ``min`` and ``pairs`` the evaluator
+reads a move's objective change from the cohort matrix before any row
+work, and rejects at once the moves that cannot lower (violation,
+objective); every verdict is the one the full row check would give.
 """
 
 from __future__ import annotations
@@ -36,6 +39,10 @@ EPS = 1e-9
 
 #: one move: (student index, destination company)
 Move = tuple[int, int]
+
+# bound once: on CPython 3.11 each read of an enum member off its class takes
+# about 0.15 us, and a move rejected on its objective made three of them
+MIN, DEV = ModelVariant.MIN_SAME_COMPANY, ModelVariant.MERIT_DEVIATION
 
 
 def cyclic_deal(roster: Roster) -> Assignment:
@@ -93,7 +100,10 @@ class MoveEvaluator:
     ``idx[ptr[k]:ptr[k+1]]``, so a move costs O(touched rows) and a build
     makes no list per column and no object per entry.  ``violation`` sums
     how far rows miss their bounds beyond ``FEAS_TOL``, as ``check_feasible``
-    counts them, and is exactly 0.0 when none does.  The objective comes from the
+    counts them, and is exactly 0.0 when none does.  The same shared entries
+    row by row, ``row_ptr`` and ``row_cols`` (int32 arrays), keep ``hot[k]``,
+    the number of violated shared rows over column ``k``, current when a
+    row's violation starts or ends.  The objective comes from the
     (new, old) cohort matrix (stays are its diagonal) or the per-company aom/mom sums.
     """
 
@@ -126,6 +136,11 @@ class MoveEvaluator:
         self.ptr = csc.indptr.tolist()
         self.idx = np.arange(len(rows)).astype(object)[csc.indices].tolist()
         self.val = values.astype(object)[which].tolist()
+        # kept as arrays: a list of Python ints here would add about 15 MB at
+        # full scale, on top of the peak
+        csr = csc.tocsr()
+        self.row_ptr = csr.indptr.astype(np.int32)
+        self.row_cols = csr.indices.astype(np.int32)
 
     def load(self, asg: Sequence[int]) -> None:
         """Make ``asg`` (company per student index) the current assignment."""
@@ -144,10 +159,12 @@ class MoveEvaluator:
                 sums[c] += score[i]
         self.viol = [self._excess(r, x) for r, x in enumerate(self.act)]
         self.bad = sum(1 for v in self.viol if v > 0.0)
+        violated = np.repeat(np.array(self.viol) > 0.0, np.diff(self.row_ptr))
+        self.hot = np.bincount(self.row_cols[violated], minlength=self.n * n_c).tolist()
         self.violation = math.fsum(self.viol)
-        if self.variant is ModelVariant.MIN_SAME_COMPANY:
+        if self.variant is MIN:
             self.objective = float(sum(self.cohort[c][c] for c in range(n_c)))
-        elif self.variant is ModelVariant.MERIT_DEVIATION:
+        elif self.variant is DEV:
             self.objective = deviation_from_sums(*self.sums, *self.weights)
         else:
             self.objective = float(sum(k * (k - 1) // 2 for row in self.cohort for k in row))
@@ -185,30 +202,51 @@ class MoveEvaluator:
 
     def _objective_after(self, moves: Sequence[Move]) -> float:
         asg, old = self.asg, self.old
-        if self.variant is ModelVariant.MERIT_DEVIATION:
+        if self.variant is DEV:
             sums = [list(s) for s in self.sums]
             for i, dst in moves:
                 for cand, score in zip(sums, self.scores):
                     cand[asg[i]] -= score[i]
                     cand[dst] += score[i]
             return deviation_from_sums(*sums, *self.weights)
-        # count changes of the (new, old) cohort cells; stays are its diagonal
+        if self.variant is MIN:
+            stays = 0  # the change on the diagonal of the (new, old) cohort matrix
+            for i, dst in moves:
+                stays += (dst == old[i]) - (asg[i] == old[i])
+            return self.objective + stays
+        # a relocation takes one from cell (src, o) of k, losing k - 1 pairs,
+        # and adds one to (dst, o) of k, gaining k; two relocations of students
+        # from different previous companies touch four cells, and their gains add
+        cohort = self.cohort
+        if len(moves) in (1, 2):
+            (i, di), (j, dj) = moves[0], moves[-1]
+            if di != asg[i] and dj != asg[j] and (len(moves) == 1 or old[i] != old[j]):
+                gained = cohort[di][old[i]] - cohort[asg[i]][old[i]] + 1
+                if len(moves) == 2:
+                    gained += cohort[dj][old[j]] - cohort[asg[j]][old[j]] + 1
+                return self.objective + gained
+        # count changes of the cohort cells; one of k that changes by dk
+        # gains dk(2k + dk - 1)/2 pairs
         change: dict[tuple[int, int], int] = {}
         for i, dst in moves:
             change[asg[i], old[i]] = change.get((asg[i], old[i]), 0) - 1
             change[dst, old[i]] = change.get((dst, old[i]), 0) + 1
-        if self.variant is ModelVariant.MIN_SAME_COMPANY:
-            return self.objective + sum(dk for (c, o), dk in change.items() if c == o)
-        # a cell of k that changes by dk gains dk(2k + dk - 1)/2 pairs
-        return self.objective + sum(dk * (2 * self.cohort[c][o] + dk - 1) // 2
+        return self.objective + sum(dk * (2 * cohort[c][o] + dk - 1) // 2
                                     for (c, o), dk in change.items())
 
     def _violation_after(self, deltas: list[tuple[int, float]]) -> tuple[float, int]:
         total, bad, act, viol = self.violation, self.bad, self.act, self.viol
+        lo, hi = self.lo, self.hi
         for r, da in deltas:
-            v = self._excess(r, act[r] + da)
-            total += v - viol[r]
-            bad += (v > 0.0) - (viol[r] > 0.0)
+            # _excess inlined, as this loop is most of a repair move's cost; a
+            # row within bounds before and after adds nothing
+            x = act[r] + da
+            if x - hi[r] > FEAS_TOL or lo[r] - x > FEAS_TOL:
+                total += max(lo[r] - x, x - hi[r]) - viol[r]
+                bad += viol[r] == 0.0
+            elif viol[r]:
+                total -= viol[r]
+                bad -= 1
         return (total if bad else 0.0), bad
 
     def apply(self, moves: Sequence[Move]) -> None:
@@ -216,15 +254,43 @@ class MoveEvaluator:
         deltas = self._row_deltas(moves)
         self._commit(moves, deltas, *self._violation_after(deltas), self._objective_after(moves))
 
+    def _touches_violated(self, moves: Sequence[Move]) -> bool:
+        """Whether the moves change a violated row's activity, or may:
+        a shared row through the violated-row count ``hot`` of the columns
+        they leave and enter, a per-student row directly."""
+        n_c, asg, hot, viol = self.n_c, self.asg, self.hot, self.viol
+        for i, dst in moves:
+            src = asg[i]
+            if hot[i * n_c + src] or hot[i * n_c + dst]:
+                return True
+            for r, per_company in self.student_rows[i]:
+                if viol[r] > 0.0 and per_company[dst] != per_company[src]:
+                    return True
+        return False
+
     def try_moves(self, moves: Sequence[Move]) -> bool:
         """Make ``moves`` if they lower (violation, objective)
         lexicographically; report whether they did.
 
+        For ``min`` and ``pairs`` the objective comes first, and moves that
+        leave it no lower are rejected before any row work when the
+        assignment is feasible or they touch no violated row: rows within
+        bounds can only add violation, and the violated ones stay as they
+        are.  ``dev`` checks the rows first, since its objective walks
+        every pair of companies.
+
         ``blocked`` is left at the row that rejected them when the
         assignment is feasible and they would push a row past its bounds,
-        and at None otherwise.
+        and at None otherwise; for ``min`` and ``pairs`` a move rejected
+        because the objective would not fall leaves None whatever it does
+        to the rows.
         """
         self.blocked = None
+        obj = None
+        if self.variant is not DEV:
+            obj = self._objective_after(moves)
+            if obj >= self.objective - EPS and not (self.bad and self._touches_violated(moves)):
+                return False
         deltas = self._row_deltas(moves)
         if self.bad:
             total, bad = self._violation_after(deltas)
@@ -239,7 +305,8 @@ class MoveEvaluator:
                     self.blocked = r
                     return False
             total, bad = 0.0, 0
-        obj = self._objective_after(moves)
+        if obj is None:
+            obj = self._objective_after(moves)
         if total >= self.violation - EPS and obj >= self.objective - EPS:
             return False
         self._commit(moves, deltas, total, bad, obj)
@@ -247,9 +314,15 @@ class MoveEvaluator:
 
     def _commit(self, moves: Sequence[Move], deltas: list[tuple[int, float]],
                 total: float, bad: int, obj: float) -> None:
+        act, viol, hot, row_ptr = self.act, self.viol, self.hot, self.row_ptr
         for r, da in deltas:
-            self.act[r] += da
-            self.viol[r] = self._excess(r, self.act[r])
+            was = viol[r] > 0.0
+            act[r] += da
+            viol[r] = self._excess(r, act[r])
+            if (viol[r] > 0.0) != was:
+                step = -1 if was else 1
+                for k in self.row_cols[row_ptr[r]:row_ptr[r + 1]].tolist():
+                    hot[k] += step
         self.violation, self.bad, self.objective = total, bad, obj
         for i, dst in moves:
             src, o = self.asg[i], self.old[i]

@@ -9,6 +9,7 @@ operation here is a pure function, so rosters can be shared freely.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
@@ -287,6 +288,7 @@ def check_feasible(roster: Roster, assignment: Assignment, *,
         for c, v in zip(where, measure(roster.students, key)):
             total[c] += v
         totals.append((stem, key, lo, hi, per_member, total))
+    athletes = Counter((c, v) for c, s in zip(where, roster.students) for v in s.sports)
 
     def window_violation(c, stem, key, value, side, bound, slack) -> ConstraintViolation:
         return ConstraintViolation(f"{stem}_{side}", c, (), slack, f"company {roster.company_label(c)} "
@@ -301,7 +303,7 @@ def check_feasible(roster: Roster, assignment: Assignment, *,
             if lo is not None and lo * size - t > FEAS_TOL:
                 out.append(window_violation(c, stem, key, t / size, "min", lo, lo * size - t))
         for v, cap in sorted(tolerances.sport_max.items()):
-            cnt = sum(1 for s in members if v in s.sports)
+            cnt = athletes[c, v]
             if cnt > cap:
                 out.append(ConstraintViolation("sport_cap", c, (), cnt - cap,
                                                f"company {roster.company_label(c)} has {cnt} {v} athletes, max {cap}"))

@@ -401,6 +401,9 @@ class TestGenerate:
         out.mkdir()
         roster, config = _generate(out, *(a.format(spec=spec) for a in args))
         assert (_sha(roster.read_bytes()), _sha(config.read_bytes())) == (csv_sha, cfg_sha)
+        # every key the writer emits is one the reader accepts
+        read_back = fileio.config_lines(fileio.read_roster(roster, config))
+        assert read_back == config.read_text().splitlines()
 
     @pytest.mark.parametrize("given", [["--companies", "6"], ["--company-size", "14"]])
     def test_balanced_needs_both_shape_flags(self, given, tmp_path, capsys):
@@ -454,6 +457,17 @@ class TestConfigInput:
         ]
         assert cli.main(["solve", *args, "--variant", "min"]) == 1
         assert "error: invalid roster: max_number[taskforce] names" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["max_numbr_all = 0", "num_intls = 5", "min_athlete_crew = 1"])
+    def test_a_key_no_rule_names_is_an_input_error(self, line, tmp_path, capsys):
+        roster, config = _generate(tmp_path, "--preset", "desk", "--seed", "7")
+        config.write_text(config.read_text() + line + "\n")
+        message = f"{config}: unknown config key {line.split(' =')[0]!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fileio.read_roster(roster, config)
+        capsys.readouterr()
+        assert cli.main(["validate", "--roster", str(roster), "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_header_mismatch(self, desk_files):
         roster, config = desk_files
