@@ -6,8 +6,9 @@ least ``n - (|C| - 1)`` of its students share a destination with a former
 companymate.  Summing the per-company excesses gives a valid lower bound
 on the pairs objective of any feasible reassignment, and an incumbent
 matching it is optimal by inspection.  Spreading a company's students as
-evenly as possible over those destinations gives the tighter floor the
-solver uses; the two agree while no company is over ``2(|C| - 1)``.  The
+evenly as possible over those destinations gives the tighter per-company
+floor that the solver, the certificate and the ``bound`` command use; the
+two agree while no company is over ``2(|C| - 1)``.  The
 optimality gap is the relative distance between a solution and a bound,
 reported as a percentage.
 """
@@ -49,25 +50,31 @@ def pairs_lower_bound(roster: Roster) -> PairsBoundReport:
     return PairsBoundReport(per, sum(b for _, b in per))
 
 
-def objective_floor(roster: Roster, variant: ModelVariant) -> float:
-    """A-priori lower bound on the objective: 0 except for pairs.
+def pairs_floors(roster: Roster) -> tuple[int, ...]:
+    """Fewest same-destination pairs each previous company can form.
 
-    For pairs, a previous company of ``s`` students dealt over the
-    ``|C| - 1`` other companies forms the fewest same-destination pairs
-    when dealt evenly, ``q, r = divmod(s, |C| - 1)``: ``r`` destinations
-    get ``q + 1`` students and the rest ``q``.  While ``s <= 2(|C| - 1)``
-    this is :func:`pairs_lower_bound`'s excess; beyond, it is larger.
+    A previous company of ``s`` students dealt over the ``|C| - 1`` other
+    companies forms the fewest pairs when dealt evenly, ``q, r = divmod(s,
+    |C| - 1)``: ``r`` destinations get ``q + 1`` students and the rest
+    ``q``.  While ``s <= 2(|C| - 1)`` this is :func:`pairs_lower_bound`'s
+    excess; beyond, it is larger.
     """
-    if variant is not ModelVariant.MIN_PAIRS:
-        return 0.0
     if roster.num_companies < 2:
         raise ValueError("the bound needs at least 2 companies")
     slots = roster.num_companies - 1
-    total = 0
+    floors = []
     for size in roster.company_sizes():
         q, r = divmod(size, slots)
-        total += r * (q + 1) * q // 2 + (slots - r) * q * (q - 1) // 2
-    return float(total)
+        floors.append(r * (q + 1) * q // 2 + (slots - r) * q * (q - 1) // 2)
+    return tuple(floors)
+
+
+def objective_floor(roster: Roster, variant: ModelVariant) -> float:
+    """A-priori lower bound on the objective: 0 except for pairs, where it
+    sums :func:`pairs_floors`."""
+    if variant is not ModelVariant.MIN_PAIRS:
+        return 0.0
+    return float(sum(pairs_floors(roster)))
 
 
 def optimality_gap(best_solution: float, best_bound: float) -> float:

@@ -16,6 +16,12 @@ optimality proof: an incumbent matching the external bound terminates the
 search immediately with a zero gap, mirroring a by-hand optimality
 argument from an a-priori bound.
 
+The LP engine is built at the first node LP, so a solve whose warm start
+meets the floor never builds the standard form: every incumbent is
+checked against the compiled rows with one sparse product, under the
+auditor's tolerance.  A model must come from a roster (it carries the
+student and company metadata the incumbents are decoded with).
+
 The deadline reaches into each node LP, which reads the clock every few
 iterations.  An LP stopped by it puts its node back on the heap under the
 parent's bound, so a budget stop reports the incumbent with an honest
@@ -26,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import heapq
 import math
 import random
@@ -33,12 +40,13 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from cohort_shuffle.bounds import optimality_gap
 from cohort_shuffle.heuristics import MoveEvaluator, descend
-from cohort_shuffle.ipmodel import IpModel, ModelVariant
-from cohort_shuffle.roster import Assignment, deviation_from_sums
-from cohort_shuffle.simplex import Basis, LpStatus, NumericalFailure, standard_form
+from cohort_shuffle.ipmodel import SENSES, IpModel, ModelVariant, RowStore, Sense
+from cohort_shuffle.roster import FEAS_TOL, Assignment, deviation_from_sums
+from cohort_shuffle.simplex import Basis, LpStatus, NumericalFailure, SimplexEngine, standard_form
 
 INT_EPS = 1e-6
 #: slack subtracted before bound strengthening, absorbing simplex tolerance
@@ -154,20 +162,24 @@ def _canonical_point(model: IpModel, asg: np.ndarray) -> tuple[np.ndarray, float
     return x, float(np.count_nonzero(extra))
 
 
+def _rows_hold(rows: RowStore, x: np.ndarray) -> bool:
+    """Whether a point satisfies every row within ``FEAS_TOL``, the
+    tolerance the auditor and the move evaluator judge a row by."""
+    act = sparse.csr_matrix((rows.coefs, rows.cols, rows.indptr), shape=(len(rows), len(x))) @ x
+    return bool(np.all((act - rows.rhs <= FEAS_TOL) | (rows.sense == SENSES.index(Sense.GE)))
+                and np.all((rows.rhs - act <= FEAS_TOL) | (rows.sense == SENSES.index(Sense.LE))))
+
+
 class _Search:
     def __init__(self, model: IpModel, opts: SolveOptions) -> None:
         self.model = model
         self.opts = opts
-        self.engine = standard_form(model)
-        self.binary_cols = np.array(model.binary_columns(), dtype=np.int64)
         self.integral_obj = model.variant in (ModelVariant.MIN_SAME_COMPANY,
                                               ModelVariant.MIN_PAIRS)
-        self.domain = "student_ids" in model.meta
-        self.n_c = len(model.meta.get("company_labels", ()))
-        self.n_students = len(model.meta.get("student_ids", ()))
+        self.n_c = len(model.meta["company_labels"])
+        self.n_students = len(model.meta["student_ids"])
 
-        c = self.engine.c
-        nonneg = bool(np.all(c >= 0.0) and np.all(self.engine.default_lower >= 0.0))
+        nonneg = all(v.objective >= 0.0 and v.lower >= 0.0 for v in model.variables)
         self.floor = 0.0 if nonneg else -math.inf
         if opts.external_lb is not None:
             self.floor = max(self.floor, float(opts.external_lb))
@@ -183,25 +195,25 @@ class _Search:
         self.deadline = (time.monotonic() + opts.time_limit_s
                          if opts.time_limit_s is not None else None)
 
+    @functools.cached_property
+    def engine(self) -> SimplexEngine:
+        """The LP engine, built at the first node LP."""
+        return standard_form(self.model)
+
+    @functools.cached_property
+    def binary_cols(self) -> np.ndarray:
+        """The columns a node LP branches on, listed at the first one."""
+        return np.array(self.model.binary_columns(), dtype=np.int64)
+
     # --- incumbent handling -------------------------------------------------
 
-    def _try_incumbent(self, asg: np.ndarray | None, x_raw: np.ndarray | None) -> None:
-        """Canonicalize, validate against the rows, and keep if improving."""
-        if self.domain and asg is not None:
-            x, obj = _canonical_point(self.model, asg)
-        elif x_raw is not None:
-            x = x_raw.copy()
-            x[self.binary_cols] = np.round(x[self.binary_cols])
-            obj = float(self.engine.c @ x)
-            asg = None
-        else:
-            return
-        if not self.engine.feasible(x):
+    def _try_incumbent(self, asg: np.ndarray) -> None:
+        """Canonicalize, check against the rows, and keep if improving."""
+        x, obj = _canonical_point(self.model, asg)
+        if not _rows_hold(self.model.rows, x):
             return
         if self.inc_obj is None or obj < self.inc_obj - 1e-12:
-            self.inc_obj = obj
-            self.inc_asg = None if asg is None else asg.copy()
-            self.inc_x = x
+            self.inc_obj, self.inc_asg, self.inc_x = obj, asg, x
 
     def _cutoff(self) -> float:
         return math.inf if self.inc_obj is None else self.inc_obj - self.impr_eps
@@ -247,14 +259,12 @@ class _Search:
         """Root heuristic: round the relaxation to the nearest assignment, descend
         from it over the x-block rows down to the floor, and offer a feasible
         end point as an incumbent."""
-        if not self.domain or self.n_c == 0:
-            return
         meta = self.model.meta
         ev = MoveEvaluator(self.model.rows[:meta["x_rows"]], meta, self.model.variant)
         ev.load(self._rounded(x))
         descend(ev, random.Random(self.opts.seed), 10 * self.n_students, self.floor)
         if ev.violation == 0.0:
-            self._try_incumbent(np.array(ev.asg, dtype=np.int64), None)
+            self._try_incumbent(np.array(ev.asg, dtype=np.int64))
 
     def _plunge(self, bound: float, fixes: tuple[tuple[int, int], ...],
                 start: Basis | None, at_root: bool) -> None:
@@ -296,10 +306,7 @@ class _Search:
             frac = np.abs(xb - np.round(xb))
             cand = np.nonzero(frac > INT_EPS)[0]
             if len(cand) == 0:
-                if self.domain:
-                    self._try_incumbent(self._rounded(raw.values), None)
-                else:
-                    self._try_incumbent(None, raw.values)
+                self._try_incumbent(self._rounded(raw.values))
                 return
 
             pick = cand[np.argmin(np.abs(xb[cand] - 0.5))]
@@ -332,10 +339,9 @@ class _Search:
         t0 = time.monotonic()
         opts = self.opts
 
-        if opts.warm_start is not None and self.domain:
+        if opts.warm_start is not None:
             ids = self.model.meta["student_ids"]
-            asg = np.array([opts.warm_start[sid] for sid in ids], dtype=np.int64)
-            self._try_incumbent(asg, None)
+            self._try_incumbent(np.array([opts.warm_start[sid] for sid in ids], dtype=np.int64))
 
         budget = False
         if not self._at_floor():
@@ -356,14 +362,17 @@ class _Search:
             bound, gap = glb, optimality_gap(inc, glb)
         status = (SolveStatus.PROVEN_OPTIMAL if inc - bound <= self._stop_tol()
                   else SolveStatus.FEASIBLE_GAP)
-        assignment = (None if self.inc_asg is None
-                      else dict(zip(self.model.meta["student_ids"], self.inc_asg.tolist())))
+        assignment = dict(zip(self.model.meta["student_ids"], self.inc_asg.tolist()))
         self.inc_x.setflags(write=False)
         return SolveResult(status, assignment, inc, bound, gap, stats, self.inc_x)
 
 
 def solve_ip(model: IpModel, opts: SolveOptions | None = None) -> SolveResult:
-    """Solve a compiled model to proven optimality (or budgeted incumbent)."""
+    """Solve a model compiled from a roster to proven optimality (or a
+    budgeted incumbent).  Raises ValueError on a model without the roster
+    metadata ``compile_model`` records."""
     if model.num_vars < 1:
         raise ValueError("model has no variables")
+    if "student_ids" not in model.meta:
+        raise ValueError("model carries no roster metadata: compile it from a roster")
     return _Search(model, opts or SolveOptions()).run()

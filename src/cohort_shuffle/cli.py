@@ -23,7 +23,7 @@ import time
 from pathlib import Path
 
 from cohort_shuffle import __version__
-from cohort_shuffle.bounds import certify, optimality_gap, pairs_lower_bound
+from cohort_shuffle.bounds import certify, optimality_gap, pairs_floors
 from cohort_shuffle.branch_bound import SolveOptions, SolveResult, SolveStats, SolveStatus
 from cohort_shuffle.compiler import compile_model
 from cohort_shuffle.fileio import (
@@ -336,10 +336,10 @@ def _cmd_report(args) -> int:
 
 def _cmd_bound(args) -> int:
     roster = read_roster(args.roster, args.config)
-    report = pairs_lower_bound(roster)
-    for c, (size, bound) in enumerate(report.per_company):
+    floors = pairs_floors(roster)
+    for c, (size, bound) in enumerate(zip(roster.company_sizes(), floors)):
         print(f"{roster.company_label(c)}: size={size} bound={bound}")
-    print(f"total: {report.total}")
+    print(f"total: {sum(floors)}")
     return EXIT_OK
 
 

@@ -397,25 +397,14 @@ def deviation_from_sums(aom_sums: Iterable[float], mom_sums: Iterable[float],
     return aom_weight * total_a + mom_weight * total_m
 
 
-def weighted_deviation(roster: Roster, assignment: Assignment, *,
-                       normalized: bool = False) -> float:
-    """Deviation objective evaluated on a concrete assignment.
-
-    By default compares raw per-company score sums, mirroring the
-    deviation model's linearized rows.  ``normalized=True`` divides each
-    company's sum by its size first (an evaluation-only variant; the
-    compiled model always uses raw sums to stay linear).
-    """
+def weighted_deviation(roster: Roster, assignment: Assignment) -> float:
+    """Deviation objective evaluated on a concrete assignment: raw
+    per-company score sums compared, as the deviation model's linearized
+    rows compare them."""
     _require_total(roster, assignment)
-    aom = score_sums(roster, assignment, "aom")
-    mom = score_sums(roster, assignment, "mom")
-    if normalized:
-        sizes = [0] * roster.num_companies
-        for s in roster.students:
-            sizes[assignment[s.id]] += 1
-        aom = [t / n if n else 0.0 for t, n in zip(aom, sizes)]
-        mom = [t / n if n else 0.0 for t, n in zip(mom, sizes)]
-    return deviation_from_sums(aom, mom, roster.aom_weight, roster.mom_weight)
+    return deviation_from_sums(score_sums(roster, assignment, "aom"),
+                               score_sums(roster, assignment, "mom"),
+                               roster.aom_weight, roster.mom_weight)
 
 
 def assignment_objective(roster: Roster, assignment: Assignment, variant: ModelVariant) -> float:

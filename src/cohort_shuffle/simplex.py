@@ -33,9 +33,9 @@ status rather than a wrong answer.  A deadline is read every
 ``DEADLINE_EVERY`` iterations and ends a solve with a time-limit status
 once passed.
 
-Every solve returns an :class:`LpSolution` of float64 arrays, and
-:meth:`SimplexEngine.feasible` checks any point against the scaled rows
-under the tolerance an optimum is verified to.
+Every solve returns an :class:`LpSolution` of float64 arrays.  The engine
+judges only LP points; the branch-and-bound search checks each incumbent
+on the compiled rows itself.
 """
 
 from __future__ import annotations
@@ -169,15 +169,6 @@ class SimplexEngine:
         self.default_upper = default_upper
         self.row_scale = row_scale
         self._res_scale = 1.0 + (float(np.max(np.abs(b))) if len(b) else 0.0)
-
-    def feasible(self, x: np.ndarray) -> bool:
-        """Whether a structural point keeps its default bounds and satisfies
-        every scaled row, within the tolerance an optimum is verified to."""
-        if np.any(x < self.default_lower - FEAS_EPS) or np.any(x > self.default_upper + FEAS_EPS):
-            return False
-        r = self.b - self.a_csc @ x
-        eps = FEAS_EPS * self._res_scale
-        return bool(np.all(r >= self.slack_lo - eps) and np.all(r <= self.slack_hi + eps))
 
     # column j layout: [0, n) structural, [n, n+m) slack
 

@@ -33,11 +33,13 @@ from cohort_shuffle import (
     rotate_within_battalions,
     score_sums,
     solve_ip,
+    solve_roster,
     weighted_deviation,
 )
-from cohort_shuffle.branch_bound import _canonical_point, _Search
+from cohort_shuffle import branch_bound
+from cohort_shuffle.branch_bound import _canonical_point, _rows_hold, _Search
 from cohort_shuffle.ipmodel import IpModel, LinearRow, Sense, VarKind, Variable
-from cohort_shuffle.simplex import DEADLINE_EVERY, NumericalFailure, SimplexEngine, standard_form
+from cohort_shuffle.simplex import DEADLINE_EVERY, NumericalFailure, SimplexEngine
 from conftest import balanced_roster, mk_student, oracle_best, oracle_instance
 
 MIN = ModelVariant.MIN_SAME_COMPANY
@@ -101,13 +103,34 @@ def test_compiled_rows_agree_with_the_auditor(seed):
     n, n_c = len(roster.students), roster.num_companies
     for variant in ModelVariant:
         model = compile_model(roster, variant)
-        engine = standard_form(model)
         for _ in range(40):
             asg = np.array([rng.randrange(n_c) for _ in range(n)], dtype=np.int64)
             point, _ = _canonical_point(model, asg)
             audit = check_feasible(roster, dict(zip(model.meta["student_ids"], asg.tolist())),
                                    forbid_same_company=variant is not MIN)
-            assert engine.feasible(point) == audit.feasible, (variant, asg)
+            assert _rows_hold(model.rows, point) == audit.feasible, (variant, asg)
+
+
+@pytest.mark.parametrize("variant", [PAIRS, DEV])
+def test_rows_outside_the_x_block_are_checked(variant):
+    """A feasible canonical point with one extra column moved off its value
+    breaks only a together or spread row, and the incumbent check rejects it:
+    a pair that shares a company with its u zeroed, or one spread column
+    lowered by 1e-3."""
+    roster = generate(desk_spec(), seed=7)
+    model = compile_model(roster, variant)
+    asg = solve_roster(roster, variant, SolveOptions(node_limit=0)).result.assignment
+    point, _ = _canonical_point(model, np.array([asg[s] for s in model.meta["student_ids"]]))
+    assert _rows_hold(model.rows, point)
+    x_block = len(model.meta["student_ids"]) * len(model.meta["company_labels"])
+    if variant is PAIRS:
+        col = x_block + int(np.flatnonzero(point[x_block:] == 1.0)[0])
+        point[col] = 0.0
+    else:
+        col = x_block + int(np.argmax(point[x_block:]))
+        point[col] -= 1e-3
+    assert _rows_hold(model.rows[:model.meta["x_rows"]], point)
+    assert not _rows_hold(model.rows, point)
 
 
 # a desk roster whose companies are large enough, and whose task force and
@@ -137,12 +160,11 @@ def _verdicts(roster: Roster, assignments: list[dict]) -> list[bool]:
     """Whether each assignment passes, asserting that the compiled rows and
     the auditor agree on it."""
     model = compile_model(roster, MIN)
-    engine = standard_form(model)
     out = []
     for asg in assignments:
         point, _ = _canonical_point(model, np.array([asg[s] for s in model.meta["student_ids"]]))
         audit = check_feasible(roster, asg).feasible
-        assert engine.feasible(point) == audit, asg
+        assert _rows_hold(model.rows, point) == audit, asg
         out.append(audit)
     return out
 
@@ -333,20 +355,56 @@ class TestCanonicalObjectives:
             assert res.primal[y_base + p] == pytest.approx(abs(aom[c] - aom[c2]), abs=1e-9)
             assert res.primal[z_base + p] == pytest.approx(abs(mom[c] - mom[c2]), abs=1e-9)
 
-    def test_pure_binary_model_without_domain_metadata(self):
-        # min -x0 - x1 subject to x0 + x1 <= 1 over binaries
+    def test_model_without_roster_metadata_rejected(self):
+        # min -x0 - x1 subject to x0 + x1 <= 1 over binaries, compiled from no roster
         variables = (Variable("x0", VarKind.BINARY, 0.0, 1.0, -1.0),
                      Variable("x1", VarKind.BINARY, 0.0, 1.0, -1.0))
         rows = (LinearRow("cap", (), (0, 1), (1.0, 1.0), Sense.LE, 1.0),)
-        res = solve_ip(IpModel(MIN, variables, rows))
-        assert res.status is SolveStatus.PROVEN_OPTIMAL
-        assert res.objective == pytest.approx(-1.0)
-        assert res.assignment is None
-        assert sorted(res.primal) == [0.0, 1.0]
+        with pytest.raises(ValueError, match="roster metadata"):
+            solve_ip(IpModel(MIN, variables, rows))
 
     def test_empty_model_rejected(self):
         with pytest.raises(ValueError):
             solve_ip(IpModel(MIN, (), ()))
+
+
+class TestEngineOnFirstUse:
+    """The LP engine is built at the first node LP, never before."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls, build = [], branch_bound.standard_form
+
+        def counting(model):
+            calls.append(model)
+            return build(model)
+
+        monkeypatch.setattr(branch_bound, "standard_form", counting)
+        return calls
+
+    @pytest.fixture
+    def no_engine(self, monkeypatch):
+        def refuse(model):
+            raise AssertionError("standard form built")
+
+        monkeypatch.setattr(branch_bound, "standard_form", refuse)
+
+    def test_warm_start_at_the_floor_builds_no_engine(self, no_engine):
+        res = solve_roster(generate(desk_spec(), seed=7), PAIRS).result
+        assert res.status is SolveStatus.PROVEN_OPTIMAL
+        assert (res.objective, res.stats.nodes) == (8.0, 0)
+
+    def test_node_budget_zero_builds_no_engine(self, no_engine):
+        res = solve_roster(generate(desk_spec(), seed=7), DEV,
+                           SolveOptions(node_limit=0)).result
+        assert res.status is SolveStatus.FEASIBLE_GAP
+        assert res.stats.lp_iterations == 0
+
+    def test_tree_search_builds_the_engine_once(self, builds):
+        res = solve_roster(generate(desk_spec(), seed=7), DEV,
+                           SolveOptions(node_limit=2)).result
+        assert res.stats.nodes == 2
+        assert len(builds) == 1
 
 
 class TestDeterminismAndWorkers:

@@ -146,6 +146,22 @@ class TestCliSolvePipeline:
         out = capsys.readouterr().out
         assert "minimum" in out and "AOM" in out
 
+    def test_bound_prints_the_floor_certify_uses(self, tmp_path, capsys):
+        """Companies of 14 over 5 destinations: the even spread (3+3+3+3+2
+        students, 13 pairs) is above the pigeonhole excess of 9, and bound
+        prints the floor certify checks against."""
+        roster, config, out = (tmp_path / name for name in ("r.csv", "r.cfg", "new.csv"))
+        files = ["--roster", str(roster), "--config", str(config)]
+        assert cli.main(["generate", "--preset", "balanced", "--companies", "6",
+                         "--company-size", "14", *files]) == 0
+        assert cli.main(["solve", *files, "--variant", "pairs", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli.main(["bound", *files]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"C{c}: size=14 bound=13" for c in range(1, 7)] + ["total: 78"]
+        assert cli.main(["certify", *files, "--variant", "pairs", "--result", str(out)]) == 0
+        assert "bound: 78" in capsys.readouterr().out.splitlines()
+
 
 class TestExitCodes:
     def test_usage_errors(self, capsys):
