@@ -179,7 +179,8 @@ class _Search:
         self.n_c = len(model.meta["company_labels"])
         self.n_students = len(model.meta["student_ids"])
 
-        nonneg = all(v.objective >= 0.0 and v.lower >= 0.0 for v in model.variables)
+        columns = model.variables
+        nonneg = bool(np.all(columns.objective >= 0.0) and np.all(columns.lower >= 0.0))
         self.floor = 0.0 if nonneg else -math.inf
         if opts.external_lb is not None:
             self.floor = max(self.floor, float(opts.external_lb))

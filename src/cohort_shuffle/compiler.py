@@ -12,9 +12,10 @@ tolerances.  The variants differ only in objective and extra structure:
   previously-acquainted student pair, and minimizes how many such pairs
   end up together again.
 
-Rows are emitted as array blocks, family by family, into one
-:class:`~cohort_shuffle.ipmodel.RowStore`; no row exists as a Python tuple
-until someone reads it.  Column and row order is a pure function of the
+Columns and rows are emitted as array blocks, family by family, into one
+:class:`~cohort_shuffle.ipmodel.ColumnStore` and one
+:class:`~cohort_shuffle.ipmodel.RowStore`; no column or row exists as a
+Python tuple until someone reads it.  Column and row order is a pure function of the
 roster, so compiling the same instance twice yields byte-identical exports.
 """
 
@@ -26,13 +27,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from cohort_shuffle.ipmodel import (
+    ColumnBuilder,
     IpModel,
     ModelVariant,
     RowBuilder,
     RowStore,
     Sense,
     VarKind,
-    Variable,
 )
 from cohort_shuffle.roster import Roster, windows
 
@@ -180,7 +181,7 @@ def assignment_block(roster: Roster, variant: ModelVariant) -> tuple[RowStore, d
 
 
 def compile_model(roster: Roster, variant: ModelVariant) -> IpModel:
-    """Build the requested variant as a row store over named columns."""
+    """Build the requested variant as a row store over a column store."""
     if not isinstance(variant, ModelVariant):
         raise ValueError(f"unknown model variant: {variant!r}")
     if not roster.students:
@@ -191,28 +192,25 @@ def compile_model(roster: Roster, variant: ModelVariant) -> IpModel:
     n, n_c = len(students), roster.num_companies
     labels = roster.company_labels
 
-    variables = [Variable(f"x[{s.id},{labels[c]}]", VarKind.BINARY, 0.0, 1.0,
-                          float(variant is ModelVariant.MIN_SAME_COMPANY and c == s.old_company))
-                 for s in students for c in range(n_c)]
-
-    ordered_pairs = [(c, c2) for c in range(n_c) for c2 in range(n_c) if c2 != c]
-    if variant is ModelVariant.MERIT_DEVIATION:
-        for name, weight in (("y", roster.aom_weight), ("z", roster.mom_weight)):
-            for c, c2 in ordered_pairs:
-                variables.append(Variable(f"{name}[{labels[c]},{labels[c2]}]", VarKind.CONTINUOUS,
-                                          0.0, INF, weight))
-
-    pair_list: list[tuple[int, int]] = []
-    if variant is ModelVariant.MIN_PAIRS:
-        pair_list = acquainted_pairs(roster)
-        for a, b in pair_list:
-            variables.append(Variable(f"u[{students[a].id},{students[b].id}]",
-                                      VarKind.BINARY, 0.0, 1.0, 1.0))
-
     rows = RowBuilder()
     meta = _assignment_rows(roster, variant, rows)
     meta["x_rows"] = rows.count
+    pair_list = acquainted_pairs(roster) if variant is ModelVariant.MIN_PAIRS else []
     meta["pairs"] = tuple((students[a].id, students[b].id) for a, b in pair_list)
+
+    company_keys = [(label,) for label in labels]
+    columns = ColumnBuilder()
+    stays = np.zeros((n, n_c))
+    if variant is ModelVariant.MIN_SAME_COMPANY:
+        stays[np.arange(n), meta["old_company"]] = 1.0
+    columns.add("x", [(s.id,) for s in students], company_keys, VarKind.BINARY,
+                0.0, 1.0, stays.ravel())
+    ordered_pairs = [(c, c2) for c in range(n_c) for c2 in range(n_c) if c2 != c]
+    spread_keys = [(labels[c], labels[c2]) for c, c2 in ordered_pairs]
+    if variant is ModelVariant.MERIT_DEVIATION:
+        for name, weight in (("y", roster.aom_weight), ("z", roster.mom_weight)):
+            columns.add(name, spread_keys, ((),), VarKind.CONTINUOUS, 0.0, INF, weight)
+    columns.add("u", meta["pairs"], ((),), VarKind.BINARY, 0.0, 1.0, 1.0)
     x_base = n * n_c
 
     if variant is ModelVariant.MERIT_DEVIATION:
@@ -231,15 +229,14 @@ def compile_model(roster: Roster, variant: ModelVariant) -> IpModel:
         coefs = np.column_stack([np.stack([a_diff, -a_diff, m_diff, -m_diff]), np.full(4, -1.0)])
         rows.add([(f, Sense.LE, 0.0) for f in ("aom_spread_pos", "aom_spread_neg",
                                                "mom_spread_pos", "mom_spread_neg")],
-                 [(labels[c], labels[c2]) for c, c2 in ordered_pairs], ((),),
-                 cols, coefs)
+                 spread_keys, ((),), cols, coefs)
 
     if variant is ModelVariant.MIN_PAIRS:
         pairs = np.array(pair_list, dtype=np.int64).reshape(-1, 1, 2)
         cols = np.empty((len(pair_list), n_c, 3), dtype=np.int32)
         cols[:, :, :2] = x_column(pairs, np.arange(n_c)[None, :, None], n_c)
         cols[:, :, 2] = (x_base + np.arange(len(pair_list)))[:, None]
-        rows.add([("together", Sense.LE, 1.0)], meta["pairs"], [(label,) for label in labels],
+        rows.add([("together", Sense.LE, 1.0)], meta["pairs"], company_keys,
                  cols, np.array([1.0, 1.0, -1.0]))
 
-    return IpModel(variant, tuple(variables), rows.build(), meta)
+    return IpModel(variant, columns.build(), rows.build(), meta)

@@ -8,15 +8,17 @@ which makes it an optimality witness on balanced instances.
 per-company statistic of a feasible previous assignment.  ``local_search``
 runs :func:`descend`, the one local search, from any start, feasible or
 not, down to the variant's objective floor; the warm start builds one
-:class:`MoveEvaluator` and loads each candidate start into it, and the
-branch-and-bound root heuristic runs the same descent from the rounded
-relaxation.  Once the assignment is feasible, the descent skips any move
-a row rejected while that row's activity and the moving students'
-companies are unchanged: such a move would be rejected again, so
-skipping it changes no decision.  For ``min`` and ``pairs`` the evaluator
-reads a move's objective change from the cohort matrix before any row
-work, and rejects at once the moves that cannot lower (violation,
-objective); every verdict is the one the full row check would give.
+:class:`MoveEvaluator` from the compiled model's x-block and loads each
+candidate start into it, every descent scanning the one relocation order
+the evaluator shuffled, and the branch-and-bound root heuristic runs the
+same descent from the rounded relaxation.  Once the assignment is
+feasible, the descent skips any move a row rejected while that row's
+activity and the moving students' companies are unchanged: such a move
+would be rejected again, so skipping it changes no decision.  For ``min``
+and ``pairs`` the evaluator reads a move's objective change from the
+cohort matrix before any row work, and rejects at once the moves that
+cannot lower (violation, objective); every verdict is the one the full row
+check would give.
 """
 
 from __future__ import annotations
@@ -91,9 +93,11 @@ def rotate_within_battalions(roster: Roster, shift: int = 1) -> Assignment:
 class MoveEvaluator:
     """Row violation and objective of one assignment, updated per move.
 
-    Built from the x-block arrays of :func:`~cohort_shuffle.compiler.assignment_block`;
-    :meth:`load` sets the assignment, so one evaluator serves any number of
-    starts.  A row over one student's columns keeps a coefficient per
+    Built from the x-block arrays of a compiled model
+    (``model.rows[:meta["x_rows"]]`` and ``meta``) or of
+    :func:`~cohort_shuffle.compiler.assignment_block`; :meth:`load` sets the
+    assignment, so one evaluator serves any number of starts, and
+    :meth:`relocation_order` shuffles their relocations once.  A row over one student's columns keeps a coefficient per
     company; every other row lies within one company and sits, through one
     CSC conversion, in the flat lists ``ptr``, ``idx`` and ``val`` (its
     ``indptr``, ``indices`` and ``data``), column ``k`` being
@@ -122,15 +126,23 @@ class MoveEvaluator:
         student = rows.cols // n_c
         own = counts > 0
         own[row_of[student != student[rows.indptr[row_of]]]] = False
+        # rows over one student's columns: a coefficient per company, summed
+        # in entry order as the rows list them
+        own_rows = np.flatnonzero(own)
+        in_own = own[row_of]
+        per_company = np.zeros((len(own_rows), n_c))
+        np.add.at(per_company, ((np.cumsum(own) - 1)[row_of[in_own]], rows.cols[in_own] % n_c),
+                  rows.coefs[in_own])
         self.student_rows: list[list[tuple[int, list[float]]]] = [[] for _ in range(n)]
-        for r in np.flatnonzero(own).tolist():
-            lo, hi = rows.indptr[r], rows.indptr[r + 1]
-            coefs = np.zeros(n_c)
-            np.add.at(coefs, rows.cols[lo:hi] % n_c, rows.coefs[lo:hi])
-            self.student_rows[student[lo]].append((r, coefs.tolist()))
-        keep = ~own[row_of] & (rows.coefs != 0.0)
-        csc = sparse.csc_matrix((rows.coefs[keep], (row_of[keep], rows.cols[keep])),
+        for r, i, coefs in zip(own_rows.tolist(), student[rows.indptr[own_rows]].tolist(),
+                               per_company.tolist()):
+            self.student_rows[i].append((r, coefs))
+        keep = ~in_own & (rows.coefs != 0.0)
+        kept = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_of[keep], minlength=len(rows)), out=kept[1:])
+        csr = sparse.csr_matrix((rows.coefs[keep], rows.cols[keep], kept),
                                 shape=(len(rows), n * n_c))
+        csc = csr.tocsc()
         # one object per distinct row and coefficient; 800k per build fragmented memory
         values, which = np.unique(csc.data, return_inverse=True)
         self.ptr = csc.indptr.tolist()
@@ -138,9 +150,9 @@ class MoveEvaluator:
         self.val = values.astype(object)[which].tolist()
         # kept as arrays: a list of Python ints here would add about 15 MB at
         # full scale, on top of the peak
-        csr = csc.tocsr()
         self.row_ptr = csr.indptr.astype(np.int32)
         self.row_cols = csr.indices.astype(np.int32)
+        self._relocations: tuple | None = None
 
     def load(self, asg: Sequence[int]) -> None:
         """Make ``asg`` (company per student index) the current assignment."""
@@ -168,6 +180,19 @@ class MoveEvaluator:
             self.objective = deviation_from_sums(*self.sums, *self.weights)
         else:
             self.objective = float(sum(k * (k - 1) // 2 for row in self.cohort for k in row))
+
+    def relocation_order(self, rng: random.Random) -> list[int]:
+        """Every relocation ``i * n_c + dst`` in the order ``rng`` shuffles
+        them into, leaving ``rng`` as that shuffle does.  The last order is
+        kept with the generator states before and after it, so descents from
+        equally seeded generators draw it once.  Callers must not mutate it."""
+        state = rng.getstate()
+        if self._relocations is None or self._relocations[0] != state:
+            order = list(range(self.n * self.n_c))
+            rng.shuffle(order)
+            self._relocations = (state, order, rng.getstate())
+        rng.setstate(self._relocations[2])
+        return self._relocations[1]
 
     def _column(self, k: int) -> Iterator[tuple[int, float]]:
         """(row, coefficient) of column ``k`` over the shared rows."""
@@ -397,9 +422,7 @@ def descend(ev: MoveEvaluator, rng: random.Random, budget: int, floor: float) ->
             swap_memo[k] = (r, act[r], ci, cj)
         return False
 
-    order = list(range(n * n_c))
-    rng.shuffle(order)
-    relocates, swaps = deque(order), None
+    relocates, swaps = deque(ev.relocation_order(rng)), None
     for _ in range(budget):
         if ev.violation == 0.0 and ev.objective <= floor + EPS:
             return

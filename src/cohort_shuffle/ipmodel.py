@@ -1,11 +1,13 @@
 """Integer-program containers and LP-format text export.
 
 The compiler in :mod:`cohort_shuffle.compiler` produces an :class:`IpModel`
-whose rows live in one :class:`RowStore`: CSR arrays over named variables
-plus per-row sense and right-hand side, with row names derived from a small
-per-family block table.  The simplex, the move evaluator and the LP export
-all read the same arrays, so one model object can be solved, exported, or
-inspected without recompilation.
+whose columns live in one :class:`ColumnStore` (a kind, bounds and an
+objective coefficient per column) and whose rows live in one
+:class:`RowStore`: CSR arrays over those columns plus per-row sense and
+right-hand side.  Both name their entries from a small block table, so no
+per-column or per-row object exists until someone reads one.  The simplex,
+the move evaluator and the LP export all read the same arrays, so one model
+object can be solved, exported, or inspected without recompilation.
 """
 
 from __future__ import annotations
@@ -125,11 +127,15 @@ class RowStore(Sequence):
                                 tuple(coefs[ptr[r]:ptr[r + 1]]), SENSES[sense], rhs)
 
     def _name_parts(self, r: int) -> tuple[str, tuple]:
-        row = r + self.offset
-        start, families, outer, inner = self.blocks[bisect.bisect_right(self._starts, row) - 1]
-        j, f = divmod(row - start, len(families))
-        o, i = divmod(j, len(inner))
-        return families[f], tuple(outer[o]) + tuple(inner[i])
+        return _block_key(self.blocks, self._starts, r + self.offset)
+
+
+def _block_key(blocks: Sequence[tuple], starts: list[int], index: int) -> tuple[str, tuple]:
+    """Family and key of entry ``index`` of a block table (see :class:`RowStore`)."""
+    start, families, outer, inner = blocks[bisect.bisect_right(starts, index) - 1]
+    j, f = divmod(index - start, len(families))
+    o, i = divmod(j, len(inner))
+    return families[f], tuple(outer[o]) + tuple(inner[i])
 
 
 class RowBuilder:
@@ -168,25 +174,108 @@ class RowBuilder:
         return RowStore(indptr, cols, coefs, sense, rhs, self.blocks)
 
 
+#: ``ColumnStore.kind`` holds indices into this tuple
+VARKINDS = (VarKind.BINARY, VarKind.CONTINUOUS)
+
+
+def _column_name(prefix: str, key: tuple) -> str:
+    return f"{prefix}[{','.join(str(part) for part in key)}]" if key else prefix
+
+
+class ColumnStore(Sequence):
+    """Model columns as arrays: column ``j`` is a ``VARKINDS[kind[j]]``
+    variable within ``[lower[j], upper[j]]`` with objective coefficient
+    ``objective[j]``.  The arrays are read-only.
+
+    ``blocks`` names the columns the way :class:`RowStore` blocks name rows,
+    with one family per block, the name prefix: column ``start + o *
+    len(inner) + i`` of block ``(start, (prefix,), outer, inner)`` is named
+    ``prefix[k1,k2,...]`` over the parts of the key ``outer[o] + inner[i]``,
+    or ``prefix`` alone when that key is empty.  Indexing and iteration
+    build :class:`Variable` tuples; a slice is a tuple of them.
+    """
+
+    def __init__(self, kind: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                 objective: np.ndarray, blocks: Sequence[tuple]) -> None:
+        for array in (kind, lower, upper, objective):
+            array.flags.writeable = False
+        self.kind, self.lower, self.upper, self.objective = kind, lower, upper, objective
+        self.blocks = tuple(blocks)
+        self._starts = [block[0] for block in self.blocks]
+
+    def __len__(self) -> int:
+        return len(self.kind)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[j] for j in range(len(self))[index])
+        j = range(len(self))[index]
+        return Variable(_column_name(*_block_key(self.blocks, self._starts, j)),
+                        VARKINDS[self.kind[j]], float(self.lower[j]), float(self.upper[j]),
+                        float(self.objective[j]))
+
+    def __iter__(self) -> Iterator[Variable]:
+        return map(Variable, self.names(), map(VARKINDS.__getitem__, self.kind.tolist()),
+                   self.lower.tolist(), self.upper.tolist(), self.objective.tolist())
+
+    def names(self) -> Iterator[str]:
+        """Every column's name, in column order."""
+        for _, (prefix,), outer, inner in self.blocks:
+            for o in outer:
+                for i in inner:
+                    yield _column_name(prefix, tuple(o) + tuple(i))
+
+
+class ColumnBuilder:
+    """Column blocks appended in model order, packed into one :class:`ColumnStore`."""
+
+    def __init__(self) -> None:
+        self.parts = [(np.zeros(0, dtype=np.int8), np.zeros(0), np.zeros(0), np.zeros(0))]
+        self.blocks: list[tuple] = []
+        self.count = 0
+
+    def add(self, prefix: str, outer: Sequence[tuple], inner: Sequence[tuple], kind: VarKind,
+            lower, upper, objective) -> None:
+        """Columns for every outer and inner key (see :class:`ColumnStore`),
+        ``lower``, ``upper`` and ``objective`` broadcast over them."""
+        n_cols = len(outer) * len(inner)
+        if n_cols == 0:
+            return
+        self.parts.append((np.full(n_cols, VARKINDS.index(kind), dtype=np.int8),
+                           *(np.broadcast_to(np.asarray(v, dtype=float), n_cols)
+                             for v in (lower, upper, objective))))
+        self.blocks.append((self.count, (prefix,), outer, inner))
+        self.count += n_cols
+
+    def build(self) -> ColumnStore:
+        return ColumnStore(*(np.concatenate(part) for part in zip(*self.parts)), self.blocks)
+
+
 @dataclass(frozen=True)
 class IpModel:
     """A compiled instance: columns, rows, and decoding metadata.
 
-    ``rows`` given as :class:`LinearRow` tuples are packed into a
-    :class:`RowStore` once, on construction.  ``meta`` carries everything
-    needed to interpret a solution vector without the original roster
-    object: student ids, company labels, previous-company indices, merit
-    scores for the deviation objective, the same-previous-company pair list
-    for the pairs objective, and ``x_rows``, the count of leading rows over
-    assignment columns alone.
+    ``variables`` given as :class:`Variable` tuples are packed into a
+    :class:`ColumnStore`, and ``rows`` given as :class:`LinearRow` tuples
+    into a :class:`RowStore`, once, on construction.  ``meta`` carries
+    everything needed to interpret a solution vector without the original
+    roster object: student ids, company labels, previous-company indices,
+    merit scores for the deviation objective, the same-previous-company pair
+    list for the pairs objective, and ``x_rows``, the count of leading rows
+    over assignment columns alone.
     """
 
     variant: ModelVariant
-    variables: tuple[Variable, ...]
+    variables: ColumnStore
     rows: RowStore
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.variables, ColumnStore):
+            columns = ColumnBuilder()
+            for v in self.variables:
+                columns.add(v.name, ((),), ((),), v.kind, v.lower, v.upper, v.objective)
+            object.__setattr__(self, "variables", columns.build())
         if not isinstance(self.rows, RowStore):
             packed = RowBuilder()
             for row in self.rows:
@@ -204,13 +293,13 @@ class IpModel:
 
     @functools.cached_property
     def _column_of(self) -> dict[str, int]:
-        return {v.name: j for j, v in enumerate(self.variables)}
+        return {name: j for j, name in enumerate(self.variables.names())}
 
     def var_index(self, name: str) -> int:
         return self._column_of[name]
 
     def binary_columns(self) -> list[int]:
-        return [j for j, v in enumerate(self.variables) if v.kind is VarKind.BINARY]
+        return np.flatnonzero(self.variables.kind == VARKINDS.index(VarKind.BINARY)).tolist()
 
 
 def _number(v: float) -> str:
@@ -219,10 +308,10 @@ def _number(v: float) -> str:
     return f"{int(v)}" if v == int(v) else f"{v:.12g}"
 
 
-def _terms(cols: Sequence[int], coefs: Sequence[float], variables: tuple[Variable, ...]) -> list[str]:
+def _terms(cols: Sequence[int], coefs: Sequence[float], names: Sequence[str]) -> list[str]:
     """Render ``2 x[...] - y[...]`` tokens, one per nonzero term, or ``0``."""
     toks = [f"{'-' if a < 0 else '+'} {'' if abs(a) == 1.0 else _number(abs(a)) + ' '}"
-            f"{variables[j].name}" for j, a in zip(cols, coefs) if a != 0.0]
+            f"{names[j]}" for j, a in zip(cols, coefs) if a != 0.0]
     if not toks:
         return ["0"]
     if toks[0].startswith("+ "):
@@ -252,12 +341,13 @@ def export_lp(model: IpModel) -> str:
     so the export is deterministic for a fixed model.
     """
     variables = model.variables
+    names = list(variables.names())
     out = ["\\ cohort-shuffle model export", f"\\ variant: {model.variant.value}", "Minimize"]
-    out.extend(_wrap(["obj:"] + _terms(range(len(variables)),
-                                       [v.objective for v in variables], variables), " "))
+    out.extend(_wrap(["obj:"] + _terms(range(len(names)), variables.objective.tolist(), names),
+                     " "))
     out.append("Subject To")
     for row in model.rows:
-        out.extend(_wrap([f"{row.name()}:", *_terms(row.cols, row.coefs, variables),
+        out.extend(_wrap([f"{row.name()}:", *_terms(row.cols, row.coefs, names),
                           row.sense.value, _number(row.rhs)], " "))
     out.append("Bounds")
     for v in variables:
@@ -268,7 +358,7 @@ def export_lp(model: IpModel) -> str:
         else:
             out.append(f" {_number(v.lower)} <= {v.name} <= {_number(v.upper)}")
 
-    binaries = [variables[j].name for j in model.binary_columns()]
+    binaries = [names[j] for j in model.binary_columns()]
     if binaries:
         out.append("Binaries")
         out.extend(_wrap(binaries, " "))

@@ -20,7 +20,7 @@ from cohort_shuffle.branch_bound import SolveOptions, SolveResult, solve_ip
 from cohort_shuffle.compiler import assignment_block, compile_model
 from cohort_shuffle.heuristics import (MoveEvaluator, cyclic_deal, local_search,
                                        rotate_within_battalions)
-from cohort_shuffle.ipmodel import ModelVariant
+from cohort_shuffle.ipmodel import ModelVariant, RowStore
 from cohort_shuffle.roster import (
     Assignment,
     Roster,
@@ -40,15 +40,17 @@ class PipelineResult:
 
 
 def build_warm_start(roster: Roster, variant: ModelVariant,
-                     strategy: str = "auto", *, seed: int = 0,
-                     ls_budget: int = 200) -> Assignment | None:
+                     strategy: str = "auto", *, seed: int = 0, ls_budget: int = 200,
+                     block: tuple[RowStore, dict] | None = None) -> Assignment | None:
     """Cheapest feasible assignment the heuristics can find, else None.
 
     ``deal`` offers the cyclic deal as it is.  ``auto`` adds the two
     battalion rotations and descends each start, feasible or not, with
     ``local_search`` on one shared move evaluator until one meets the
-    objective floor.  Only assignments that pass the feasibility check the
-    certificate uses are returned, so a warm start can never poison a solve.
+    objective floor.  The evaluator reads ``block``, the x-block rows and
+    metadata of the compiled model, compiled here when not given.  Only
+    assignments that pass the feasibility check the certificate uses are
+    returned, so a warm start can never poison a solve.
     """
     if strategy not in WARM_STRATEGIES:
         raise ValueError(f"unknown warm-start strategy {strategy!r}")
@@ -59,7 +61,7 @@ def build_warm_start(roster: Roster, variant: ModelVariant,
     candidates = [cyclic_deal(roster)]
     if strategy == "auto":
         candidates += [rotate_within_battalions(roster), rotate_within_battalions(roster, shift=2)]
-        ev = MoveEvaluator(*assignment_block(roster, variant), variant)
+        ev = MoveEvaluator(*(block or assignment_block(roster, variant)), variant)
 
     floor = objective_floor(roster, variant)
     best, best_obj = None, math.inf
@@ -94,8 +96,9 @@ def solve_roster(roster: Roster, variant: ModelVariant,
     model = compile_model(roster, variant)
 
     if opts.warm_start is None:
+        block = (model.rows[:model.meta["x_rows"]], model.meta)
         opts = dataclasses.replace(opts, warm_start=build_warm_start(
-            roster, variant, warm, seed=opts.seed, ls_budget=ls_budget))
+            roster, variant, warm, seed=opts.seed, ls_budget=ls_budget, block=block))
     if opts.external_lb is None:
         opts = dataclasses.replace(opts, external_lb=objective_floor(roster, variant))
 

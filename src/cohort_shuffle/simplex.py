@@ -100,10 +100,7 @@ def standard_form(model: IpModel) -> "SimplexEngine":
     tolerances.  Slack bounds are 0 or infinite, so row scaling leaves the
     senses intact; duals are scaled back on the way out.
     """
-    rows = model.rows
-    c = np.array([v.objective for v in model.variables], dtype=float)
-    lower = np.array([v.lower for v in model.variables], dtype=float)
-    upper = np.array([v.upper for v in model.variables], dtype=float)
+    rows, columns = model.rows, model.variables
 
     counts = np.diff(rows.indptr)
     nonempty = counts > 0
@@ -115,8 +112,8 @@ def standard_form(model: IpModel) -> "SimplexEngine":
                               shape=(len(rows), model.num_vars))
     slack_lo = np.where(rows.sense == SENSES.index(Sense.GE), -INF, 0.0)
     slack_hi = np.where(rows.sense == SENSES.index(Sense.LE), INF, 0.0)
-    return SimplexEngine(c, a_csr.tocsc(), rows.rhs * row_scale, slack_lo, slack_hi, lower, upper,
-                         row_scale=row_scale)
+    return SimplexEngine(columns.objective, a_csr.tocsc(), rows.rhs * row_scale, slack_lo, slack_hi,
+                         columns.lower, columns.upper, row_scale=row_scale)
 
 
 @dataclass
@@ -222,10 +219,13 @@ class SimplexEngine:
             raise NumericalFailure("pivot element vanished")
         st.basis[r] = q
         st.vstat[q] = BASIC
-        st.binv[r, :] /= piv
+        row = st.binv[r]
+        row /= piv
+        # a column where the pivot row is 0 would only lose w * 0
+        nz = np.flatnonzero(row)
         wcol = w.copy()
         wcol[r] = 0.0
-        st.binv -= np.outer(wcol, st.binv[r, :])
+        st.binv[:, nz] -= np.outer(wcol, row[nz])
         st.pivots += 1
         st.fresh = False
         if abs(piv) < SMALL_PIVOT or st.want_refactor or st.pivots % every == 0:
@@ -316,11 +316,16 @@ class SimplexEngine:
             infeas = np.maximum(below, above)
             if infeas.max(initial=0.0) <= FEAS_EPS:
                 return LpStatus.OPTIMAL
+            bad = np.flatnonzero(infeas > FEAS_EPS)
+            if not len(bad):
+                raise NumericalFailure("basic values are not numbers")
             if stable:
-                r = int(np.argmin(np.where(infeas > FEAS_EPS, st.basis, n + m)))
+                r = int(bad[np.argmin(st.basis[bad])])
             else:
-                score = np.where(infeas > FEAS_EPS, infeas * infeas, 0.0) / np.einsum("ij,ij->i", st.binv, st.binv)
-                r = int(np.argmax(score))
+                # edge norms of the infeasible rows alone: the others score 0
+                binv = st.binv[bad]
+                gap = infeas[bad]
+                r = int(bad[np.argmax(gap * gap / np.einsum("ij,ij->i", binv, binv))])
 
             s = 1.0 if below[r] > 0 else -1.0
             leave = int(st.basis[r])

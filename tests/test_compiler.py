@@ -28,7 +28,7 @@ from cohort_shuffle import (
     generate,
 )
 from cohort_shuffle.compiler import x_column
-from cohort_shuffle.ipmodel import IpModel, LinearRow, RowStore, Variable
+from cohort_shuffle.ipmodel import ColumnStore, IpModel, LinearRow, RowStore, Variable
 from conftest import mk_student
 
 MIN = ModelVariant.MIN_SAME_COMPANY
@@ -285,3 +285,61 @@ class TestRowStore:
         assert list(model.rows) == list(rows)
         assert [row.name() for row in model.rows] == ["cap", "pin_a_1", "empty"]
         assert model.rows.cols.tolist() == [0, 2, 1]
+
+
+def listed_variables(roster: Roster, variant: ModelVariant) -> list[Variable]:
+    """The columns as the per-column compiler listed them, one tuple each."""
+    students, n_c = roster.students, roster.num_companies
+    labels = roster.company_labels
+    out = [Variable(f"x[{s.id},{labels[c]}]", VarKind.BINARY, 0.0, 1.0,
+                    float(variant is MIN and c == s.old_company))
+           for s in students for c in range(n_c)]
+    if variant is DEV:
+        for name, weight in (("y", roster.aom_weight), ("z", roster.mom_weight)):
+            out += [Variable(f"{name}[{labels[c]},{labels[c2]}]", VarKind.CONTINUOUS,
+                             0.0, math.inf, weight)
+                    for c in range(n_c) for c2 in range(n_c) if c2 != c]
+    if variant is PAIRS:
+        out += [Variable(f"u[{students[a].id},{students[b].id}]", VarKind.BINARY, 0.0, 1.0, 1.0)
+                for a, b in acquainted_pairs(roster)]
+    return out
+
+
+class TestColumnStore:
+    def test_columns_are_read_only_arrays(self, tiny_roster):
+        columns = compile_model(tiny_roster, DEV).variables
+        for array in (columns.kind, columns.lower, columns.upper, columns.objective):
+            assert isinstance(array, np.ndarray) and not array.flags.writeable
+            assert len(array) == len(columns)
+        assert columns.kind.dtype == np.int8
+
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    def test_indexing_slicing_and_iteration_agree(self, tiny_roster, variant):
+        columns = compile_model(tiny_roster, variant).variables
+        listed = list(columns)
+        assert [columns[j] for j in range(len(columns))] == listed
+        assert columns[-1] == listed[-1]
+        assert columns[17:] == tuple(listed[17:])
+        assert columns[::4] == tuple(listed[::4])
+        assert list(columns.names()) == [v.name for v in listed]
+        with pytest.raises(IndexError):
+            columns[len(columns)]
+
+    def test_variable_tuples_are_packed_once(self):
+        variables = (Variable("x", VarKind.BINARY, 0.0, 1.0, 1.0),
+                     Variable("y[a,b]", VarKind.CONTINUOUS, -2.5, math.inf, 0.0))
+        model = IpModel(MIN, variables, ())
+        assert isinstance(model.variables, ColumnStore)
+        assert list(model.variables) == list(variables)
+        assert model.var_index("y[a,b]") == 1 and model.binary_columns() == [0]
+        assert model.variables.lower.tolist() == [0.0, -2.5]
+
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    def test_every_column_matches_the_per_column_listing(self, variant):
+        roster = generate(desk_spec(), seed=7)
+        model = compile_model(roster, variant)
+        listed = listed_variables(roster, variant)
+        assert list(model.variables) == listed
+        assert [model.variables[j] for j in range(0, len(listed), 97)] == listed[::97]
+        assert model.binary_columns() == [j for j, v in enumerate(listed)
+                                          if v.kind is VarKind.BINARY]

@@ -6,6 +6,7 @@ import math
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 
 from cohort_shuffle import (
@@ -30,7 +31,7 @@ from cohort_shuffle import (
 )
 from cohort_shuffle import pipeline
 from cohort_shuffle.bounds import objective_floor
-from cohort_shuffle.compiler import assignment_block
+from cohort_shuffle.compiler import assignment_block, compile_model
 from cohort_shuffle.heuristics import EPS, MoveEvaluator, _take_first, descend
 from cohort_shuffle.roster import FEAS_TOL
 from conftest import balanced_roster, identity_assignment, mk_student, oracle_instance
@@ -187,6 +188,31 @@ class TestWarmStart:
         assert check_feasible(r, warm).feasible
         assert count_same_company(r, warm) == 0
 
+    def test_a_full_solve_does_no_rebuild_work(self, monkeypatch):
+        # dev's floor of 0 is never met, so all three starts are descended
+        r = generate(desk_spec(), seed=7)
+        descents, shuffled = [], []
+        real_search, real_shuffle = pipeline.local_search, random.Random.shuffle
+
+        def counted_search(*args, **kwargs):
+            descents.append(args)
+            return real_search(*args, **kwargs)
+
+        def counted_shuffle(rng, x):
+            shuffled.append(len(x))
+            return real_shuffle(rng, x)
+
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("the x-block was compiled a second time")
+
+        monkeypatch.setattr(pipeline, "local_search", counted_search)
+        monkeypatch.setattr(pipeline, "assignment_block", no_rebuild)
+        monkeypatch.setattr(random.Random, "shuffle", counted_shuffle)
+        out = solve_roster(r, DEV, SolveOptions(node_limit=0))
+        assert out.certificate.ok
+        assert len(descents) == 3
+        assert shuffled.count(len(r.students) * r.num_companies) == 1
+
     def test_desk_seed_111_pairs_is_proven_at_the_bound(self):
         r = generate(desk_spec(), seed=111)
         out = solve_roster(r, PAIRS, SolveOptions(node_limit=0))
@@ -326,6 +352,44 @@ class TestMoveEvaluator:
         for start in TestRejectionMemo.starts(roster):
             assert (local_search(roster, start, variant, 200, seed=3, evaluator=ev)
                     == local_search(roster, start, variant, 200, seed=3))
+
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    def test_build_matches_a_row_by_row_build(self, variant):
+        roster = generate(desk_spec(), seed=7)
+        model = compile_model(roster, variant)
+        rows, n_c = model.rows[:model.meta["x_rows"]], roster.num_companies
+        ev = MoveEvaluator(rows, model.meta, variant)
+        student_rows = [[] for _ in roster.students]
+        shared = []
+        for r, row in enumerate(rows):
+            students = {k // n_c for k in row.cols}
+            if len(students) == 1:
+                coefs = [0.0] * n_c
+                for k, a in zip(row.cols, row.coefs):
+                    coefs[k % n_c] += a
+                student_rows[students.pop()].append((r, coefs))
+            else:
+                shared += [(k, r, a) for k, a in zip(row.cols, row.coefs) if a != 0.0]
+        assert ev.student_rows == student_rows
+        shared.sort()
+        assert ev.ptr == np.searchsorted([k for k, _, _ in shared],
+                                         np.arange(len(ev.ptr))).tolist()
+        assert list(zip(ev.idx, ev.val)) == [(r, a) for _, r, a in shared]
+        by_row = sorted((r, k) for k, r, _ in shared)
+        assert sorted((r, k) for r in range(len(rows)) for k in
+                      ev.row_cols[ev.row_ptr[r]:ev.row_ptr[r + 1]].tolist()) == by_row
+
+    def test_equally_seeded_descents_share_one_relocation_order(self):
+        roster = generate(desk_spec(), seed=7)
+        ev = MoveEvaluator(*assignment_block(roster, PAIRS), PAIRS)
+        order = list(range(ev.n * ev.n_c))
+        plain = random.Random(3)
+        plain.shuffle(order)
+        first, second = random.Random(3), random.Random(3)
+        assert ev.relocation_order(first) == order
+        assert ev.relocation_order(second) is ev.relocation_order(random.Random(3))
+        assert first.getstate() == second.getstate() == plain.getstate()
+        assert ev.relocation_order(random.Random(4)) != order
 
     @pytest.mark.parametrize("variant", list(ModelVariant))
     def test_shared_rows_hold_one_object_per_distinct_value(self, variant):
