@@ -19,8 +19,8 @@ argument from an a-priori bound.
 The LP engine is built at the first node LP, so a solve whose warm start
 meets the floor never builds the standard form: every incumbent is
 checked against the compiled rows with one sparse product, under the
-auditor's tolerance.  A model must come from a roster (it carries the
-student and company metadata the incumbents are decoded with).
+auditor's tolerance.  A model must come from a roster: it carries that
+roster, whose students the incumbents are decoded into and scored on.
 
 The deadline reaches into each node LP, which reads the clock every few
 iterations.  An LP stopped by it puts its node back on the heap under the
@@ -43,9 +43,10 @@ import numpy as np
 from scipy import sparse
 
 from cohort_shuffle.bounds import optimality_gap
+from cohort_shuffle.compiler import acquainted_pairs
 from cohort_shuffle.heuristics import MoveEvaluator, descend
-from cohort_shuffle.ipmodel import SENSES, IpModel, ModelVariant, RowStore, Sense
-from cohort_shuffle.roster import FEAS_TOL, Assignment, deviation_from_sums
+from cohort_shuffle.ipmodel import IpModel, ModelVariant, RowStore
+from cohort_shuffle.roster import FEAS_TOL, Assignment, assignment_objective, score_sums
 from cohort_shuffle.simplex import Basis, LpStatus, NumericalFailure, SimplexEngine, standard_form
 
 INT_EPS = 1e-6
@@ -71,12 +72,13 @@ class SolveOptions:
 
     ``gap_abs``/``gap_rel`` widen the optimality proof beyond exactness;
     ``external_lb`` injects an a-priori lower bound on the objective;
-    ``warm_start`` seeds the incumbent with a known assignment (silently
-    skipped if it violates the model rows).  ``node_limit`` and
-    ``time_limit_s`` stop the search early with the best incumbent found.
-    Node LPs run under the simplex engine's own iteration cap.  ``workers``
-    is accepted and recorded but the search runs on one thread, so every
-    run is bit-deterministic for any value.
+    ``warm_start`` seeds the incumbent with a known assignment: one that
+    leaves out a student or names a company outside ``[0, |C|)`` raises
+    ValueError, and one that violates the model rows is silently skipped.
+    ``node_limit`` and ``time_limit_s`` stop the search early with the best
+    incumbent found.  Node LPs run under the simplex engine's own iteration
+    cap.  ``workers`` is accepted and recorded but the search runs on one
+    thread, so every run is bit-deterministic for any value.
     """
 
     time_limit_s: float | None = None
@@ -116,11 +118,11 @@ class SolveResult:
 
 def decode_assignment(model: IpModel, primal) -> Assignment:
     """Read the student-to-company map out of an integral x vector."""
-    ids = model.meta.get("student_ids")
-    labels = model.meta.get("company_labels")
-    if ids is None or labels is None:
-        raise DecodeError("model carries no student metadata to decode")
-    x = np.asarray(primal, dtype=float)[:len(ids) * len(labels)].reshape(len(ids), len(labels))
+    if model.roster is None:
+        raise DecodeError("model carries no roster to decode students with")
+    ids = [s.id for s in model.roster.students]
+    n_c = model.roster.num_companies
+    x = np.asarray(primal, dtype=float)[:len(ids) * n_c].reshape(len(ids), n_c)
     ones = x >= 1.0 - INT_EPS
     fractional = ((x > INT_EPS) & ~ones).any(axis=1)
     for i in np.flatnonzero((ones.sum(axis=1) != 1) | fractional):
@@ -133,41 +135,33 @@ def decode_assignment(model: IpModel, primal) -> Assignment:
 def _canonical_point(model: IpModel, asg: np.ndarray) -> tuple[np.ndarray, float]:
     """Exact 0/1 point and objective for an assignment, extras included.
 
-    Spread variables become the realized absolute score-sum differences
-    and co-location variables become 0/1 indicators, so the objective is
-    recomputed with the same float operations as the roster evaluators.
+    The objective is :func:`~cohort_shuffle.roster.assignment_objective` on
+    the model's roster, the one ``certify`` recomputes.  Spread variables
+    become the realized absolute differences of the roster's ``score_sums``
+    and co-location variables the 0/1 indicators of its acquainted pairs.
     """
-    meta = model.meta
-    n_c = len(meta["company_labels"])
+    roster = model.roster
+    n_c = roster.num_companies
     asg = np.asarray(asg, dtype=np.int64)
     x = np.zeros(model.num_vars)
     x[np.arange(len(asg)) * n_c + asg] = 1.0
     extra = x[len(asg) * n_c:]
-
-    if model.variant is ModelVariant.MIN_SAME_COMPANY:
-        return x, float(np.count_nonzero(asg == meta["old_company"]))
-
+    mapping = dict(zip([s.id for s in roster.students], asg.tolist()))
     if model.variant is ModelVariant.MERIT_DEVIATION:
-        # score sums in student order, as the roster evaluator adds them
-        sums = [np.bincount(asg, weights=meta[key], minlength=n_c)
-                for key in ("aom_scores", "mom_scores")]
+        sums = [np.array(score_sums(roster, mapping, metric)) for metric in ("aom", "mom")]
         c, c2 = np.array([(c, c2) for c in range(n_c) for c2 in range(n_c) if c2 != c]).T
         extra[:] = np.abs(np.concatenate([s[c] - s[c2] for s in sums]))
-        return x, deviation_from_sums(*(s.tolist() for s in sums),
-                                      meta["aom_weight"], meta["mom_weight"])
-
-    index = {sid: i for i, sid in enumerate(meta["student_ids"])}
-    pairs = np.array([(index[a], index[b]) for a, b in meta["pairs"]], dtype=np.int64).reshape(-1, 2)
-    extra[:] = asg[pairs[:, 0]] == asg[pairs[:, 1]]
-    return x, float(np.count_nonzero(extra))
+    elif model.variant is ModelVariant.MIN_PAIRS:
+        pairs = np.array(acquainted_pairs(roster), dtype=np.int64).reshape(-1, 2)
+        extra[:] = asg[pairs[:, 0]] == asg[pairs[:, 1]]
+    return x, assignment_objective(roster, mapping, model.variant)
 
 
 def _rows_hold(rows: RowStore, x: np.ndarray) -> bool:
     """Whether a point satisfies every row within ``FEAS_TOL``, the
     tolerance the auditor and the move evaluator judge a row by."""
     act = sparse.csr_matrix((rows.coefs, rows.cols, rows.indptr), shape=(len(rows), len(x))) @ x
-    return bool(np.all((act - rows.rhs <= FEAS_TOL) | (rows.sense == SENSES.index(Sense.GE)))
-                and np.all((rows.rhs - act <= FEAS_TOL) | (rows.sense == SENSES.index(Sense.LE))))
+    return bool(np.all(act - rows.hi <= FEAS_TOL) and np.all(rows.lo - act <= FEAS_TOL))
 
 
 class _Search:
@@ -176,8 +170,8 @@ class _Search:
         self.opts = opts
         self.integral_obj = model.variant in (ModelVariant.MIN_SAME_COMPANY,
                                               ModelVariant.MIN_PAIRS)
-        self.n_c = len(model.meta["company_labels"])
-        self.n_students = len(model.meta["student_ids"])
+        self.n_c = model.roster.num_companies
+        self.n_students = len(model.roster.students)
 
         columns = model.variables
         nonneg = bool(np.all(columns.objective >= 0.0) and np.all(columns.lower >= 0.0))
@@ -207,6 +201,15 @@ class _Search:
         return np.array(self.model.binary_columns(), dtype=np.int64)
 
     # --- incumbent handling -------------------------------------------------
+
+    def _warm_point(self, warm: Assignment) -> np.ndarray:
+        """The warm start as a company per student index."""
+        students = self.model.roster.students
+        for s in students:
+            if warm.get(s.id) not in range(self.n_c):
+                raise ValueError(f"warm start has {warm.get(s.id)!r} for student {s.id!r}, "
+                                 f"not a company in [0, {self.n_c})")
+        return np.array([warm[s.id] for s in students], dtype=np.int64)
 
     def _try_incumbent(self, asg: np.ndarray) -> None:
         """Canonicalize, check against the rows, and keep if improving."""
@@ -260,8 +263,7 @@ class _Search:
         """Root heuristic: round the relaxation to the nearest assignment, descend
         from it over the x-block rows down to the floor, and offer a feasible
         end point as an incumbent."""
-        meta = self.model.meta
-        ev = MoveEvaluator(self.model.rows[:meta["x_rows"]], meta, self.model.variant)
+        ev = MoveEvaluator(self.model)
         ev.load(self._rounded(x))
         descend(ev, random.Random(self.opts.seed), 10 * self.n_students, self.floor)
         if ev.violation == 0.0:
@@ -341,8 +343,7 @@ class _Search:
         opts = self.opts
 
         if opts.warm_start is not None:
-            ids = self.model.meta["student_ids"]
-            self._try_incumbent(np.array([opts.warm_start[sid] for sid in ids], dtype=np.int64))
+            self._try_incumbent(self._warm_point(opts.warm_start))
 
         budget = False
         if not self._at_floor():
@@ -363,17 +364,18 @@ class _Search:
             bound, gap = glb, optimality_gap(inc, glb)
         status = (SolveStatus.PROVEN_OPTIMAL if inc - bound <= self._stop_tol()
                   else SolveStatus.FEASIBLE_GAP)
-        assignment = dict(zip(self.model.meta["student_ids"], self.inc_asg.tolist()))
+        assignment = dict(zip([s.id for s in self.model.roster.students], self.inc_asg.tolist()))
         self.inc_x.setflags(write=False)
         return SolveResult(status, assignment, inc, bound, gap, stats, self.inc_x)
 
 
 def solve_ip(model: IpModel, opts: SolveOptions | None = None) -> SolveResult:
     """Solve a model compiled from a roster to proven optimality (or a
-    budgeted incumbent).  Raises ValueError on a model without the roster
-    metadata ``compile_model`` records."""
+    budgeted incumbent).  Raises ValueError on a model not compiled from a
+    roster and on a warm start that leaves out a student or names a company
+    outside ``[0, |C|)``."""
     if model.num_vars < 1:
         raise ValueError("model has no variables")
-    if "student_ids" not in model.meta:
-        raise ValueError("model carries no roster metadata: compile it from a roster")
+    if model.roster is None:
+        raise ValueError("model carries no roster: compile it from one")
     return _Search(model, opts or SolveOptions()).run()

@@ -17,6 +17,9 @@ Columns and rows are emitted as array blocks, family by family, into one
 :class:`~cohort_shuffle.ipmodel.RowStore`; no column or row exists as a
 Python tuple until someone reads it.  Column and row order is a pure function of the
 roster, so compiling the same instance twice yields byte-identical exports.
+The model keeps the roster it came from, which decodes its solutions, and
+``x_rows``, the number of its leading rows over assignment columns alone:
+exactly the families :func:`~cohort_shuffle.roster.check_feasible` audits.
 """
 
 from __future__ import annotations
@@ -26,15 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from cohort_shuffle.ipmodel import (
-    ColumnBuilder,
-    IpModel,
-    ModelVariant,
-    RowBuilder,
-    RowStore,
-    Sense,
-    VarKind,
-)
+from cohort_shuffle.ipmodel import ColumnBuilder, IpModel, ModelVariant, RowBuilder, Sense, VarKind
 from cohort_shuffle.roster import Roster, windows
 
 INF = float("inf")
@@ -78,9 +73,14 @@ def _window(family: str, lo: float | None, hi: float | None,
             if bound is not None]
 
 
-def _assignment_rows(roster: Roster, variant: ModelVariant, rows: RowBuilder) -> dict:
-    """Add the x-block rows, family by family, to ``rows``; return the model
-    metadata with an empty ``pairs`` entry."""
+def compile_model(roster: Roster, variant: ModelVariant) -> IpModel:
+    """Build the requested variant as a row store over a column store."""
+    if not isinstance(variant, ModelVariant):
+        raise ValueError(f"unknown model variant: {variant!r}")
+    if not roster.students:
+        raise ValueError("cannot compile an empty roster")
+    if variant is not ModelVariant.MIN_SAME_COMPANY and roster.num_companies < 2:
+        raise ValueError("forbidding same-company reassignment needs at least 2 companies")
     students = roster.students
     n, n_c = len(students), roster.num_companies
     tol = roster.tolerances
@@ -106,6 +106,7 @@ def _assignment_rows(roster: Roster, variant: ModelVariant, rows: RowBuilder) ->
         rows.add([spec[:3] for spec in specs], ((),), [company_keys[c] for c in targets],
                  cols, coefs)
 
+    rows = RowBuilder()
     rows.add([("assign_once", Sense.EQ, 1.0)], student_keys, ((),),
              x_column(everyone[:, None], companies[None, :], n_c), 1.0)
 
@@ -150,59 +151,20 @@ def _assignment_rows(roster: Roster, variant: ModelVariant, rows: RowBuilder) ->
              [x_column(i, c, n_c) for i, targets in locks for c in targets], 1.0,
              lengths=[len(targets) for _, targets in locks])
 
-    old = [s.old_company for s in students]
+    old = np.array([s.old_company for s in students])
     if no_stay:
         rows.add([("no_stay", Sense.EQ, 0.0)], student_keys, ((),),
-                 x_column(everyone, np.array(old), n_c)[:, None], 1.0)
+                 x_column(everyone, old, n_c)[:, None], 1.0)
 
-    return {
-        "variant": variant.value,
-        "student_ids": tuple(s.id for s in students),
-        "company_labels": labels,
-        "old_company": tuple(old),
-        "aom_scores": tuple(s.aom for s in students),
-        "mom_scores": tuple(s.mom for s in students),
-        "aom_weight": roster.aom_weight,
-        "mom_weight": roster.mom_weight,
-        "pairs": (),
-    }
-
-
-def assignment_block(roster: Roster, variant: ModelVariant) -> tuple[RowStore, dict]:
-    """The x-block rows (those over assignment columns alone) and the model
-    metadata, whose ``pairs`` entry is left empty.
-
-    These are exactly the families :func:`~cohort_shuffle.roster.check_feasible`
-    audits: an assignment satisfies them all precisely when it passes.
-    """
-    rows = RowBuilder()
-    meta = _assignment_rows(roster, variant, rows)
-    return rows.build(), meta
-
-
-def compile_model(roster: Roster, variant: ModelVariant) -> IpModel:
-    """Build the requested variant as a row store over a column store."""
-    if not isinstance(variant, ModelVariant):
-        raise ValueError(f"unknown model variant: {variant!r}")
-    if not roster.students:
-        raise ValueError("cannot compile an empty roster")
-    if variant is not ModelVariant.MIN_SAME_COMPANY and roster.num_companies < 2:
-        raise ValueError("forbidding same-company reassignment needs at least 2 companies")
-    students = roster.students
-    n, n_c = len(students), roster.num_companies
-    labels = roster.company_labels
-
-    rows = RowBuilder()
-    meta = _assignment_rows(roster, variant, rows)
-    meta["x_rows"] = rows.count
+    # the x-block ends here: rows over assignment columns alone
+    x_rows = rows.count
     pair_list = acquainted_pairs(roster) if variant is ModelVariant.MIN_PAIRS else []
-    meta["pairs"] = tuple((students[a].id, students[b].id) for a, b in pair_list)
+    pair_keys = [(students[a].id, students[b].id) for a, b in pair_list]
 
-    company_keys = [(label,) for label in labels]
     columns = ColumnBuilder()
     stays = np.zeros((n, n_c))
     if variant is ModelVariant.MIN_SAME_COMPANY:
-        stays[np.arange(n), meta["old_company"]] = 1.0
+        stays[everyone, old] = 1.0
     columns.add("x", [(s.id,) for s in students], company_keys, VarKind.BINARY,
                 0.0, 1.0, stays.ravel())
     ordered_pairs = [(c, c2) for c in range(n_c) for c2 in range(n_c) if c2 != c]
@@ -210,7 +172,7 @@ def compile_model(roster: Roster, variant: ModelVariant) -> IpModel:
     if variant is ModelVariant.MERIT_DEVIATION:
         for name, weight in (("y", roster.aom_weight), ("z", roster.mom_weight)):
             columns.add(name, spread_keys, ((),), VarKind.CONTINUOUS, 0.0, INF, weight)
-    columns.add("u", meta["pairs"], ((),), VarKind.BINARY, 0.0, 1.0, 1.0)
+    columns.add("u", pair_keys, ((),), VarKind.BINARY, 0.0, 1.0, 1.0)
     x_base = n * n_c
 
     if variant is ModelVariant.MERIT_DEVIATION:
@@ -222,8 +184,8 @@ def compile_model(roster: Roster, variant: ModelVariant) -> IpModel:
         cols[:, :, :-1] = x_part.reshape(len(p), 1, 2 * n)
         cols[:, :2, -1] = (x_base + p)[:, None]
         cols[:, 2:, -1] = (x_base + len(p) + p)[:, None]
-        aom = np.array(meta["aom_scores"])
-        mom = np.array(meta["mom_scores"])
+        aom = np.array([s.aom for s in students])
+        mom = np.array([s.mom for s in students])
         a_diff = np.concatenate([aom, -aom])
         m_diff = np.concatenate([mom, -mom])
         coefs = np.column_stack([np.stack([a_diff, -a_diff, m_diff, -m_diff]), np.full(4, -1.0)])
@@ -236,7 +198,7 @@ def compile_model(roster: Roster, variant: ModelVariant) -> IpModel:
         cols = np.empty((len(pair_list), n_c, 3), dtype=np.int32)
         cols[:, :, :2] = x_column(pairs, np.arange(n_c)[None, :, None], n_c)
         cols[:, :, 2] = (x_base + np.arange(len(pair_list)))[:, None]
-        rows.add([("together", Sense.LE, 1.0)], meta["pairs"], company_keys,
+        rows.add([("together", Sense.LE, 1.0)], pair_keys, company_keys,
                  cols, np.array([1.0, 1.0, -1.0]))
 
-    return IpModel(variant, columns.build(), rows.build(), meta)
+    return IpModel(variant, columns.build(), rows.build(), roster, x_rows)

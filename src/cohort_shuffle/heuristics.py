@@ -8,17 +8,16 @@ which makes it an optimality witness on balanced instances.
 per-company statistic of a feasible previous assignment.  ``local_search``
 runs :func:`descend`, the one local search, from any start, feasible or
 not, down to the variant's objective floor; the warm start builds one
-:class:`MoveEvaluator` from the compiled model's x-block and loads each
-candidate start into it, every descent scanning the one relocation order
-the evaluator shuffled, and the branch-and-bound root heuristic runs the
-same descent from the rounded relaxation.  Once the assignment is
-feasible, the descent skips any move a row rejected while that row's
-activity and the moving students' companies are unchanged: such a move
-would be rejected again, so skipping it changes no decision.  For ``min``
-and ``pairs`` the evaluator reads a move's objective change from the
-cohort matrix before any row work, and rejects at once the moves that
-cannot lower (violation, objective); every verdict is the one the full row
-check would give.
+:class:`MoveEvaluator` from the compiled model and loads each candidate
+start into it, every descent scanning the one relocation order the
+evaluator shuffled, and the branch-and-bound root heuristic runs the same
+descent from the rounded relaxation.  Once the assignment is feasible, the
+descent skips any move a row rejected while that row's activity and the
+moving students' companies are unchanged: such a move would be rejected
+again, so skipping it changes no decision.  For ``min`` and ``pairs`` the
+evaluator reads a move's objective change from the cohort matrix before
+any row work, and rejects at once the moves that cannot lower (violation,
+objective); every verdict is the one the full row check would give.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ import numpy as np
 from scipy import sparse
 
 from cohort_shuffle.bounds import objective_floor
-from cohort_shuffle.compiler import assignment_block
-from cohort_shuffle.ipmodel import SENSES, ModelVariant, RowStore, Sense
+from cohort_shuffle.compiler import compile_model
+from cohort_shuffle.ipmodel import IpModel, ModelVariant
 from cohort_shuffle.roster import FEAS_TOL, Assignment, Roster, deviation_from_sums
 
 #: violation and objective changes within this count as no change
@@ -93,34 +92,34 @@ def rotate_within_battalions(roster: Roster, shift: int = 1) -> Assignment:
 class MoveEvaluator:
     """Row violation and objective of one assignment, updated per move.
 
-    Built from the x-block arrays of a compiled model
-    (``model.rows[:meta["x_rows"]]`` and ``meta``) or of
-    :func:`~cohort_shuffle.compiler.assignment_block`; :meth:`load` sets the
-    assignment, so one evaluator serves any number of starts, and
-    :meth:`relocation_order` shuffles their relocations once.  A row over one student's columns keeps a coefficient per
-    company; every other row lies within one company and sits, through one
-    CSC conversion, in the flat lists ``ptr``, ``idx`` and ``val`` (its
-    ``indptr``, ``indices`` and ``data``), column ``k`` being
-    ``idx[ptr[k]:ptr[k+1]]``, so a move costs O(touched rows) and a build
-    makes no list per column and no object per entry.  ``violation`` sums
-    how far rows miss their bounds beyond ``FEAS_TOL``, as ``check_feasible``
-    counts them, and is exactly 0.0 when none does.  The same shared entries
-    row by row, ``row_ptr`` and ``row_cols`` (int32 arrays), keep ``hot[k]``,
-    the number of violated shared rows over column ``k``, current when a
-    row's violation starts or ends.  The objective comes from the
-    (new, old) cohort matrix (stays are its diagonal) or the per-company aom/mom sums.
+    Built from a compiled model: its x-block rows
+    ``model.rows[:model.x_rows]`` and the students of ``model.roster``.
+    :meth:`load` sets the assignment, so one evaluator serves any number of
+    starts, and :meth:`relocation_order` shuffles their relocations once.  A
+    row over one student's columns keeps a coefficient per company; every
+    other row lies within one company and sits, through one CSC conversion,
+    in the flat lists ``ptr``, ``idx`` and ``val`` (its ``indptr``,
+    ``indices`` and ``data``), column ``k`` being ``idx[ptr[k]:ptr[k+1]]``,
+    so a move costs O(touched rows) and a build makes no list per column and
+    no object per entry.  ``violation`` sums how far rows miss their bounds
+    beyond ``FEAS_TOL``, as ``check_feasible`` counts them, and is exactly
+    0.0 when none does.  The same shared entries row by row, ``row_ptr`` and
+    ``row_cols`` (int32 arrays), keep ``hot[k]``, the number of violated
+    shared rows over column ``k``, current when a row's violation starts or
+    ends.  The objective comes from the (new, old) cohort matrix (stays are
+    its diagonal) or the per-company aom/mom sums.
     """
 
-    def __init__(self, rows: RowStore, meta: dict, variant: ModelVariant) -> None:
-        self.variant = variant
-        self.ids = meta["student_ids"]
-        self.n = n = len(self.ids)
-        self.n_c = n_c = len(meta["company_labels"])
-        self.old = list(meta["old_company"])
-        self.scores = (list(meta["aom_scores"]), list(meta["mom_scores"]))
-        self.weights = (meta["aom_weight"], meta["mom_weight"])
-        self.lo = np.where(rows.sense == SENSES.index(Sense.LE), -math.inf, rows.rhs).tolist()
-        self.hi = np.where(rows.sense == SENSES.index(Sense.GE), math.inf, rows.rhs).tolist()
+    def __init__(self, model: IpModel) -> None:
+        roster, rows, self.variant = model.roster, model.rows[:model.x_rows], model.variant
+        students = roster.students
+        self.ids = [s.id for s in students]
+        self.n = n = len(students)
+        self.n_c = n_c = roster.num_companies
+        self.old = [s.old_company for s in students]
+        self.scores = ([s.aom for s in students], [s.mom for s in students])
+        self.weights = (roster.aom_weight, roster.mom_weight)
+        self.lo, self.hi = rows.lo.tolist(), rows.hi.tolist()
         counts = np.diff(rows.indptr)
         row_of = np.repeat(np.arange(len(rows)), counts)
         student = rows.cols // n_c
@@ -444,12 +443,13 @@ def local_search(roster: Roster, start: Assignment, objective: ModelVariant,
 
     A feasible start stays feasible and only the objective falls; an
     infeasible one is first walked toward feasibility.  An ``evaluator``
-    built for the same roster and variant is loaded and reused.
+    built for the same roster and variant is loaded and reused; without one,
+    the model is compiled here.
     """
     asg = dict(start)
     if budget <= 0:
         return asg
-    ev = evaluator or MoveEvaluator(*assignment_block(roster, objective), objective)
+    ev = evaluator or MoveEvaluator(compile_model(roster, objective))
     ev.load([asg[sid] for sid in ev.ids])
     descend(ev, random.Random(seed), budget, objective_floor(roster, objective))
     asg.update(zip(ev.ids, ev.asg))

@@ -17,10 +17,13 @@ import enum
 import functools
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from cohort_shuffle.roster import Roster
 
 
 class ModelVariant(enum.Enum):
@@ -89,6 +92,10 @@ class RowStore(Sequence):
     + inner[i]``.  Indexing builds the row's :class:`LinearRow`; a slice with
     step 1 is a store over those rows that shares the arrays, its row 0 being
     row ``offset`` of the blocks.
+
+    ``lo`` and ``hi`` are new arrays of each row's interval for its activity,
+    decoded from ``sense`` and ``rhs``: ``[-inf, rhs]``, ``[rhs, inf]`` or
+    ``[rhs, rhs]``.
     """
 
     def __init__(self, indptr: np.ndarray, cols: np.ndarray, coefs: np.ndarray,
@@ -102,6 +109,14 @@ class RowStore(Sequence):
 
     def __len__(self) -> int:
         return len(self.rhs)
+
+    @property
+    def lo(self) -> np.ndarray:
+        return np.where(self.sense == SENSES.index(Sense.LE), -math.inf, self.rhs)
+
+    @property
+    def hi(self) -> np.ndarray:
+        return np.where(self.sense == SENSES.index(Sense.GE), math.inf, self.rhs)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -253,22 +268,21 @@ class ColumnBuilder:
 
 @dataclass(frozen=True)
 class IpModel:
-    """A compiled instance: columns, rows, and decoding metadata.
+    """A compiled instance: columns, rows, and the roster they came from.
 
     ``variables`` given as :class:`Variable` tuples are packed into a
     :class:`ColumnStore`, and ``rows`` given as :class:`LinearRow` tuples
-    into a :class:`RowStore`, once, on construction.  ``meta`` carries
-    everything needed to interpret a solution vector without the original
-    roster object: student ids, company labels, previous-company indices,
-    merit scores for the deviation objective, the same-previous-company pair
-    list for the pairs objective, and ``x_rows``, the count of leading rows
-    over assignment columns alone.
+    into a :class:`RowStore`, once, on construction.  ``roster`` is the
+    roster the model was compiled from, which decodes a solution vector into
+    students and companies; it is None only for a model built by hand.  The
+    first ``x_rows`` rows lie over assignment columns alone.
     """
 
     variant: ModelVariant
     variables: ColumnStore
     rows: RowStore
-    meta: dict = field(default_factory=dict)
+    roster: Roster | None = None
+    x_rows: int = 0
 
     def __post_init__(self) -> None:
         if not isinstance(self.variables, ColumnStore):

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from cohort_shuffle.bounds import Certificate, certify, objective_floor
 from cohort_shuffle.bounds import pairs_lower_bound  # noqa: F401  perfbench/tracer.py wraps it here
 from cohort_shuffle.branch_bound import SolveOptions, SolveResult, solve_ip
-from cohort_shuffle.compiler import assignment_block, compile_model
+from cohort_shuffle.compiler import compile_model
 from cohort_shuffle.heuristics import (MoveEvaluator, cyclic_deal, local_search,
                                        rotate_within_battalions)
-from cohort_shuffle.ipmodel import ModelVariant, RowStore
+from cohort_shuffle.ipmodel import IpModel, ModelVariant
 from cohort_shuffle.roster import (
     Assignment,
     Roster,
@@ -41,19 +41,22 @@ class PipelineResult:
 
 def build_warm_start(roster: Roster, variant: ModelVariant,
                      strategy: str = "auto", *, seed: int = 0, ls_budget: int = 200,
-                     block: tuple[RowStore, dict] | None = None) -> Assignment | None:
+                     model: IpModel | None = None) -> Assignment | None:
     """Cheapest feasible assignment the heuristics can find, else None.
 
     ``deal`` offers the cyclic deal as it is.  ``auto`` adds the two
     battalion rotations and descends each start, feasible or not, with
     ``local_search`` on one shared move evaluator until one meets the
-    objective floor.  The evaluator reads ``block``, the x-block rows and
-    metadata of the compiled model, compiled here when not given.  Only
-    assignments that pass the feasibility check the certificate uses are
-    returned, so a warm start can never poison a solve.
+    objective floor.  The evaluator is built from ``model``, which must have
+    been compiled from ``roster`` as ``variant`` (ValueError otherwise), and
+    is compiled here when not given.  Only assignments that pass the
+    feasibility check the certificate uses are returned, so a warm start can
+    never poison a solve.
     """
     if strategy not in WARM_STRATEGIES:
         raise ValueError(f"unknown warm-start strategy {strategy!r}")
+    if model is not None and (model.variant is not variant or model.roster != roster):
+        raise ValueError("the model was not compiled from this roster and variant")
     if strategy == "none":
         return None
     forbid = variant is not ModelVariant.MIN_SAME_COMPANY
@@ -61,7 +64,7 @@ def build_warm_start(roster: Roster, variant: ModelVariant,
     candidates = [cyclic_deal(roster)]
     if strategy == "auto":
         candidates += [rotate_within_battalions(roster), rotate_within_battalions(roster, shift=2)]
-        ev = MoveEvaluator(*(block or assignment_block(roster, variant)), variant)
+        ev = MoveEvaluator(model or compile_model(roster, variant))
 
     floor = objective_floor(roster, variant)
     best, best_obj = None, math.inf
@@ -96,9 +99,8 @@ def solve_roster(roster: Roster, variant: ModelVariant,
     model = compile_model(roster, variant)
 
     if opts.warm_start is None:
-        block = (model.rows[:model.meta["x_rows"]], model.meta)
         opts = dataclasses.replace(opts, warm_start=build_warm_start(
-            roster, variant, warm, seed=opts.seed, ls_budget=ls_budget, block=block))
+            roster, variant, warm, seed=opts.seed, ls_budget=ls_budget, model=model))
     if opts.external_lb is None:
         opts = dataclasses.replace(opts, external_lb=objective_floor(roster, variant))
 

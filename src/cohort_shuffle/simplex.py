@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from cohort_shuffle.ipmodel import SENSES, IpModel, Sense
+from cohort_shuffle.ipmodel import IpModel
 from cohort_shuffle.roster import FEAS_TOL
 
 #: primal feasibility tolerance: the auditor's, so a solver point re-validates
@@ -110,10 +110,10 @@ def standard_form(model: IpModel) -> "SimplexEngine":
     np.divide(1.0, row_max, out=row_scale, where=row_max > 0.0)
     a_csr = sparse.csr_matrix((rows.coefs * np.repeat(row_scale, counts), rows.cols, rows.indptr),
                               shape=(len(rows), model.num_vars))
-    slack_lo = np.where(rows.sense == SENSES.index(Sense.GE), -INF, 0.0)
-    slack_hi = np.where(rows.sense == SENSES.index(Sense.LE), INF, 0.0)
-    return SimplexEngine(columns.objective, a_csr.tocsc(), rows.rhs * row_scale, slack_lo, slack_hi,
-                         columns.lower, columns.upper, row_scale=row_scale)
+    # the slack s = rhs - A x of a row with interval [lo, hi] lies in [rhs - hi, rhs - lo]
+    return SimplexEngine(columns.objective, a_csr.tocsc(), rows.rhs * row_scale,
+                         rows.rhs - rows.hi, rows.rhs - rows.lo, columns.lower, columns.upper,
+                         row_scale=row_scale)
 
 
 @dataclass

@@ -21,6 +21,7 @@ from cohort_shuffle import (
     SolveOptions,
     SolveStatus,
     Tolerances,
+    build_warm_start,
     check_feasible,
     company_members,
     compile_model,
@@ -93,6 +94,10 @@ def test_failed_node_lps_are_solved_again_in_stable_mode(seed, monkeypatch):
         assert any(stable_calls)
 
 
+def ids(roster: Roster) -> list[str]:
+    return [s.id for s in roster.students]
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_compiled_rows_agree_with_the_auditor(seed):
     """The canonical point of a random assignment satisfies every compiled
@@ -106,7 +111,7 @@ def test_compiled_rows_agree_with_the_auditor(seed):
         for _ in range(40):
             asg = np.array([rng.randrange(n_c) for _ in range(n)], dtype=np.int64)
             point, _ = _canonical_point(model, asg)
-            audit = check_feasible(roster, dict(zip(model.meta["student_ids"], asg.tolist())),
+            audit = check_feasible(roster, dict(zip(ids(roster), asg.tolist())),
                                    forbid_same_company=variant is not MIN)
             assert _rows_hold(model.rows, point) == audit.feasible, (variant, asg)
 
@@ -120,16 +125,16 @@ def test_rows_outside_the_x_block_are_checked(variant):
     roster = generate(desk_spec(), seed=7)
     model = compile_model(roster, variant)
     asg = solve_roster(roster, variant, SolveOptions(node_limit=0)).result.assignment
-    point, _ = _canonical_point(model, np.array([asg[s] for s in model.meta["student_ids"]]))
+    point, _ = _canonical_point(model, np.array([asg[s] for s in ids(roster)]))
     assert _rows_hold(model.rows, point)
-    x_block = len(model.meta["student_ids"]) * len(model.meta["company_labels"])
+    x_block = len(roster.students) * roster.num_companies
     if variant is PAIRS:
         col = x_block + int(np.flatnonzero(point[x_block:] == 1.0)[0])
         point[col] = 0.0
     else:
         col = x_block + int(np.argmax(point[x_block:]))
         point[col] -= 1e-3
-    assert _rows_hold(model.rows[:model.meta["x_rows"]], point)
+    assert _rows_hold(model.rows[:model.x_rows], point)
     assert not _rows_hold(model.rows, point)
 
 
@@ -162,7 +167,7 @@ def _verdicts(roster: Roster, assignments: list[dict]) -> list[bool]:
     model = compile_model(roster, MIN)
     out = []
     for asg in assignments:
-        point, _ = _canonical_point(model, np.array([asg[s] for s in model.meta["student_ids"]]))
+        point, _ = _canonical_point(model, np.array([asg[s] for s in ids(roster)]))
         audit = check_feasible(roster, asg).feasible
         assert _rows_hold(model.rows, point) == audit, asg
         out.append(audit)
@@ -274,6 +279,23 @@ class TestWarmStartsAndBounds:
         assert res.objective == 0.0  # swapping the two students is feasible
         assert res.assignment == {"s00": 1, "s01": 0}
 
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    @pytest.mark.parametrize("fault", ["missing", "last->|C|", "first->-1"])
+    def test_malformed_warm_start_is_rejected(self, variant, fault):
+        """A warm start that leaves out a student or names a company outside
+        [0, |C|) is an error naming the student, whatever the variant."""
+        roster = generate(desk_spec(), seed=7)
+        first, last = roster.students[0].id, roster.students[-1].id
+        warm = dict(build_warm_start(roster, variant))
+        if fault == "missing":
+            del warm[last]
+        else:
+            warm[last if fault == "last->|C|" else first] = (
+                roster.num_companies if fault == "last->|C|" else -1)
+        named = first if fault == "first->-1" else last
+        with pytest.raises(ValueError, match=f"student {named!r}"):
+            solve_ip(compile_model(roster, variant), SolveOptions(warm_start=warm, node_limit=0))
+
     def test_incumbent_at_the_floor_ends_the_dive(self):
         roster = balanced_roster(4, 4)
         warm = rotate_within_battalions(roster)
@@ -360,7 +382,7 @@ class TestCanonicalObjectives:
         variables = (Variable("x0", VarKind.BINARY, 0.0, 1.0, -1.0),
                      Variable("x1", VarKind.BINARY, 0.0, 1.0, -1.0))
         rows = (LinearRow("cap", (), (0, 1), (1.0, 1.0), Sense.LE, 1.0),)
-        with pytest.raises(ValueError, match="roster metadata"):
+        with pytest.raises(ValueError, match="carries no roster"):
             solve_ip(IpModel(MIN, variables, rows))
 
     def test_empty_model_rejected(self):

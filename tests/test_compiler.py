@@ -79,11 +79,12 @@ class TestColumnLayout:
         assert y0.upper == float("inf")
         assert model.var_index("z[C3,C2]") > model.var_index("y[C3,C2]")
 
-    def test_var_index_leaves_meta_unchanged(self, tiny_roster):
+    def test_var_index_leaves_the_model_unchanged(self, tiny_roster):
         model = compile_model(tiny_roster, DEV)
-        keys = set(model.meta)
+        fields = [(f.name, getattr(model, f.name)) for f in dataclasses.fields(model)]
         assert model.var_index("y[C1,C2]") == 18
-        assert set(model.meta) == keys
+        assert all(getattr(model, name) is value for name, value in fields)
+        assert model.roster is tiny_roster and model.x_rows < model.num_rows
 
 
 class TestObjectives:
@@ -268,7 +269,7 @@ class TestRowStore:
         listed = list(model.rows)
         assert [model.rows[r] for r in range(model.num_rows)] == listed
         assert model.rows[-1] == listed[-1]
-        x_rows = model.meta["x_rows"]
+        x_rows = model.x_rows
         assert list(model.rows[:x_rows]) == listed[:x_rows]
         assert list(model.rows[3:x_rows + 4][1:]) == listed[4:x_rows + 4]
         assert model.rows[::3] == tuple(listed[::3])
@@ -285,6 +286,16 @@ class TestRowStore:
         assert list(model.rows) == list(rows)
         assert [row.name() for row in model.rows] == ["cap", "pin_a_1", "empty"]
         assert model.rows.cols.tolist() == [0, 2, 1]
+
+    def test_row_intervals_follow_the_sense(self):
+        variables = (Variable("v", VarKind.CONTINUOUS, 0.0, 1.0, 0.0),)
+        rows = (LinearRow("le", (), (0,), (1.0,), Sense.LE, 4.0),
+                LinearRow("eq", (), (0,), (1.0,), Sense.EQ, -0.0),
+                LinearRow("ge", (), (0,), (1.0,), Sense.GE, -1.0))
+        store = IpModel(MIN, variables, rows).rows
+        assert store.lo.tolist() == [-math.inf, -0.0, -1.0]
+        assert store.hi.tolist() == [4.0, -0.0, math.inf]
+        assert store[1:].lo.tolist() == [-0.0, -1.0] and store[:1].hi.tolist() == [4.0]
 
 
 def listed_variables(roster: Roster, variant: ModelVariant) -> list[Variable]:

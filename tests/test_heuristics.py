@@ -29,9 +29,9 @@ from cohort_shuffle import (
     solve_roster,
     weighted_deviation,
 )
-from cohort_shuffle import pipeline
+from cohort_shuffle import heuristics, pipeline
 from cohort_shuffle.bounds import objective_floor
-from cohort_shuffle.compiler import assignment_block, compile_model
+from cohort_shuffle.compiler import compile_model
 from cohort_shuffle.heuristics import EPS, MoveEvaluator, _take_first, descend
 from cohort_shuffle.roster import FEAS_TOL
 from conftest import balanced_roster, identity_assignment, mk_student, oracle_instance
@@ -163,7 +163,7 @@ class TestLocalSearch:
     def test_feasible_start_at_the_floor_tries_no_move(self, monkeypatch):
         r = balanced_roster(3, 3)  # the deal meets the pigeonhole bound of 3
         deal = cyclic_deal(r)
-        ev = MoveEvaluator(*assignment_block(r, PAIRS), PAIRS)
+        ev = MoveEvaluator(compile_model(r, PAIRS))
         ev.load([deal[s.id] for s in r.students])
         assert ev.violation == 0.0 and ev.objective == 3.0
         tried = []
@@ -191,7 +191,7 @@ class TestWarmStart:
     def test_a_full_solve_does_no_rebuild_work(self, monkeypatch):
         # dev's floor of 0 is never met, so all three starts are descended
         r = generate(desk_spec(), seed=7)
-        descents, shuffled = [], []
+        descents, shuffled, compiled = [], [], []
         real_search, real_shuffle = pipeline.local_search, random.Random.shuffle
 
         def counted_search(*args, **kwargs):
@@ -202,16 +202,27 @@ class TestWarmStart:
             shuffled.append(len(x))
             return real_shuffle(rng, x)
 
-        def no_rebuild(*args, **kwargs):
-            raise AssertionError("the x-block was compiled a second time")
+        def counted_compile(*args, **kwargs):
+            compiled.append(args)
+            return compile_model(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "local_search", counted_search)
-        monkeypatch.setattr(pipeline, "assignment_block", no_rebuild)
         monkeypatch.setattr(random.Random, "shuffle", counted_shuffle)
+        for module in (pipeline, heuristics):
+            monkeypatch.setattr(module, "compile_model", counted_compile)
         out = solve_roster(r, DEV, SolveOptions(node_limit=0))
         assert out.certificate.ok
         assert len(descents) == 3
         assert shuffled.count(len(r.students) * r.num_companies) == 1
+        assert compiled == [(r, DEV)]
+
+    def test_a_model_of_another_roster_or_variant_is_rejected(self):
+        r = generate(desk_spec(), seed=7)
+        for model in (compile_model(r, PAIRS), compile_model(generate(desk_spec(), seed=8), DEV)):
+            with pytest.raises(ValueError, match="not compiled from this roster"):
+                build_warm_start(r, DEV, model=model)
+        same = build_warm_start(r, DEV, model=compile_model(generate(desk_spec(), seed=7), DEV))
+        assert same == build_warm_start(r, DEV)
 
     def test_desk_seed_111_pairs_is_proven_at_the_bound(self):
         r = generate(desk_spec(), seed=111)
@@ -265,7 +276,7 @@ class TestMoveEvaluator:
         rng = random.Random(seed)
         n, n_c = len(roster.students), roster.num_companies
         for variant in ModelVariant:
-            ev = MoveEvaluator(*assignment_block(roster, variant), variant)
+            ev = MoveEvaluator(compile_model(roster, variant))
             ev.load([rng.randrange(n_c) for _ in range(n)])
             self.assert_agrees(roster, ev, variant)
             for _ in range(20):
@@ -281,8 +292,8 @@ class TestMoveEvaluator:
     @pytest.mark.parametrize("variant", list(ModelVariant))
     def test_loading_after_a_descent_matches_a_fresh_evaluator(self, variant):
         roster = generate(desk_spec(), seed=7)
-        block = assignment_block(roster, variant)
-        ev, fresh = MoveEvaluator(*block, variant), MoveEvaluator(*block, variant)
+        model = compile_model(roster, variant)
+        ev, fresh = MoveEvaluator(model), MoveEvaluator(model)
         first, second = cyclic_deal(roster), rotate_within_battalions(roster)
         ev.load([first[s.id] for s in roster.students])
         descend(ev, random.Random(0), 200, -math.inf)
@@ -314,8 +325,8 @@ class TestMoveEvaluator:
         n, n_c = len(roster.students), roster.num_companies
         taken = {True: 0, False: 0}
         for variant in ModelVariant:
-            block = assignment_block(roster, variant)
-            ev, probe = MoveEvaluator(*block, variant), MoveEvaluator(*block, variant)
+            model = compile_model(roster, variant)
+            ev, probe = MoveEvaluator(model), MoveEvaluator(model)
             ev.load([rng.randrange(n_c) for _ in range(n)])
             # a random start, the same after a few repair moves, and descended
             for budget, feasible in ((0, False), (3, False), (10 * n, True)):
@@ -348,7 +359,7 @@ class TestMoveEvaluator:
     @pytest.mark.parametrize("variant", list(ModelVariant))
     def test_local_search_reuses_an_evaluator(self, variant):
         roster = generate(desk_spec(), seed=7)
-        ev = MoveEvaluator(*assignment_block(roster, variant), variant)
+        ev = MoveEvaluator(compile_model(roster, variant))
         for start in TestRejectionMemo.starts(roster):
             assert (local_search(roster, start, variant, 200, seed=3, evaluator=ev)
                     == local_search(roster, start, variant, 200, seed=3))
@@ -357,8 +368,8 @@ class TestMoveEvaluator:
     def test_build_matches_a_row_by_row_build(self, variant):
         roster = generate(desk_spec(), seed=7)
         model = compile_model(roster, variant)
-        rows, n_c = model.rows[:model.meta["x_rows"]], roster.num_companies
-        ev = MoveEvaluator(rows, model.meta, variant)
+        rows, n_c = model.rows[:model.x_rows], roster.num_companies
+        ev = MoveEvaluator(model)
         student_rows = [[] for _ in roster.students]
         shared = []
         for r, row in enumerate(rows):
@@ -381,7 +392,7 @@ class TestMoveEvaluator:
 
     def test_equally_seeded_descents_share_one_relocation_order(self):
         roster = generate(desk_spec(), seed=7)
-        ev = MoveEvaluator(*assignment_block(roster, PAIRS), PAIRS)
+        ev = MoveEvaluator(compile_model(roster, PAIRS))
         order = list(range(ev.n * ev.n_c))
         plain = random.Random(3)
         plain.shuffle(order)
@@ -394,7 +405,7 @@ class TestMoveEvaluator:
     @pytest.mark.parametrize("variant", list(ModelVariant))
     def test_shared_rows_hold_one_object_per_distinct_value(self, variant):
         roster = generate(desk_spec(), seed=7)
-        ev = MoveEvaluator(*assignment_block(roster, variant), variant)
+        ev = MoveEvaluator(compile_model(roster, variant))
         assert len(ev.idx) > len(set(ev.idx)) and len(ev.val) > len(set(ev.val))
         for values in (ev.idx, ev.val):
             assert len({id(v) for v in values}) == len(set(values))
@@ -441,7 +452,7 @@ class TestRejectionMemo:
 
     @staticmethod
     def counted_descent(descent, roster, variant, start, budget):
-        ev = MoveEvaluator(*assignment_block(roster, variant), variant)
+        ev = MoveEvaluator(compile_model(roster, variant))
         ev.load([start[s.id] for s in roster.students])
         tries = [0]
         real = ev.try_moves
@@ -482,8 +493,8 @@ class TestRejectionMemo:
             rng = random.Random(seed)
             n, n_c = len(roster.students), roster.num_companies
             for variant in ModelVariant:
-                block = assignment_block(roster, variant)
-                ev, probe = MoveEvaluator(*block, variant), MoveEvaluator(*block, variant)
+                model = compile_model(roster, variant)
+                ev, probe = MoveEvaluator(model), MoveEvaluator(model)
                 ev.load([rng.randrange(n_c) for _ in range(n)])
                 descend(ev, rng, 10 * n, -math.inf)
                 if ev.violation != 0.0:
