@@ -132,13 +132,21 @@ def decode_assignment(model: IpModel, primal) -> Assignment:
     return dict(zip(ids, ones.argmax(axis=1).tolist()))
 
 
-def _canonical_point(model: IpModel, asg: np.ndarray) -> tuple[np.ndarray, float]:
+def _pair_index(model: IpModel) -> np.ndarray:
+    """The roster's acquainted pairs as a (pairs, 2) array of student
+    indices, in the order of the model's co-location columns."""
+    return np.array(acquainted_pairs(model.roster), dtype=np.int64).reshape(-1, 2)
+
+
+def _canonical_point(model: IpModel, asg: np.ndarray,
+                     pairs: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Exact 0/1 point and objective for an assignment, extras included.
 
     The objective is :func:`~cohort_shuffle.roster.assignment_objective` on
     the model's roster, the one ``certify`` recomputes.  Spread variables
     become the realized absolute differences of the roster's ``score_sums``
-    and co-location variables the 0/1 indicators of its acquainted pairs.
+    and co-location variables the 0/1 indicators of its acquainted pairs,
+    ``pairs`` from :func:`_pair_index`, built here when not given.
     """
     roster = model.roster
     n_c = roster.num_companies
@@ -152,7 +160,8 @@ def _canonical_point(model: IpModel, asg: np.ndarray) -> tuple[np.ndarray, float
         c, c2 = np.array([(c, c2) for c in range(n_c) for c2 in range(n_c) if c2 != c]).T
         extra[:] = np.abs(np.concatenate([s[c] - s[c2] for s in sums]))
     elif model.variant is ModelVariant.MIN_PAIRS:
-        pairs = np.array(acquainted_pairs(roster), dtype=np.int64).reshape(-1, 2)
+        if pairs is None:
+            pairs = _pair_index(model)
         extra[:] = asg[pairs[:, 0]] == asg[pairs[:, 1]]
     return x, assignment_objective(roster, mapping, model.variant)
 
@@ -196,6 +205,11 @@ class _Search:
         return standard_form(self.model)
 
     @functools.cached_property
+    def pairs(self) -> np.ndarray | None:
+        """A pairs model's co-location pairs, listed at the first incumbent."""
+        return _pair_index(self.model) if self.model.variant is ModelVariant.MIN_PAIRS else None
+
+    @functools.cached_property
     def binary_cols(self) -> np.ndarray:
         """The columns a node LP branches on, listed at the first one."""
         return np.array(self.model.binary_columns(), dtype=np.int64)
@@ -213,7 +227,7 @@ class _Search:
 
     def _try_incumbent(self, asg: np.ndarray) -> None:
         """Canonicalize, check against the rows, and keep if improving."""
-        x, obj = _canonical_point(self.model, asg)
+        x, obj = _canonical_point(self.model, asg, self.pairs)
         if not _rows_hold(self.model.rows, x):
             return
         if self.inc_obj is None or obj < self.inc_obj - 1e-12:

@@ -95,6 +95,18 @@ def _default_workers() -> int:
     return 1
 
 
+def _nonnegative(cast):
+    """An argparse type: the option's text read by ``cast`` (``int`` or
+    ``float``), rejected as a usage error unless it is at least 0."""
+    def parse(text: str):
+        value = cast(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be at least 0, not {text}")
+        return value
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value: ..."
+    return parse
+
+
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--roster", required=True, help="student CSV file")
     p.add_argument("--config", required=True, help="companion config file")
@@ -129,10 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(p)
     p.add_argument("--variant", choices=[v.value for v in ModelVariant], required=True)
     p.add_argument("--out", help="assignment CSV (a .meta.json sidecar is written too)")
-    p.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
-    p.add_argument("--gap-abs", type=float, default=0.0)
-    p.add_argument("--gap-rel", type=float, default=0.0)
-    p.add_argument("--node-limit", type=int, default=None)
+    p.add_argument("--time-limit", type=_nonnegative(float), default=None, metavar="SECONDS")
+    p.add_argument("--gap-abs", type=_nonnegative(float), default=0.0)
+    p.add_argument("--gap-rel", type=_nonnegative(float), default=0.0)
+    p.add_argument("--node-limit", type=_nonnegative(int), default=None)
     p.add_argument("--workers", type=int, default=None,
                    help="tree workers to record; the search runs on one thread "
                         "(default $COHORT_SHUFFLE_THREADS or 1)")
@@ -140,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--external-lb", type=float, default=None,
                    help="trusted lower bound on the optimum")
     p.add_argument("--warm", choices=WARM_STRATEGIES, default="auto")
-    p.add_argument("--ls-budget", type=int, default=200)
+    p.add_argument("--ls-budget", type=_nonnegative(int), default=200)
 
     p = sub.add_parser("certify", help="audit a saved assignment")
     _add_instance_args(p)

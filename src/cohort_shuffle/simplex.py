@@ -11,20 +11,16 @@ One algorithm solves every LP: the bounded dual simplex, with dual
 steepest-edge choice of the leaving row and a long-step ratio test that
 flips boxed columns to their other bound instead of entering them while
 the leaving row stays infeasible.  It runs from a dual-feasible basis.  A
+root LP starts from the slack basis with every structural on the bound
+its cost prefers: the lower for a positive cost, the upper for a negative
+one, either for a cost of 0.  That start is dual feasible when those
+bounds are finite, as in every model variant, whose columns are binaries
+in [0, 1] or spread columns in [0, inf) under a nonnegative weight.  A
 branch-and-bound child starts from its parent's optimal basis, which one
-bound fix leaves dual feasible.  A root LP starts from the slack basis
-with every structural on the bound its cost prefers, which is dual
-feasible whenever those bounds are finite, as in every model variant.
-
-Otherwise a dual phase 1 finds the start (Koberstein and Suhl, "Progress
-in the dual simplex method for large scale LP problems: practical dual
-phase 1 algorithms", 2007).  The dual solves an auxiliary LP with the same
-rows, a right-hand side of 0, and every bound replaced by 0, or by -1 or
-+1 where it is infinite.  Every column of that LP is boxed, so it starts
-dual feasible.  At an auxiliary optimum of 0 its basis is dual feasible
-for the real LP.  A negative optimum is a ray of negative cost, so no
-dual-feasible basis exists and the LP is infeasible or unbounded; one
-dual run at zero cost tells which.
+bound fix leaves dual feasible.  An LP whose start would rest a column on
+an infinite bound is not solved: :meth:`SimplexEngine.solve` raises
+ValueError on it.  A dual-feasible start bounds the objective from below,
+so a finished solve ends optimal or infeasible.
 
 Every optimum of the LP itself is re-verified against primal residual
 and reduced-cost sign conditions; verification failures trigger
@@ -60,7 +56,7 @@ VERIFY_RETRIES = 3
 #: iterations between two reads of the clock against a solve's deadline
 DEADLINE_EVERY = 20
 
-AT_LOWER, AT_UPPER, BASIC, FREE = 0, 1, 2, 3
+AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
 
 INF = float("inf")
 
@@ -68,7 +64,6 @@ INF = float("inf")
 class LpStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration_limit"
     NUMERIC_FAILURE = "numeric_failure"
     TIME_LIMIT = "time_limit"
@@ -128,14 +123,13 @@ class Basis:
 
 class _State:
     """Mutable per-solve state; everything on the engine stays read-only.
-    Bounds, costs and right-hand side are those of the LP being solved:
-    the engine's, or in a dual phase 1 the auxiliary or zero-cost one."""
+    The bounds are the solve's, of structural and slack columns alike."""
 
-    __slots__ = ("bl", "bu", "cost", "b", "x", "vstat", "basis", "binv",
+    __slots__ = ("bl", "bu", "x", "vstat", "basis", "binv",
                  "iterations", "pivots", "want_refactor", "fresh")
 
-    def __init__(self, bl: np.ndarray, bu: np.ndarray, cost: np.ndarray, b: np.ndarray) -> None:
-        self.bl, self.bu, self.cost, self.b = bl, bu, cost, b
+    def __init__(self, bl: np.ndarray, bu: np.ndarray) -> None:
+        self.bl, self.bu = bl, bu
         self.iterations = 0
         self.pivots = 0
         self.want_refactor = False
@@ -157,6 +151,7 @@ class SimplexEngine:
         self.n = a_csc.shape[1]
         self.m = a_csc.shape[0]
         self.c = c
+        self.cost = np.concatenate([c, np.zeros(self.m)])
         self.a_csc = a_csc
         self.at_csr = a_csc.T.tocsr()
         self.b = b
@@ -177,8 +172,8 @@ class SimplexEngine:
         return st.binv[:, j - self.n].copy()
 
     def _reduced_costs(self, st: _State) -> tuple[np.ndarray, np.ndarray]:
-        y = st.binv.T @ st.cost[st.basis]
-        return st.cost - np.concatenate([self.at_csr @ y, y]), y
+        y = st.binv.T @ self.cost[st.basis]
+        return self.cost - np.concatenate([self.at_csr @ y, y]), y
 
     def _refactor(self, st: _State) -> None:
         """Invert the basis through its structural block alone.
@@ -208,7 +203,7 @@ class SimplexEngine:
         # recompute basic values from the nonbasic point to kill drift
         xn = st.x.copy()
         xn[st.basis] = 0.0
-        st.x[st.basis] = st.binv @ (st.b - self.a_csc @ xn[:n] - xn[n:])
+        st.x[st.basis] = st.binv @ (self.b - self.a_csc @ xn[:n] - xn[n:])
 
     def _pivot(self, st: _State, r: int, q: int, w: np.ndarray, every: int) -> bool:
         """Make column ``q`` basic in row ``r`` given its ftran ``w``, updating
@@ -242,50 +237,39 @@ class SimplexEngine:
             return LpStatus.TIME_LIMIT
         return None
 
-    def _resting(self, d: np.ndarray, bl: np.ndarray, bu: np.ndarray,
-                 basis: np.ndarray) -> np.ndarray | None:
-        """Statuses that rest each nonbasic column on the bound its reduced
-        cost ``d`` prefers: the lower for a positive one, the upper for a
-        negative one, and at zero the lower if finite, else the upper, else
-        free at 0.  None when a preferred bound is infinite, as then no
-        such start is dual feasible."""
-        eps = OPT_EPS * (1.0 + float(np.max(np.abs(self.c), initial=0.0)))
-        up, down = d < -eps, d > eps
-        vstat = np.where(bl > -INF, AT_LOWER, np.where(bu < INF, AT_UPPER, FREE)).astype(np.int8)
-        vstat[up] = AT_UPPER
-        vstat[basis] = BASIC
-        if np.any((vstat != BASIC) & ((up & (bu == INF)) | (down & (bl == -INF)))):
-            return None
-        return vstat
+    def _resting(self, bl: np.ndarray, bu: np.ndarray) -> np.ndarray:
+        """Statuses of the slack basis: every slack basic and every
+        structural on the bound its cost prefers, the lower for a positive
+        cost, the upper for a negative one, and at zero the lower if finite,
+        else the upper.  Raises ValueError when a preferred bound is
+        infinite, as then the start is not dual feasible."""
+        n, c = self.n, self.c
+        eps = OPT_EPS * (1.0 + float(np.max(np.abs(c), initial=0.0)))
+        up = (c < -eps) | ((c <= eps) & (bl[:n] == -INF))
+        infinite = np.flatnonzero(np.isinf(np.where(up, bu[:n], bl[:n])))
+        if len(infinite):
+            j = int(infinite[0])
+            raise ValueError(
+                f"column {j} (cost {c[j]:g}, bounds [{bl[j]:g}, {bu[j]:g}]) cannot start the dual "
+                "simplex: every column must rest on a finite bound its cost prefers (the lower "
+                "for a positive cost, the upper for a negative one, either for cost 0)")
+        return np.concatenate([np.where(up, AT_UPPER, AT_LOWER),
+                               np.full(self.m, BASIC)]).astype(np.int8)
 
-    def _state(self, bl: np.ndarray, bu: np.ndarray, cost: np.ndarray, b: np.ndarray,
-               basis: np.ndarray | None = None, vstat: np.ndarray | None = None) -> _State | None:
-        """A refactored state of the LP with these bounds, costs and
-        right-hand side, from ``basis`` and ``vstat``, or else from the
-        slack basis with every structural on the bound its cost prefers;
-        None when a nonbasic column would rest on an infinite bound."""
-        if basis is None:
-            basis = self.n + np.arange(self.m)
-            vstat = self._resting(cost, bl, bu, basis)
-            if vstat is None:
-                return None
-        st = _State(bl, bu, cost, b)
+    def _state(self, bl: np.ndarray, bu: np.ndarray, basis: np.ndarray,
+               vstat: np.ndarray) -> _State | None:
+        """A refactored state of the LP with these bounds, from ``basis`` and
+        ``vstat``; None when a nonbasic column would rest on an infinite
+        bound."""
+        st = _State(bl, bu)
         st.basis, st.vstat = basis.copy(), vstat.copy()
-        st.x = np.where(st.vstat == AT_LOWER, bl, np.where(st.vstat == AT_UPPER, bu, 0.0))
+        st.x = np.where(st.vstat == AT_UPPER, bu, bl)
         st.x[st.basis] = 0.0
         nb = st.vstat != BASIC
         if not np.all(np.isfinite(st.x[nb]) & (st.x[nb] >= bl[nb]) & (st.x[nb] <= bu[nb])):
             return None
         self._refactor(st)
         return st
-
-    def _priced(self, st: _State, d: np.ndarray, eps: float) -> np.ndarray:
-        """Nonbasic columns free to move whose reduced cost has the wrong sign
-        for an optimum by more than ``eps``."""
-        vs = st.vstat
-        return (vs != BASIC) & (st.bu > st.bl) & (
-            ((vs == AT_LOWER) & (d < -eps)) | ((vs == AT_UPPER) & (d > eps))
-            | ((vs == FREE) & (np.abs(d) > eps)))
 
     def _dual(self, st: _State, max_iter: int, deadline: float | None, stable: bool) -> LpStatus:
         """Bounded dual simplex from a dual-feasible state.
@@ -332,9 +316,8 @@ class SimplexEngine:
             alpha = s * np.concatenate([self.at_csr @ st.binv[r], st.binv[r]])
             vs = st.vstat
             j = np.flatnonzero(movable & (
-                ((vs == AT_LOWER) & (alpha < -PIVOT_EPS)) | ((vs == AT_UPPER) & (alpha > PIVOT_EPS))
-                | ((vs == FREE) & (np.abs(alpha) > PIVOT_EPS))))
-            ratio = np.where(vs[j] == FREE, 0.0, np.maximum(-d[j] / alpha[j], 0.0))
+                ((vs == AT_LOWER) & (alpha < -PIVOT_EPS)) | ((vs == AT_UPPER) & (alpha > PIVOT_EPS))))
+            ratio = np.maximum(-d[j] / alpha[j], 0.0)
             order = np.lexsort((-np.abs(alpha[j]), ratio))
             j, ratio = j[order], ratio[order]
             slope = infeas[r] - np.cumsum((st.bu[j] - st.bl[j]) * np.abs(alpha[j]))
@@ -380,10 +363,14 @@ class SimplexEngine:
         if np.any(x < st.bl - FEAS_EPS) or np.any(x > st.bu + FEAS_EPS):
             return False
         act = self.a_csc @ x[:self.n] + x[self.n:]
-        if float(np.max(np.abs(act - st.b), initial=0.0)) > FEAS_EPS * self._res_scale:
+        if float(np.max(np.abs(act - self.b), initial=0.0)) > FEAS_EPS * self._res_scale:
             return False
+        # no nonbasic column free to move has a reduced cost of the wrong sign
         d, _ = self._reduced_costs(st)
-        return not self._priced(st, d, 10 * OPT_EPS * (1.0 + float(np.max(np.abs(st.cost))))).any()
+        eps = 10 * OPT_EPS * (1.0 + float(np.max(np.abs(self.cost))))
+        vs = st.vstat
+        return not np.any((st.bu > st.bl) & (((vs == AT_LOWER) & (d < -eps))
+                                             | ((vs == AT_UPPER) & (d > eps))))
 
     def solve(self, lower: np.ndarray | None = None,
               upper: np.ndarray | None = None, *,
@@ -393,16 +380,16 @@ class SimplexEngine:
 
         The dual runs from ``start``, a basis that was optimal under looser
         bounds (a branching parent's), unless one of its nonbasic columns
-        would rest on an infinite bound.  Otherwise it runs from the slack
-        basis when every structural's preferred bound is finite, and from
-        the basis of a dual phase 1 when not.  ``stable`` ignores ``start``,
-        refactors every 20 pivots and takes as leaving row the violated one
-        of lowest basic column index, used to retry a failed solve.  An
-        optimum that still fails verification after ``VERIFY_RETRIES``
-        refactorized resumptions, or a singular basis, ends the solve with
-        ``NUMERIC_FAILURE``.  Past ``deadline`` (a :func:`time.monotonic`
-        value, checked every ``DEADLINE_EVERY`` iterations) the solve ends
-        with ``TIME_LIMIT``.
+        would rest on an infinite bound, and otherwise from the slack basis
+        with every structural on the bound its cost prefers, which must be
+        finite: a column whose cost prefers an infinite bound raises
+        ValueError.  ``stable`` ignores ``start``, refactors every 20 pivots
+        and takes as leaving row the violated one of lowest basic column
+        index, used to retry a failed solve.  An optimum that still fails
+        verification after ``VERIFY_RETRIES`` refactorized resumptions, or a
+        singular basis, ends the solve with ``NUMERIC_FAILURE``.  Past
+        ``deadline`` (a :func:`time.monotonic` value, checked every
+        ``DEADLINE_EVERY`` iterations) the solve ends with ``TIME_LIMIT``.
         """
         lo = self.default_lower if lower is None else lower
         hi = self.default_upper if upper is None else upper
@@ -413,31 +400,12 @@ class SimplexEngine:
 
         bl = np.concatenate([lo, self.slack_lo])
         bu = np.concatenate([hi, self.slack_hi])
-        cost = np.concatenate([self.c, np.zeros(self.m)])
         st = None
         try:
             if start is not None and not stable:
-                st = self._state(bl, bu, cost, self.b, start.basis, start.vstat)
+                st = self._state(bl, bu, start.basis, start.vstat)
             if st is None:
-                st = self._state(bl, bu, cost, self.b)
-            if st is None:
-                # dual phase 1: the auxiliary LP is boxed, so its cold start is dual feasible
-                st = self._state(np.where(bl > -INF, 0.0, -1.0), np.where(bu < INF, 0.0, 1.0),
-                                 cost, np.zeros(self.m))
-                status = self._dual(st, max_iter, deadline, stable)
-                if status is not LpStatus.OPTIMAL:
-                    return LpSolution(status, st.iterations)
-                aux = st
-                vstat = self._resting(self._reduced_costs(aux)[0], bl, bu, aux.basis)
-                if vstat is None:
-                    # a negative optimum: infeasible unless feasible at zero cost
-                    st = self._state(bl, bu, np.zeros_like(cost), self.b)
-                    st.iterations = aux.iterations
-                    status = self._dual(st, max_iter, deadline, stable)
-                    return LpSolution(LpStatus.UNBOUNDED if status is LpStatus.OPTIMAL else status,
-                                      st.iterations)
-                st = self._state(bl, bu, cost, self.b, aux.basis, vstat)
-                st.iterations = aux.iterations
+                st = self._state(bl, bu, self.n + np.arange(self.m), self._resting(bl, bu))
 
             for attempt in range(VERIFY_RETRIES + 1):
                 status = self._dual(st, max_iter, deadline, stable)
@@ -463,7 +431,10 @@ def solve_lp(model: IpModel, *, max_iter: int | None = None) -> LpSolution:
     Integrality markers are ignored; binaries contribute their [0, 1]
     bounds.  At an optimum the solution holds the point and one dual value
     per constraint row (the sensitivity of the optimal objective to that
-    row's right-hand side) as float64 arrays.
+    row's right-hand side) as float64 arrays.  Every column must have a
+    finite bound its cost prefers (the lower for a positive cost, the upper
+    for a negative one, either for cost 0), as every compiled model's
+    columns do; a model with one that does not raises ValueError.
     """
     if model.num_vars < 1:
         raise ValueError("model has no variables")

@@ -8,6 +8,7 @@ the optimal objective and infeasibility verdicts.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 import statistics
 
@@ -21,6 +22,7 @@ from cohort_shuffle import (
     SolveOptions,
     SolveStatus,
     Tolerances,
+    acquainted_pairs,
     build_warm_start,
     check_feasible,
     company_members,
@@ -376,6 +378,26 @@ class TestCanonicalObjectives:
         for p, (c, c2) in enumerate(pairs):
             assert res.primal[y_base + p] == pytest.approx(abs(aom[c] - aom[c2]), abs=1e-9)
             assert res.primal[z_base + p] == pytest.approx(abs(mom[c] - mom[c2]), abs=1e-9)
+
+    def test_a_solve_lists_the_acquainted_pairs_once(self, monkeypatch):
+        """A pairs solve from the worst feasible assignment offers that start
+        and the root repair's end point as incumbents, and lists the
+        roster's acquainted pairs for them once."""
+        roster = oracle_instance(9)
+        every = (dict(zip(ids(roster), combo)) for combo in
+                 itertools.product(range(roster.num_companies), repeat=len(roster.students)))
+        worst = max((asg for asg in every
+                     if check_feasible(roster, asg, forbid_same_company=True).feasible),
+                    key=lambda asg: count_pairs(roster, asg))
+        listed, offered = [], []
+        try_incumbent = _Search._try_incumbent
+        monkeypatch.setattr(branch_bound, "acquainted_pairs",
+                            lambda r: listed.append(r) or acquainted_pairs(r))
+        monkeypatch.setattr(_Search, "_try_incumbent",
+                            lambda self, asg: offered.append(asg) or try_incumbent(self, asg))
+        res = solve_ip(compile_model(roster, PAIRS), SolveOptions(warm_start=worst))
+        assert res.objective == oracle_best(roster, PAIRS) < count_pairs(roster, worst)
+        assert len(offered) >= 2 and len(listed) <= 1
 
     def test_model_without_roster_metadata_rejected(self):
         # min -x0 - x1 subject to x0 + x1 <= 1 over binaries, compiled from no roster

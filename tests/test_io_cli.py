@@ -195,6 +195,17 @@ class TestExitCodes:
                        "--variant", "dev", "--time-limit", "0", "--warm", "none"])
         assert rc == 3
 
+    @pytest.mark.parametrize("flag", ["--time-limit", "--node-limit", "--ls-budget",
+                                      "--gap-abs", "--gap-rel"])
+    def test_negative_budget_or_gap_is_a_usage_error(self, flag, desk_files, capsys):
+        """A negative budget or gap exits 1 before any solve; 0 is a valid value."""
+        roster, config = desk_files
+        solve = ["solve", "--roster", str(roster), "--config", str(config), "--variant", "min"]
+        assert cli.main([*solve, flag, "-1"]) == 1
+        assert f"argument {flag}: must be at least 0, not -1" in capsys.readouterr().err
+        assert cli.main([*solve, flag, "0"]) in (0, 3)
+        assert "error" not in capsys.readouterr().err
+
     def test_certify_tampered_result_exits_4(self, desk_files, tmp_path):
         roster, config = desk_files
         out = tmp_path / "min.csv"

@@ -1,8 +1,11 @@
 """LP engine checks against an independent solver and hand-built cases.
 
-Random models are cross-checked against scipy's HiGHS frontend: statuses
-must agree, optimal objectives must match to 1e-6, and the returned
-point must satisfy every row.  Duals follow the change-in-objective-per-
+The engine solves LPs whose slack start is dual feasible: every column
+has a finite bound its cost prefers, as every compiled model's columns
+do, and an LP outside that class raises ValueError.  Random models in the
+class are cross-checked against scipy's HiGHS frontend: statuses must
+agree, optimal objectives must match to 1e-6, and the returned point must
+satisfy every row.  Duals follow the change-in-objective-per-
 unit-rhs convention, verified on fixed instances where the dual vector
 is unique.  Warm re-solves from a parent's optimal basis after one bound
 fix are checked against HiGHS the same way, infeasible children included.
@@ -22,6 +25,7 @@ from cohort_shuffle import (
     LpSolution,
     LpStatus,
     ModelVariant,
+    balanced_spec,
     compile_model,
     desk_spec,
     generate,
@@ -30,6 +34,7 @@ from cohort_shuffle import (
 )
 from cohort_shuffle.ipmodel import IpModel, LinearRow, Sense, VarKind, Variable
 from cohort_shuffle.simplex import DEADLINE_EVERY, Basis, NumericalFailure, SimplexEngine
+from conftest import oracle_instance
 
 INF = float("inf")
 
@@ -91,30 +96,12 @@ class TestHandBuiltCases:
         assert sol.status is LpStatus.INFEASIBLE
         assert sol.objective is None and sol.values is None
 
-    def test_unbounded_without_rows(self):
-        sol = solve_lp(lp_model((-1.0,), [(0.0, INF)], []))
-        assert sol.status is LpStatus.UNBOUNDED
-
-    def test_unbounded_with_rows(self):
-        sol = solve_lp(lp_model((-1.0, 0.0), [(0.0, INF), (0.0, INF)],
-                                [((1.0, -1.0), Sense.LE, 0.0)]))
-        assert sol.status is LpStatus.UNBOUNDED
-
     def test_boxed_only_picks_cheapest_bounds(self):
         sol = solve_lp(lp_model((1.0, -2.0, 0.0),
                                 [(1.0, 4.0), (0.0, 3.0), (-1.0, 5.0)], []))
         assert sol.status is LpStatus.OPTIMAL
         assert sol.values == pytest.approx((1.0, 3.0, -1.0))
         assert sol.objective == pytest.approx(1.0 - 6.0)
-
-    def test_free_variable(self):
-        sol = solve_lp(lp_model((1.0,), [(-INF, INF)], [((1.0,), Sense.GE, -5.0)]))
-        assert sol.status is LpStatus.OPTIMAL
-        assert sol.objective == pytest.approx(-5.0)
-
-    def test_free_variable_unbounded(self):
-        sol = solve_lp(lp_model((1.0,), [(-INF, INF)], []))
-        assert sol.status is LpStatus.UNBOUNDED
 
     def test_equality_fixing_variable(self):
         sol = solve_lp(lp_model((0.0, 1.0), [(0.0, 9.0)] * 2,
@@ -144,6 +131,48 @@ class TestHandBuiltCases:
         with pytest.raises(ValueError):
             solve_lp(IpModel(ModelVariant.MIN_SAME_COMPANY, (), ()))
 
+    def test_column_bounded_above_with_negative_cost(self):
+        """(-inf, 5] costed -1 rests on its upper bound, so the slack start
+        is dual feasible; the row then pulls the column down to 3."""
+        costs, bounds = (-1.0, 2.0), [(-INF, 5.0), (0.0, 3.0)]
+        rows = [((1.0, -1.0), Sense.LE, 3.0)]
+        sol = solve_lp(lp_model(costs, bounds, rows))
+        assert_matches(sol, scipy_solve(costs, bounds, rows))
+        assert sol.values == pytest.approx((3.0, 0.0))
+
+
+#: LPs with a column whose preferred bound is infinite, so no slack start
+#: is dual feasible: the cost, bounds and rows of each
+OUTSIDE_THE_CLASS = {
+    "lower-bounded-costed-minus-1": ((-1.0,), [(0.0, INF)], []),
+    "lower-bounded-costed-minus-1-with-row": ((-1.0, 0.0), [(0.0, INF), (0.0, INF)],
+                                              [((1.0, -1.0), Sense.LE, 0.0)]),
+    "lower-bounded-costed-minus-1-feasible": ((-1.0, 2.0), [(0.0, INF), (0.0, 3.0)],
+                                              [((1.0, 1.0), Sense.LE, 4.0),
+                                               ((1.0, -1.0), Sense.GE, -1.0)]),
+    "lower-bounded-costed-minus-1-infeasible": ((-1.0, 0.0), [(0.0, INF), (0.0, INF)],
+                                                [((0.0, 1.0), Sense.LE, -1.0)]),
+    "lower-bounded-both-costed-negative": ((-1.0, -2.0), [(0.0, INF), (0.0, INF)],
+                                           [((1.0, 1.0), Sense.LE, 4.0),
+                                            ((1.0, -1.0), Sense.GE, -1.0)]),
+    "upper-bounded-costed-plus-1": ((1.0,), [(-INF, 5.0)], []),
+    "free-costed-0": ((0.0,), [(-INF, INF)], [((1.0,), Sense.GE, -5.0)]),
+    "free-costed-1": ((1.0,), [(-INF, INF)], [((1.0,), Sense.GE, -5.0)]),
+    "free-costed-1-without-rows": ((1.0,), [(-INF, INF)], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTSIDE_THE_CLASS))
+def test_lp_outside_the_class_is_rejected(case):
+    """``solve_lp`` raises ValueError stating the rule, and no mode of the
+    engine solves the LP either: a stable solve past its deadline raises
+    too, before any iteration."""
+    model = lp_model(*OUTSIDE_THE_CLASS[case])
+    with pytest.raises(ValueError, match="finite bound its cost prefers"):
+        solve_lp(model)
+    with pytest.raises(ValueError, match="finite bound its cost prefers"):
+        standard_form(model).solve(stable=True, deadline=time.monotonic() - 1.0)
+
 
 def random_lp(seed: int):
     rng = random.Random(seed)
@@ -168,16 +197,49 @@ def random_lp(seed: int):
     return costs, bounds, rows
 
 
-@pytest.mark.parametrize("seed", range(60))
+def in_class(costs, bounds) -> bool:
+    """Whether every column has a finite bound its cost prefers: the lower
+    for a positive cost, the upper for a negative one, either for cost 0."""
+    return all((c <= 0 or lo > -INF) and (c >= 0 or hi < INF) and (lo > -INF or hi < INF)
+               for c, (lo, hi) in zip(costs, bounds))
+
+
+#: the first 144 random LPs split by class; 60 of them are in it
+SEEDS = range(144)
+IN_CLASS = [seed for seed in SEEDS if in_class(*random_lp(seed)[:2])]
+OUTSIDE = [seed for seed in SEEDS if seed not in IN_CLASS]
+
+
+@pytest.mark.parametrize("seed", OUTSIDE)
+def test_random_lps_outside_the_class_are_rejected(seed):
+    with pytest.raises(ValueError, match="finite bound its cost prefers"):
+        solve_lp(lp_model(*random_lp(seed)))
+
+
+def test_random_lps_in_the_class_cover_both_outcomes():
+    """The HiGHS comparisons below cover at least 60 random LPs and at least
+    60 bound-fixed children, each set with optimal and infeasible ones."""
+    roots, children = [], []
+    for seed in IN_CLASS:
+        costs, bounds, rows = random_lp(seed)
+        roots.append(scipy_solve(costs, bounds, rows).status)
+        parent = solve_lp(lp_model(costs, bounds, rows))
+        if parent.status is LpStatus.OPTIMAL:
+            for col, bound in fixed_children(parent):
+                child_bounds = list(bounds)
+                child_bounds[col] = (bound, bound)
+                children.append(scipy_solve(costs, child_bounds, rows).status)
+    for statuses in (roots, children):
+        assert len(statuses) >= 60 and set(statuses) == {0, 2}
+
+
+@pytest.mark.parametrize("seed", IN_CLASS)
 def test_random_lps_match_reference_solver(seed):
     costs, bounds, rows = random_lp(seed)
     sol = solve_lp(lp_model(costs, bounds, rows))
     ref = scipy_solve(costs, bounds, rows)
     if ref.status == 2:
         assert sol.status is LpStatus.INFEASIBLE
-        return
-    if ref.status == 3:
-        assert sol.status is LpStatus.UNBOUNDED
         return
     assert ref.status == 0, f"reference solver returned status {ref.status}"
     assert sol.status is LpStatus.OPTIMAL
@@ -275,25 +337,25 @@ def fixed(engine, col, value):
     return lower, upper
 
 
+def fixed_children(parent):
+    """Each column with the floor and the ceiling of its optimal LP value
+    as the value it is fixed at."""
+    return [(col, bound) for col, value in enumerate(parent.values)
+            for bound in sorted({np.floor(round(value, 9)), np.ceil(round(value, 9))})]
+
+
 @pytest.fixture
 def dual_runs(monkeypatch):
-    """Status and final objective of every dual simplex run, in order: one
-    run for a solve from a dual-feasible start, after the auxiliary LP's
-    run when a dual phase 1 had to find that start."""
+    """Status of every dual simplex run, in order."""
     runs = []
     original = SimplexEngine._dual
 
     def recorded(self, st, *args):
-        status = original(self, st, *args)
-        runs.append((status, float(st.cost @ st.x)))
-        return status
+        runs.append(original(self, st, *args))
+        return runs[-1]
 
     monkeypatch.setattr(SimplexEngine, "_dual", recorded)
     return runs
-
-
-def statuses(runs):
-    return [status for status, _ in runs]
 
 
 @pytest.fixture(scope="module")
@@ -310,24 +372,23 @@ def desk_dev_root():
 
 
 class TestWarmStarts:
-    @pytest.mark.parametrize("seed", range(60))
+    @pytest.mark.parametrize("seed", IN_CLASS)
     def test_bound_fixed_children_match_reference_solver(self, seed, dual_runs):
         """Every column fixed at the floor and at the ceiling of its LP value,
         re-solved from the parent's basis; infeasible children included.  A
-        warm child is solved by one dual run, with no phase 1."""
+        warm child is solved by one dual run."""
         costs, bounds, rows = random_lp(seed)
         engine = standard_form(lp_model(costs, bounds, rows))
         parent = engine.solve()
         if parent.status is not LpStatus.OPTIMAL:
             return
-        for col, value in enumerate(parent.values):
-            for bound in {np.floor(round(value, 9)), np.ceil(round(value, 9))}:
-                dual_runs.clear()
-                child = engine.solve(*fixed(engine, col, bound), start=parent.basis)
-                child_bounds = list(bounds)
-                child_bounds[col] = (bound, bound)
-                assert_matches(child, scipy_solve(costs, child_bounds, rows))
-                assert statuses(dual_runs) == [child.status]
+        for col, bound in fixed_children(parent):
+            dual_runs.clear()
+            child = engine.solve(*fixed(engine, col, bound), start=parent.basis)
+            child_bounds = list(bounds)
+            child_bounds[col] = (bound, bound)
+            assert_matches(child, scipy_solve(costs, child_bounds, rows))
+            assert dual_runs == [child.status]
 
     def test_desk_dev_root_and_first_children_match_reference_solver(self, desk_dev_root,
                                                                       dual_runs):
@@ -337,7 +398,7 @@ class TestWarmStarts:
         for value in (0.0, 1.0):
             child = engine.solve(*fixed(engine, col, value), start=root.basis)
             assert_matches(child, engine_linprog(engine, *fixed(engine, col, value)))
-        assert statuses(dual_runs) == [LpStatus.OPTIMAL] * 2
+        assert dual_runs == [LpStatus.OPTIMAL] * 2
 
     def test_child_lp_reuses_the_parent_basis(self, desk_dev_root):
         engine, root, col = desk_dev_root
@@ -351,7 +412,7 @@ class TestWarmStarts:
     @pytest.mark.parametrize("seed", range(20))
     def test_dense_root_is_solved_by_the_dual_alone(self, seed, dual_runs):
         """Nonnegative costs over a feasible dense system: one dual run from
-        the slack basis reaches the optimum, with no phase 1."""
+        the slack basis reaches the optimum."""
         rng = random.Random(seed)
         n, m = 30, 20
         costs = tuple(float(rng.randint(0, 9)) for _ in range(n))
@@ -365,7 +426,7 @@ class TestWarmStarts:
             rows.append((coefs, sense, lhs + {Sense.LE: 2.0, Sense.GE: -2.0, Sense.EQ: 0.0}[sense]))
         raw = standard_form(lp_model(costs, bounds, rows)).solve()
         assert_matches(raw, scipy_solve(costs, bounds, rows))
-        assert statuses(dual_runs) == [LpStatus.OPTIMAL]
+        assert dual_runs == [LpStatus.OPTIMAL]
 
     @pytest.mark.parametrize("failure", ["stall", "numeric"])
     def test_failed_dual_returns_its_status(self, monkeypatch, failure):
@@ -384,27 +445,6 @@ class TestWarmStarts:
         assert raw.status is {"stall": LpStatus.ITERATION_LIMIT,
                               "numeric": LpStatus.NUMERIC_FAILURE}[failure]
         assert raw.iterations == 5  # the dual's iterations count toward the solve
-
-    def test_negative_cost_on_column_unbounded_above_takes_phase_1(self, dual_runs):
-        costs, bounds = (-1.0, 2.0), [(0.0, INF), (0.0, 3.0)]
-        rows = [((1.0, 1.0), Sense.LE, 4.0), ((1.0, -1.0), Sense.GE, -1.0)]
-        raw = standard_form(lp_model(costs, bounds, rows)).solve()
-        # the auxiliary LP, optimal at 0, then the LP itself from its basis
-        assert statuses(dual_runs) == [LpStatus.OPTIMAL] * 2
-        assert dual_runs[0][1] == pytest.approx(0.0, abs=1e-12)
-        assert_matches(raw, scipy_solve(costs, bounds, rows))
-
-    def test_phase_1_tells_an_infeasible_lp_from_an_unbounded_one(self, dual_runs):
-        """min -x1 subject to x2 <= -1, x >= 0: no dual-feasible basis exists
-        and no point either.  The auxiliary LP ends at -1, and the run at
-        zero cost proves the rows infeasible."""
-        costs, bounds = (-1.0, 0.0), [(0.0, INF), (0.0, INF)]
-        rows = [((0.0, 1.0), Sense.LE, -1.0)]
-        raw = standard_form(lp_model(costs, bounds, rows)).solve()
-        assert raw.status is LpStatus.INFEASIBLE
-        assert statuses(dual_runs) == [LpStatus.OPTIMAL, LpStatus.INFEASIBLE]
-        assert dual_runs[0][1] == pytest.approx(-1.0)
-        assert scipy_solve(costs, bounds, rows).status == 2
 
     def test_child_whose_candidates_just_repair_the_row_is_feasible(self):
         """``random_lp(456)`` with the free column 1 fixed at -1, from its
@@ -436,12 +476,31 @@ class TestDeadline:
         assert warm.status is LpStatus.TIME_LIMIT
         assert warm.iterations <= DEADLINE_EVERY
 
-    @pytest.mark.parametrize("stable", [False, True])
-    def test_past_deadline_stops_phase_1(self, stable):
-        costs, bounds = (-1.0, -2.0), [(0.0, INF), (0.0, INF)]
-        rows = [((1.0, 1.0), Sense.LE, 4.0), ((1.0, -1.0), Sense.GE, -1.0)]
-        engine = standard_form(lp_model(costs, bounds, rows))
-        raw = engine.solve(stable=stable, deadline=time.monotonic() - 1.0)
+    def test_past_deadline_stops_a_stable_solve(self, desk_dev_root):
+        """Stable mode ignores the parent's basis and starts from the slack
+        basis, where the deadline stops it just the same."""
+        engine, root, col = desk_dev_root
+        raw = engine.solve(*fixed(engine, col, 1.0), start=root.basis, stable=True,
+                           deadline=time.monotonic() - 1.0)
         assert raw.status is LpStatus.TIME_LIMIT
         assert raw.iterations <= DEADLINE_EVERY
-        assert engine.solve(stable=stable).status is LpStatus.OPTIMAL
+
+
+#: rosters whose compiled models must start the engine dual feasible
+COMPILED_ROSTERS = {
+    **{f"desk-{seed}": lambda seed=seed: generate(desk_spec(), seed=seed) for seed in range(1, 6)},
+    **{f"oracle-{seed}": lambda seed=seed: oracle_instance(seed) for seed in range(60)},
+    **{f"balanced-{n_c}x{size}": lambda n_c=n_c, size=size: generate(balanced_spec(n_c, size), 0)
+       for n_c, size in ((6, 14), (5, 12))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPILED_ROSTERS))
+def test_compiled_models_start_dual_feasible(name):
+    """Every variant's columns have finite bounds their costs prefer, so the
+    engine takes its slack start, which an iteration cap of 0 then stops.
+    A compiler change that breaks the rule fails here, not in a solve."""
+    roster = COMPILED_ROSTERS[name]()
+    for variant in ModelVariant:
+        engine = standard_form(compile_model(roster, variant))
+        assert engine.solve(max_iter=0).status is LpStatus.ITERATION_LIMIT, variant
