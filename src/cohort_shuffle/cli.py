@@ -95,13 +95,16 @@ def _default_workers() -> int:
     return 1
 
 
-def _nonnegative(cast):
+def _finite(cast, least: float = -math.inf):
     """An argparse type: the option's text read by ``cast`` (``int`` or
-    ``float``), rejected as a usage error unless it is at least 0."""
+    ``float``), rejected as a usage error unless it is finite and at least
+    ``least``."""
     def parse(text: str):
         value = cast(text)
-        if not value >= 0:
-            raise argparse.ArgumentTypeError(f"must be at least 0, not {text}")
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, not {text}")
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, not {text}")
         return value
     parse.__name__ = cast.__name__  # argparse names it in "invalid int value: ..."
     return parse
@@ -141,18 +144,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(p)
     p.add_argument("--variant", choices=[v.value for v in ModelVariant], required=True)
     p.add_argument("--out", help="assignment CSV (a .meta.json sidecar is written too)")
-    p.add_argument("--time-limit", type=_nonnegative(float), default=None, metavar="SECONDS")
-    p.add_argument("--gap-abs", type=_nonnegative(float), default=0.0)
-    p.add_argument("--gap-rel", type=_nonnegative(float), default=0.0)
-    p.add_argument("--node-limit", type=_nonnegative(int), default=None)
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--time-limit", type=_finite(float, 0), default=None, metavar="SECONDS")
+    p.add_argument("--gap-abs", type=_finite(float, 0), default=0.0)
+    p.add_argument("--gap-rel", type=_finite(float, 0), default=0.0)
+    p.add_argument("--node-limit", type=_finite(int, 0), default=None)
+    p.add_argument("--workers", type=_finite(int, 1), default=None,
                    help="tree workers to record; the search runs on one thread "
                         "(default $COHORT_SHUFFLE_THREADS or 1)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--external-lb", type=float, default=None,
+    p.add_argument("--external-lb", type=_finite(float), default=None,
                    help="trusted lower bound on the optimum")
     p.add_argument("--warm", choices=WARM_STRATEGIES, default="auto")
-    p.add_argument("--ls-budget", type=_nonnegative(int), default=200)
+    p.add_argument("--ls-budget", type=_finite(int, 0), default=200)
 
     p = sub.add_parser("certify", help="audit a saved assignment")
     _add_instance_args(p)

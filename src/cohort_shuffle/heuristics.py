@@ -14,17 +14,22 @@ evaluator shuffled, and the branch-and-bound root heuristic runs the same
 descent from the rounded relaxation.  Once the assignment is feasible, the
 descent skips any move a row rejected while that row's activity and the
 moving students' companies are unchanged: such a move would be rejected
-again, so skipping it changes no decision.  For ``min`` and ``pairs`` the
-evaluator reads a move's objective change from the cohort matrix before
-any row work, and rejects at once the moves that cannot lower (violation,
-objective); every verdict is the one the full row check would give.
+again, so skipping it changes no decision.  The evaluator reads a move's
+objective change before any row work, from the cohort matrix for ``min``
+and ``pairs`` and from the sorted company sums for ``dev``, and rejects at
+once the moves that cannot lower (violation, objective); ``dev`` reads it
+after the rows for a relocation from a feasible assignment, whose rows
+reject most such moves and feed the memo.  Every verdict is the one the
+full row check and objective recompute would give.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import deque
+from itertools import accumulate
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -107,7 +112,10 @@ class MoveEvaluator:
     ``row_cols`` (int32 arrays), keep ``hot[k]``, the number of violated
     shared rows over column ``k``, current when a row's violation starts or
     ends.  The objective comes from the (new, old) cohort matrix (stays are
-    its diagonal) or the per-company aom/mom sums.
+    its diagonal) or the per-company aom/mom sums; for ``dev``,
+    ``sum_index`` keeps each metric's sums sorted, with prefix sums and
+    every company's Σ_e |S_c − S_e|, so a move's objective change takes two
+    bisects per metric (:meth:`_deviation_change`).
     """
 
     def __init__(self, model: IpModel) -> None:
@@ -152,6 +160,13 @@ class MoveEvaluator:
         self.row_ptr = csr.indptr.astype(np.int32)
         self.row_cols = csr.indices.astype(np.int32)
         self._relocations: tuple | None = None
+        # deviation_from_sums adds |C|(|C|-1) terms, each rounded once, whose
+        # total is at most 2|C| Σ_c |S_c|, so its float lies within
+        # 2|C|^3 2^-53 Σ_c |S_c| of the exact value.  Twice that (the values
+        # before and after a move) plus the O(|C| 2^-53 Σ_c |S_c|) rounding
+        # of the sorted-sum delta stays below 1e-15 |C|^3 per unit of
+        # w Σ_c |S_c|: a bound of 1e-12 |C|^3 leaves a thousandfold margin
+        self._rounding = 1e-12 * n_c ** 3
 
     def load(self, asg: Sequence[int]) -> None:
         """Make ``asg`` (company per student index) the current assignment."""
@@ -173,12 +188,29 @@ class MoveEvaluator:
         violated = np.repeat(np.array(self.viol) > 0.0, np.diff(self.row_ptr))
         self.hot = np.bincount(self.row_cols[violated], minlength=self.n * n_c).tolist()
         self.violation = math.fsum(self.viol)
+        self.sum_index = None
         if self.variant is MIN:
             self.objective = float(sum(self.cohort[c][c] for c in range(n_c)))
         elif self.variant is DEV:
             self.objective = deviation_from_sums(*self.sums, *self.weights)
+            self._index_sums()
         else:
             self.objective = float(sum(k * (k - 1) // 2 for row in self.cohort for k in row))
+
+    def _index_sums(self) -> None:
+        """Per metric: the company sums sorted, their prefix sums, each
+        company's Σ_e |S_c − S_e| and Σ_c |S_c|; built anew, never updated
+        in place."""
+        index = []
+        for sums in self.sums:
+            srt = sorted(sums)
+            pre = [0.0, *accumulate(srt)]
+            n, top = len(srt), pre[-1]
+            # Σ_e |x − S_e| with k of the S_e below x: x(2k − n) + P_n − 2 P_k
+            spread = [x * (2 * k - n) + top - 2 * pre[k]
+                      for x in sums for k in (bisect_left(srt, x),)]
+            index.append((srt, pre, spread, math.fsum(map(abs, sums))))
+        self.sum_index = tuple(index)
 
     def relocation_order(self, rng: random.Random) -> list[int]:
         """Every relocation ``i * n_c + dst`` in the order ``rng`` shuffles
@@ -223,6 +255,57 @@ class MoveEvaluator:
                 if per_company[dst] != per_company[asg[i]]:
                     out.append((r, per_company[dst] - per_company[asg[i]]))
         return out
+
+    def _deviation_change(self, moves: Sequence[Move]) -> tuple[float, float] | None:
+        """The change a relocation or a swap makes to the ``dev`` objective,
+        and a bound on how far it may lie from the difference of the two
+        ``deviation_from_sums`` values; None for any other move list.
+
+        Either move takes one score step from company ``a`` to ``b``, so
+        only pairs with ``a`` or ``b`` change.  Σ_e |x − S_e| over all
+        companies at each moved sum ``x`` is one bisect into the sorted
+        sums; the terms of ``a`` and ``b`` against each other are put right
+        one by one.
+        """
+        asg = self.asg
+        if len(moves) == 1:
+            ((i, b),) = moves
+            a, j = asg[i], -1
+        elif len(moves) == 2:
+            (i, b), (j, back) = moves
+            a = asg[i]
+            if asg[j] != b or back != a:
+                return None
+        else:
+            return None
+        if a == b:
+            return None
+        change = bound = 0.0
+        n = self.n_c
+        for sums, score, (srt, pre, spread, absolute), w in zip(
+                self.sums, self.scores, self.sum_index, self.weights):
+            sa, sb = sums[a], sums[b]
+            # the floats _objective_after makes
+            if j < 0:
+                na, nb = sa - score[i], sb + score[i]
+            else:
+                na, nb = sa - score[i] + score[j], sb + score[i] - score[j]
+            ka, kb = bisect_left(srt, na), bisect_left(srt, nb)
+            da, db = abs(na - sa), abs(nb - sb)
+            # half the change over ordered pairs: Σ_e |x − S_e| at the moved
+            # sums (as in _index_sums) less their terms against a and b, less
+            # the old spreads of a and b, then a against b
+            change += w * (na * (2 * ka - n) + nb * (2 * kb - n) + 2 * (pre[n] - pre[ka] - pre[kb])
+                           - da - db - abs(na - sb) - abs(nb - sa) - spread[a] - spread[b]
+                           + abs(na - nb) + abs(sa - sb))
+            bound += w * (absolute + da + db)
+        return 2.0 * change, self._rounding * bound
+
+    def _deviation_holds(self, moves: Sequence[Move]) -> bool:
+        """Whether the ``dev`` objective surely does not fall by more than
+        ``EPS``: the delta is above ``-EPS`` by more than its rounding bound."""
+        screened = self._deviation_change(moves)
+        return screened is not None and screened[0] - screened[1] > -EPS
 
     def _objective_after(self, moves: Sequence[Move]) -> float:
         asg, old = self.asg, self.old
@@ -296,29 +379,34 @@ class MoveEvaluator:
         """Make ``moves`` if they lower (violation, objective)
         lexicographically; report whether they did.
 
-        For ``min`` and ``pairs`` the objective comes first, and moves that
-        leave it no lower are rejected before any row work when the
-        assignment is feasible or they touch no violated row: rows within
-        bounds can only add violation, and the violated ones stay as they
-        are.  ``dev`` checks the rows first, since its objective walks
-        every pair of companies.
+        The objective comes first, and moves that leave it no lower are
+        rejected before any row work when the assignment is feasible or they
+        touch no violated row: rows within bounds can only add violation,
+        and the violated ones stay as they are.  For ``dev`` the screen is
+        :meth:`_deviation_holds`, and a move it passes gets the exact
+        ``deviation_from_sums`` value; a ``dev`` relocation from a feasible
+        assignment meets its rows first, since those reject most of them.
 
         ``blocked`` is left at the row that rejected them when the
         assignment is feasible and they would push a row past its bounds,
-        and at None otherwise; for ``min`` and ``pairs`` a move rejected
-        because the objective would not fall leaves None whatever it does
-        to the rows.
+        and at None otherwise; a move rejected because the objective would
+        not fall leaves None whatever it does to the rows, unless it is a
+        ``dev`` relocation from a feasible assignment, whose rows come first.
         """
         self.blocked = None
         obj = None
+        # flat: the objective surely does not fall
         if self.variant is not DEV:
             obj = self._objective_after(moves)
-            if obj >= self.objective - EPS and not (self.bad and self._touches_violated(moves)):
-                return False
+            flat = obj >= self.objective - EPS
+        else:
+            flat = (self.bad or len(moves) > 1) and self._deviation_holds(moves)
+        if flat and not (self.bad and self._touches_violated(moves)):
+            return False
         deltas = self._row_deltas(moves)
         if self.bad:
             total, bad = self._violation_after(deltas)
-            if total > self.violation + EPS:
+            if total > self.violation + EPS or (flat and total >= self.violation - EPS):
                 return False
         else:
             # feasible now: the first row the moves violate rejects them
@@ -328,6 +416,8 @@ class MoveEvaluator:
                 if x - hi[r] > FEAS_TOL or lo[r] - x > FEAS_TOL:
                     self.blocked = r
                     return False
+            if self.variant is DEV and len(moves) == 1 and self._deviation_holds(moves):
+                return False
             total, bad = 0.0, 0
         if obj is None:
             obj = self._objective_after(moves)
@@ -356,6 +446,8 @@ class MoveEvaluator:
                 sums[src] -= score[i]
                 sums[dst] += score[i]
             self.asg[i] = dst
+        if self.variant is DEV:
+            self._index_sums()
 
 
 def _take_first(order: deque[int], take: Callable[[int], bool]) -> bool:

@@ -16,6 +16,7 @@ from cohort_shuffle import (
     SolveStatus,
     Tolerances,
     assignment_objective,
+    balanced_spec,
     build_warm_start,
     check_feasible,
     count_pairs,
@@ -33,7 +34,7 @@ from cohort_shuffle import heuristics, pipeline
 from cohort_shuffle.bounds import objective_floor
 from cohort_shuffle.compiler import compile_model
 from cohort_shuffle.heuristics import EPS, MoveEvaluator, _take_first, descend
-from cohort_shuffle.roster import FEAS_TOL
+from cohort_shuffle.roster import FEAS_TOL, deviation_from_sums
 from conftest import balanced_roster, identity_assignment, mk_student, oracle_instance
 
 MIN = ModelVariant.MIN_SAME_COMPANY
@@ -300,7 +301,8 @@ class TestMoveEvaluator:
         assert ev.asg != [first[s.id] for s in roster.students]
         ev.load([second[s.id] for s in roster.students])
         fresh.load([second[s.id] for s in roster.students])
-        for attr in ("act", "viol", "bad", "violation", "objective", "cohort", "sums", "asg", "hot"):
+        for attr in ("act", "viol", "bad", "violation", "objective", "cohort", "sums", "asg", "hot",
+                     "sum_index"):
             assert getattr(ev, attr) == getattr(fresh, attr), attr
 
     @staticmethod
@@ -310,15 +312,41 @@ class TestMoveEvaluator:
                 "viol": list(attrs["viol"]), "hot": list(attrs["hot"]),
                 "cohort": [list(row) for row in attrs["cohort"]],
                 "sums": tuple(list(sums) for sums in attrs["sums"]),
-                **{key: attrs[key] for key in ("bad", "violation", "objective")}}
+                **{key: attrs[key] for key in ("bad", "violation", "objective", "sum_index")}}
+
+    def assert_every_verdict(self, ev, probe, taken):
+        """``try_moves`` on every relocation and swap from ``ev``'s
+        assignment, against the rule worked out on ``probe``, an evaluator
+        of the same model that makes the move: a start with violated rows
+        takes a move that adds no violation beyond ``EPS`` and lowers the
+        violation or else the objective; a feasible one takes a move that
+        breaks no row and lowers the objective.  Counts each verdict in
+        ``taken`` and leaves ``ev`` as it was."""
+        n, n_c = ev.n, ev.n_c
+        probe.load(ev.asg)
+        assert probe.hot == ev.hot
+        start = self.state(vars(ev))
+        moves = [((i, c),) for i in range(n) for c in range(n_c) if c != ev.asg[i]]
+        moves += [((i, ev.asg[j]), (j, ev.asg[i]))
+                  for i in range(n) for j in range(i + 1, n) if ev.asg[i] != ev.asg[j]]
+        for move in moves:
+            for target in (ev, probe):
+                vars(target).update(self.state(start))
+            probe.apply(move)
+            if start["bad"]:
+                allowed = probe.violation <= start["violation"] + EPS
+            else:
+                allowed = probe.bad == 0
+            lower = (probe.violation < start["violation"] - EPS
+                     or probe.objective < start["objective"] - EPS)
+            assert ev.try_moves(move) == (allowed and lower), (ev.variant, move)
+            if allowed and lower:
+                assert self.state(vars(ev)) == self.state(vars(probe))
+            taken[allowed and lower] += 1
+        vars(ev).update(start)
 
     @pytest.mark.parametrize("roster", ROSTERS)
     def test_every_verdict_follows_the_lexicographic_rule(self, roster):
-        """``try_moves`` on every relocation and swap, against the rule worked
-        out on a probe that makes the move: a start with violated rows takes
-        a move that adds no violation beyond ``EPS`` and lowers the violation
-        or else the objective; a feasible one takes a move that breaks no row
-        and lowers the objective."""
         kind, seed = roster
         roster = oracle_instance(seed) if kind == "oracle" else generate(desk_spec(), seed=seed)
         rng = random.Random(seed)
@@ -331,30 +359,103 @@ class TestMoveEvaluator:
             # a random start, the same after a few repair moves, and descended
             for budget, feasible in ((0, False), (3, False), (10 * n, True)):
                 descend(ev, rng, budget, -math.inf)
-                if (ev.bad == 0) != feasible:
-                    continue
-                probe.load(ev.asg)
-                assert probe.hot == ev.hot
-                start = self.state(vars(ev))
-                moves = [((i, c),) for i in range(n) for c in range(n_c) if c != ev.asg[i]]
-                moves += [((i, ev.asg[j]), (j, ev.asg[i]))
-                          for i in range(n) for j in range(i + 1, n) if ev.asg[i] != ev.asg[j]]
-                for move in moves:
-                    for target in (ev, probe):
-                        vars(target).update(self.state(start))
-                    probe.apply(move)
-                    if start["bad"]:
-                        allowed = probe.violation <= start["violation"] + EPS
-                    else:
-                        allowed = probe.bad == 0
-                    lower = (probe.violation < start["violation"] - EPS
-                             or probe.objective < start["objective"] - EPS)
-                    assert ev.try_moves(move) == (allowed and lower), (variant, move)
-                    if allowed and lower:
-                        assert self.state(vars(ev)) == self.state(vars(probe))
-                    taken[allowed and lower] += 1
-                vars(ev).update(start)
+                if (ev.bad == 0) == feasible:
+                    self.assert_every_verdict(ev, probe, taken)
         assert taken[False] > 0
+
+    @pytest.mark.parametrize("kind", ["balanced-6x14", "equal-scores", "large-scores"])
+    def test_every_dev_verdict_follows_the_lexicographic_rule(self, kind):
+        """``dev`` moves screened on the sorted-sum delta: on a bare roster;
+        on one whose scores are all equal, so that its company sums tie (the
+        screen's bisects land on equal sums) or, at equal sizes, are all
+        equal with objective 0, which no move can lower while the sums are
+        large; and on one whose scores take three values near 1e9, where
+        many moves change the objective by less than both computations'
+        rounding, which the screen's bound must cover."""
+        rng = random.Random(5)
+        if kind == "equal-scores":
+            roster = balanced_roster(4, 6, tolerances=Tolerances(count_min={"all": 5},
+                                                                 count_max={"all": 7}))
+        elif kind == "large-scores":
+            values = [rng.uniform(1e8, 1e9) for _ in range(3)]
+            students = tuple(mk_student(c * 6 + k, c, aom=rng.choice(values),
+                                        mom=rng.choice(values))
+                             for c in range(5) for k in range(6))
+            roster = Roster(students=students, num_companies=5, battalions=(tuple(range(5)),))
+        else:
+            roster = generate(balanced_spec(6, 14), seed=1)
+        n, n_c = len(roster.students), roster.num_companies
+        model = compile_model(roster, DEV)
+        ev, probe = MoveEvaluator(model), MoveEvaluator(model)
+        deal = [cyclic_deal(roster)[s.id] for s in roster.students]
+        taken = {True: 0, False: 0}
+        starts = {"random": [rng.randrange(n_c) for _ in range(n)], "deal": deal}
+        if kind == "equal-scores":
+            # companies of 6, 7, 5 and 6 students: two sums tie, two are one score off
+            starts["ties"] = deal[:1] + [1] + deal[2:]
+        for name, start in starts.items():
+            ev.load(start)
+            if name == "deal":
+                assert ev.bad == 0 and (ev.objective == 0.0) == (kind == "equal-scores")
+            if name == "ties":
+                assert ev.bad == 0 and sorted(ev.sums[0]) == [2500.0, 3000.0, 3000.0, 3500.0]
+            self.assert_every_verdict(ev, probe, taken)
+            descend(ev, rng, 3, -math.inf)
+            self.assert_every_verdict(ev, probe, taken)
+        assert taken[True] > 0 and taken[False] > 0
+
+    @pytest.mark.parametrize("kind", ["desk", "balanced-6x14", "reference-2023", "equal-scores"])
+    def test_deviation_delta_matches_the_recompute(self, kind):
+        """The sorted-sum delta of random relocations and swaps against the
+        difference of two ``deviation_from_sums`` values, within 1e-9 of the
+        objective's scale and within the rounding bound the screen allows,
+        from a random start, the cyclic deal and, on equal scores, sums that
+        are all equal or tie; some moves are made between the checks."""
+        if kind == "equal-scores":
+            roster = balanced_roster(5, 6)
+        else:
+            spec = {"desk": desk_spec(), "balanced-6x14": balanced_spec(6, 14),
+                    "reference-2023": reference_spec(2023)}[kind]
+            roster = generate(spec, seed=1)
+        rng = random.Random(11)
+        n, n_c = len(roster.students), roster.num_companies
+        ev = MoveEvaluator(compile_model(roster, DEV))
+        deal = [cyclic_deal(roster)[s.id] for s in roster.students]
+        starts = [[rng.randrange(n_c) for _ in range(n)], deal]
+        if kind == "equal-scores":
+            starts.append(deal[:1] + [1] + deal[2:])  # sums 2500, 3000, 3000, 3000, 3500
+        checked = 0
+        for start in starts:
+            ev.load(start)
+            for step in range(300):
+                i, j = rng.sample(range(n), 2)
+                if rng.random() < 0.5:
+                    move = ((i, rng.randrange(n_c)),)
+                else:
+                    move = ((i, ev.asg[j]), (j, ev.asg[i]))
+                if ev.asg[i] == move[0][1]:
+                    assert ev._deviation_change(move) is None
+                    continue
+                after = deviation_from_sums(*(self.moved(sums, score, ev.asg, move)
+                                              for sums, score in zip(ev.sums, ev.scores)),
+                                            *ev.weights)
+                delta, bound = ev._deviation_change(move)
+                exact = after - ev.objective
+                assert abs(delta - exact) <= 1e-9 * max(1.0, ev.objective, after), (kind, move)
+                assert abs(delta - exact) <= bound
+                checked += 1
+                if step % 10 == 0:
+                    ev.apply(move)
+                    assert ev.objective == after
+        assert checked > 500
+
+    @staticmethod
+    def moved(sums, score, asg, move):
+        out = list(sums)
+        for i, dst in move:
+            out[asg[i]] -= score[i]
+            out[dst] += score[i]
+        return out
 
     @pytest.mark.parametrize("variant", list(ModelVariant))
     def test_local_search_reuses_an_evaluator(self, variant):
@@ -487,7 +588,7 @@ class TestRejectionMemo:
         assert 2 * tries <= ref_tries
 
     def test_blocking_row_is_one_the_move_breaks(self):
-        by_row = by_objective = 0
+        by_row = by_objective = unread_dev_swaps = 0
         for seed in range(60):
             roster = oracle_instance(seed)
             rng = random.Random(seed)
@@ -511,14 +612,18 @@ class TestRejectionMemo:
                     probe.apply(move)
                     r = ev.blocked
                     if r is None:
-                        # the objective would not fall; for dev, whose rows
-                        # are checked first, no row breaks either
+                        # the objective would not fall; a dev relocation meets
+                        # its rows first, so it breaks no row either, while a
+                        # dev swap, like any min or pairs move, is rejected on
+                        # the objective before its rows are read
                         by_objective += 1
                         assert probe.objective >= ev.objective - EPS
-                        if variant is DEV:
+                        if variant is DEV and len(move) == 1:
                             assert probe.bad == 0
+                        elif variant is DEV:
+                            unread_dev_swaps += probe.bad > 0
                     else:
                         by_row += 1
                         x = probe.act[r]
                         assert max(probe.lo[r] - x, x - probe.hi[r]) > FEAS_TOL
-        assert by_row > 0 and by_objective > 0
+        assert by_row > 0 and by_objective > 0 and unread_dev_swaps > 0

@@ -206,6 +206,35 @@ class TestExitCodes:
         assert cli.main([*solve, flag, "0"]) in (0, 3)
         assert "error" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("flag", ["--time-limit", "--gap-abs", "--gap-rel", "--external-lb"])
+    def test_non_finite_number_is_a_usage_error(self, flag, text, desk_files, capsys, tmp_path):
+        """inf would stop nothing or prove anything, and the sidecar would
+        hold JSON's non-standard Infinity or NaN; a negative lower bound is
+        still a valid value."""
+        roster, config = desk_files
+        out = tmp_path / "new.csv"
+        solve = ["solve", "--roster", str(roster), "--config", str(config), "--variant", "dev",
+                 "--node-limit", "0", "--out", str(out)]
+        assert cli.main([*solve, f"{flag}={text}"]) == 1
+        assert f"argument {flag}: must be finite, not {text}" in capsys.readouterr().err
+        assert not out.exists()
+        if flag == "--external-lb" and text == "inf":
+            assert cli.main([*solve, flag, "-1"]) == 3
+            assert fileio.read_meta(tmp_path / "new.csv.meta.json")["external_lb"] == -1.0
+
+    @pytest.mark.parametrize("text", ["0", "-3"])
+    def test_workers_below_one_is_a_usage_error(self, text, desk_files, capsys, tmp_path):
+        roster, config = desk_files
+        out = tmp_path / "new.csv"
+        solve = ["solve", "--roster", str(roster), "--config", str(config), "--variant", "min",
+                 "--out", str(out)]
+        assert cli.main([*solve, "--workers", text]) == 1
+        assert f"argument --workers: must be at least 1, not {text}" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli.main([*solve, "--workers", "1"]) == 0
+        assert fileio.read_meta(tmp_path / "new.csv.meta.json")["workers"] == 1
+
     def test_certify_tampered_result_exits_4(self, desk_files, tmp_path):
         roster, config = desk_files
         out = tmp_path / "min.csv"
