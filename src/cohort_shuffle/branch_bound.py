@@ -22,8 +22,8 @@ checked against the compiled rows with one sparse product, under the
 auditor's tolerance.  A model must come from a roster: it carries that
 roster, whose students the incumbents are decoded into and scored on.
 
-The deadline reaches into each node LP, which reads the clock every few
-iterations.  An LP stopped by it puts its node back on the heap under the
+The deadline reaches into each node LP, which reads the clock on every
+iteration.  An LP stopped by it puts its node back on the heap under the
 parent's bound, so a budget stop reports the incumbent with an honest
 bound.
 """

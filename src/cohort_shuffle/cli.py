@@ -277,7 +277,8 @@ def _cmd_solve(args) -> int:
             "status": res.status.value,
             "objective": res.objective,
             "bound": res.bound,
-            "gap_percent": res.gap,
+            # strict JSON has no Infinity: a gap with no finite value is null
+            "gap_percent": res.gap if res.gap is not None and math.isfinite(res.gap) else None,
             "nodes": res.stats.nodes,
             "lp_iterations": res.stats.lp_iterations,
             "seed": args.seed,

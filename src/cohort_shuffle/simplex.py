@@ -3,9 +3,13 @@
 The engine works on the computational form ``A x + s = b`` where every
 row gets one slack column whose bounds encode the row sense (``<=`` gives
 ``s in [0, inf)``, ``>=`` gives ``s in (-inf, 0]``, ``=`` pins ``s`` to 0).
-Nonbasic variables rest on one of their bounds and the basis inverse is
-kept explicitly as a dense matrix, updated by elementary row operations
-and rebuilt from scratch every ``REFACTOR_EVERY`` pivots.
+Nonbasic variables rest on one of their bounds.  The basis inverse is
+kept explicitly, but only in part: the column of ``B^-1`` for a row whose
+slack is basic is a unit vector and is never stored, so the engine keeps
+just the k columns of the other rows, an m × k block.  That block is
+updated by elementary row operations, gains a column when a slack leaves
+the basis and loses one when a slack enters, and is rebuilt from scratch
+every ``REFACTOR_EVERY`` pivots.
 
 One algorithm solves every LP: the bounded dual simplex, with dual
 steepest-edge choice of the leaving row and a long-step ratio test that
@@ -25,9 +29,8 @@ so a finished solve ends optimal or infeasible.
 Every optimum of the LP itself is re-verified against primal residual
 and reduced-cost sign conditions; verification failures trigger
 refactorize-and-resume retries and finally an explicit numeric-failure
-status rather than a wrong answer.  A deadline is read every
-``DEADLINE_EVERY`` iterations and ends a solve with a time-limit status
-once passed.
+status rather than a wrong answer.  A deadline is read on every iteration
+and ends a solve with a time-limit status once passed.
 
 Every solve returns an :class:`LpSolution` of float64 arrays.  The engine
 judges only LP points; the branch-and-bound search checks each incumbent
@@ -53,8 +56,6 @@ PIVOT_EPS = 1e-9
 SMALL_PIVOT = 1e-5
 REFACTOR_EVERY = 100
 VERIFY_RETRIES = 3
-#: iterations between two reads of the clock against a solve's deadline
-DEADLINE_EVERY = 20
 
 AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
 
@@ -123,9 +124,16 @@ class Basis:
 
 class _State:
     """Mutable per-solve state; everything on the engine stays read-only.
-    The bounds are the solve's, of structural and slack columns alike."""
+    The bounds are the solve's, of structural and slack columns alike.
 
-    __slots__ = ("bl", "bu", "x", "vstat", "basis", "binv",
+    ``B^-1`` is held as its stored columns: ``v[:, :k]`` (Fortran order, so
+    each column is contiguous) holds the column of row ``vrow[c]`` in
+    ``v[:, c]``, and ``vcol`` maps each row to its stored column, or to -1
+    when the row's slack is basic and its column is the unit vector at
+    that slack's position.  ``pos`` is the basis position of each basic
+    column and -1 for the others."""
+
+    __slots__ = ("bl", "bu", "x", "vstat", "basis", "v", "k", "vrow", "vcol", "pos",
                  "iterations", "pivots", "want_refactor", "fresh")
 
     def __init__(self, bl: np.ndarray, bu: np.ndarray) -> None:
@@ -165,14 +173,45 @@ class SimplexEngine:
     # column j layout: [0, n) structural, [n, n+m) slack
 
     def _ftran(self, st: _State, j: int) -> np.ndarray:
-        """``B^-1`` times column ``j``, as a new array."""
+        """``B^-1`` times column ``j``, as a new array: the stored columns of
+        its rows gathered, and its other rows scattered to their slacks'
+        positions."""
         if j < self.n:
             lo, hi = self.a_csc.indptr[j], self.a_csc.indptr[j + 1]
-            return st.binv[:, self.a_csc.indices[lo:hi]] @ self.a_csc.data[lo:hi]
-        return st.binv[:, j - self.n].copy()
+            rows, vals = self.a_csc.indices[lo:hi], self.a_csc.data[lo:hi]
+        else:
+            rows, vals = np.array([j - self.n]), np.ones(1)
+        col = st.vcol[rows]
+        kept = col >= 0
+        w = st.v[:, col[kept]] @ vals[kept]
+        w[st.pos[self.n + rows[~kept]]] += vals[~kept]
+        return w
+
+    def _apply(self, st: _State, rhs: np.ndarray) -> np.ndarray:
+        """``B^-1 rhs`` for an m-vector ``rhs`` over the rows."""
+        out = st.v[:, :st.k] @ rhs[st.vrow[:st.k]]
+        unit = np.flatnonzero(st.vcol < 0)
+        out[st.pos[self.n + unit]] += rhs[unit]
+        return out
+
+    def _row(self, st: _State, r: int) -> np.ndarray:
+        """Row ``r`` of ``B^-1`` as an m-vector over the rows."""
+        row = np.zeros(self.m)
+        row[st.vrow[:st.k]] = st.v[r, :st.k]
+        if st.basis[r] >= self.n:
+            row[st.basis[r] - self.n] = 1.0
+        return row
+
+    def _edge_norms(self, st: _State, rows: np.ndarray) -> np.ndarray:
+        """Squared norms of these rows of ``B^-1``, the dual steepest-edge
+        weights: the stored part, plus 1 where a slack holds the position."""
+        part = st.v[rows, :st.k]
+        return np.einsum("ij,ij->i", part, part) + (st.basis[rows] >= self.n)
 
     def _reduced_costs(self, st: _State) -> tuple[np.ndarray, np.ndarray]:
-        y = st.binv.T @ self.cost[st.basis]
+        # a slack costs 0, so y is 0 on every row whose slack is basic
+        y = np.zeros(self.m)
+        y[st.vrow[:st.k]] = st.v[:, :st.k].T @ self.cost[st.basis]
         return self.cost - np.concatenate([self.at_csr @ y, y]), y
 
     def _refactor(self, st: _State) -> None:
@@ -180,47 +219,76 @@ class SimplexEngine:
 
         Slack columns are unit columns.  With the rows they cover permuted
         last, ``B = [[B11, 0], [B21, I]]``, so ``B^-1 = [[B11^-1, 0],
-        [-B21 B11^-1, I]]`` and only the structural block ``B11`` is
-        inverted.
+        [-B21 B11^-1, I]]``: the columns of the k rows whose slack is
+        nonbasic are ``B11^-1`` on the structural positions and ``-B21
+        B11^-1`` on the slack positions, and only the k × k block ``B11`` is
+        inverted.  No more than ``REFACTOR_EVERY`` pivots pass before the
+        next refactor, each appending at most one column, so the store has
+        room for that many more.
         """
         n, m = self.n, self.m
         unit = np.flatnonzero(st.basis >= n)
         struct = np.flatnonzero(st.basis < n)
         unit_row = st.basis[unit] - n
         rest = np.setdiff1d(np.arange(m), unit_row)
-        if len(rest) != len(struct):
+        k = len(rest)
+        if k != len(struct):
             raise NumericalFailure("singular basis during refactorization")
         cols = self.a_csc[:, st.basis[struct]]
         try:
             b11_inv = np.linalg.inv(cols[rest].toarray())
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("singular basis during refactorization") from exc
-        st.binv = np.zeros((m, m))
-        st.binv[np.ix_(struct, rest)] = b11_inv
-        st.binv[unit, unit_row] = 1.0
-        st.binv[np.ix_(unit, rest)] = -(cols[unit_row] @ b11_inv)
+        cap = min(m, k + REFACTOR_EVERY)
+        st.v = np.empty((m, cap), order="F")
+        st.v[struct, :k] = b11_inv
+        st.v[unit, :k] = -(cols[unit_row] @ b11_inv)
+        st.k = k
+        st.vrow = np.empty(cap, dtype=np.intp)
+        st.vrow[:k] = rest
+        st.vcol = np.full(m, -1, dtype=np.intp)
+        st.vcol[rest] = np.arange(k)
+        st.pos = np.full(n + m, -1, dtype=np.intp)
+        st.pos[st.basis] = np.arange(m)
         st.fresh = True
         # recompute basic values from the nonbasic point to kill drift
         xn = st.x.copy()
         xn[st.basis] = 0.0
-        st.x[st.basis] = st.binv @ (self.b - self.a_csc @ xn[:n] - xn[n:])
+        st.x[st.basis] = self._apply(st, self.b - self.a_csc @ xn[:n] - xn[n:])
 
     def _pivot(self, st: _State, r: int, q: int, w: np.ndarray, every: int) -> bool:
         """Make column ``q`` basic in row ``r`` given its ftran ``w``, updating
-        the inverse by row operations and refactoring every ``every``
-        pivots; True when that refactorized."""
+        the stored columns by row operations and refactoring every ``every``
+        pivots; True when that refactorized.
+
+        A slack that enters leaves its column equal to ``e_r``, which is
+        dropped; a slack that leaves turns its unit column ``e_r`` into
+        ``-w / piv`` with ``1 / piv`` at ``r``, which is appended."""
         piv = w[r]
         if abs(piv) < PIVOT_EPS:
             raise NumericalFailure("pivot element vanished")
+        n, v, k = self.n, st.v, st.k
+        leave = int(st.basis[r])
         st.basis[r] = q
         st.vstat[q] = BASIC
-        row = st.binv[r]
+        st.pos[leave], st.pos[q] = -1, r
+        row = v[r, :k]
         row /= piv
         # a column where the pivot row is 0 would only lose w * 0
         nz = np.flatnonzero(row)
         wcol = w.copy()
         wcol[r] = 0.0
-        st.binv[:, nz] -= np.outer(wcol, row[nz])
+        v[:, nz] -= np.outer(wcol, row[nz])
+        if q >= n:
+            c, k = st.vcol[q - n], k - 1
+            v[:, c], st.vrow[c] = v[:, k], st.vrow[k]
+            st.vcol[st.vrow[c]], st.vcol[q - n] = c, -1
+        if leave >= n:
+            v[:, k] = wcol * (-1.0 / piv)
+            v[r, k] = 1.0 / piv
+            st.vrow[k], st.vcol[leave - n] = leave - n, k
+            k += 1
+        st.k = k
         st.pivots += 1
         st.fresh = False
         if abs(piv) < SMALL_PIVOT or st.want_refactor or st.pivots % every == 0:
@@ -232,8 +300,7 @@ class SimplexEngine:
     def _stopped(self, st: _State, max_iter: int, deadline: float | None) -> LpStatus | None:
         if st.iterations >= max_iter:
             return LpStatus.ITERATION_LIMIT
-        if (deadline is not None and st.iterations % DEADLINE_EVERY == 0
-                and time.monotonic() > deadline):
+        if deadline is not None and time.monotonic() > deadline:
             return LpStatus.TIME_LIMIT
         return None
 
@@ -307,13 +374,13 @@ class SimplexEngine:
                 r = int(bad[np.argmin(st.basis[bad])])
             else:
                 # edge norms of the infeasible rows alone: the others score 0
-                binv = st.binv[bad]
                 gap = infeas[bad]
-                r = int(bad[np.argmax(gap * gap / np.einsum("ij,ij->i", binv, binv))])
+                r = int(bad[np.argmax(gap * gap / self._edge_norms(st, bad))])
 
             s = 1.0 if below[r] > 0 else -1.0
             leave = int(st.basis[r])
-            alpha = s * np.concatenate([self.at_csr @ st.binv[r], st.binv[r]])
+            row = self._row(st, r)
+            alpha = s * np.concatenate([self.at_csr @ row, row])
             vs = st.vstat
             j = np.flatnonzero(movable & (
                 ((vs == AT_LOWER) & (alpha < -PIVOT_EPS)) | ((vs == AT_UPPER) & (alpha > PIVOT_EPS))))
@@ -344,7 +411,7 @@ class SimplexEngine:
                 dx[flip] = np.where(up, st.bu[flip], st.bl[flip]) - st.x[flip]
                 st.x[flip] += dx[flip]
                 vs[flip] = np.where(up, AT_UPPER, AT_LOWER)
-                st.x[st.basis] -= st.binv @ (self.a_csc @ dx[:n] + dx[n:])
+                st.x[st.basis] -= self._apply(st, self.a_csc @ dx[:n] + dx[n:])
 
             w = self._ftran(st, q)
             if abs(w[r] - s * alpha[q]) > 1e-6 * (1.0 + abs(w[r])):
@@ -388,8 +455,8 @@ class SimplexEngine:
         index, used to retry a failed solve.  An optimum that still fails
         verification after ``VERIFY_RETRIES`` refactorized resumptions, or a
         singular basis, ends the solve with ``NUMERIC_FAILURE``.  Past
-        ``deadline`` (a :func:`time.monotonic` value, checked every
-        ``DEADLINE_EVERY`` iterations) the solve ends with ``TIME_LIMIT``.
+        ``deadline`` (a :func:`time.monotonic` value, checked on every
+        iteration) the solve ends with ``TIME_LIMIT``.
         """
         lo = self.default_lower if lower is None else lower
         hi = self.default_upper if upper is None else upper

@@ -42,7 +42,7 @@ from cohort_shuffle import (
 from cohort_shuffle import branch_bound
 from cohort_shuffle.branch_bound import _canonical_point, _rows_hold, _Search
 from cohort_shuffle.ipmodel import IpModel, LinearRow, Sense, VarKind, Variable
-from cohort_shuffle.simplex import DEADLINE_EVERY, NumericalFailure, SimplexEngine
+from cohort_shuffle.simplex import NumericalFailure, SimplexEngine
 from conftest import balanced_roster, mk_student, oracle_best, oracle_instance
 
 MIN = ModelVariant.MIN_SAME_COMPANY
@@ -347,7 +347,7 @@ class TestBudgets:
         assert res.objective == weighted_deviation(tiny_roster, warm)
         assert res.bound == 0.0
         assert res.stats.nodes == 0
-        assert res.stats.lp_iterations <= DEADLINE_EVERY
+        assert res.stats.lp_iterations == 0
 
     def test_infeasible_instance(self):
         # locked into a single-company battalion while forbidden to stay

@@ -339,7 +339,7 @@ WALKTHROUGH_SHA256 = {
     "dev-nodes-2": (["--variant", "dev", "--node-limit", "2"], 3,
                     "60bedd00a8b9315f940fdb4a97c4ed660f3ac013ada56b5ff4d21e6fadd78bf9",
                     "27246ca5d2da858580ade592fda4466ecaafb2c38f5387e5bc601b3b6cf5eab8",
-                    "b19e7b3d116ea8c9aec91674155eec2958392ff7d25ecb751c89ef87fafaeabb"),
+                    "e9f464e7e0343409bcdbe7b748d775c6beccaefb7a9ae13d5ed402313d503cd9"),
     "dev-no-time": (["--variant", "dev", "--time-limit", "0", "--warm", "none"], 3,
                     "d9f4a5e6ac380ea85924aea907cf7d9f86132a07f060bae40dc3278d1a26dedd",
                     None, None),
@@ -378,6 +378,15 @@ class TestWalkthroughArtifacts:
         else:
             assert _sha(out.read_bytes()) == csv_sha
             assert _sha(meta.read_bytes()) == meta_sha, meta.read_text()
+
+    @pytest.mark.parametrize("case", sorted(c for c, pin in WALKTHROUGH_SHA256.items() if pin[4]))
+    def test_sidecars_are_strict_json(self, case, walkthrough_files, tmp_path, capsys):
+        """A strict parser reads every sidecar: none holds ``Infinity`` or ``NaN``."""
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        self._solve(walkthrough_files, WALKTHROUGH_SHA256[case][0], tmp_path / "new.csv", capsys)
+        json.loads((tmp_path / "new.csv.meta.json").read_text(), parse_constant=reject)
 
     def test_readme_shows_the_pairs_stdout(self, walkthrough_files, tmp_path, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
