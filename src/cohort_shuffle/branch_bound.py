@@ -77,7 +77,7 @@ class SolveOptions:
     ValueError, and one that violates the model rows is silently skipped.
     ``node_limit`` and ``time_limit_s`` stop the search early with the best
     incumbent found.  Node LPs run under the simplex engine's own iteration
-    cap.  ``workers`` is accepted and recorded but the search runs on one
+    cap.  ``workers`` is accepted and ignored: the search runs on one
     thread, so every run is bit-deterministic for any value.
     """
 

@@ -8,8 +8,7 @@ error, 2 infeasible, 3 stopped without an optimality proof, 4 internal
 or certification failure.
 
 Timing is printed to stderr only, so the files and stdout produced by a
-run are byte-for-byte reproducible for a fixed seed in single-worker
-mode.
+run are byte-for-byte reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -45,7 +43,7 @@ from cohort_shuffle.generator import (
     reference_spec,
 )
 from cohort_shuffle.ipmodel import ModelVariant, export_lp
-from cohort_shuffle.pipeline import WARM_STRATEGIES, solve_roster
+from cohort_shuffle.pipeline import solve_roster
 from cohort_shuffle.reporting import company_stats, render
 from cohort_shuffle.roster import Assignment, Roster, assignment_objective, validate_roster
 
@@ -83,16 +81,6 @@ def _fmt(v: float | None) -> str:
     if v == int(v) and abs(v) < 1e15:
         return str(int(v))
     return repr(v)
-
-
-def _default_workers() -> int:
-    env = os.environ.get("COHORT_SHUFFLE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _finite(cast, least: float = -math.inf):
@@ -144,18 +132,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(p)
     p.add_argument("--variant", choices=[v.value for v in ModelVariant], required=True)
     p.add_argument("--out", help="assignment CSV (a .meta.json sidecar is written too)")
-    p.add_argument("--time-limit", type=_finite(float, 0), default=None, metavar="SECONDS")
+    p.add_argument("--time-limit", type=_finite(float, 0), default=None, metavar="SECONDS",
+                   help="limit on the whole solve, compile and warm start included")
     p.add_argument("--gap-abs", type=_finite(float, 0), default=0.0)
     p.add_argument("--gap-rel", type=_finite(float, 0), default=0.0)
     p.add_argument("--node-limit", type=_finite(int, 0), default=None)
-    p.add_argument("--workers", type=_finite(int, 1), default=None,
-                   help="tree workers to record; the search runs on one thread "
-                        "(default $COHORT_SHUFFLE_THREADS or 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--external-lb", type=_finite(float), default=None,
                    help="trusted lower bound on the optimum")
-    p.add_argument("--warm", choices=WARM_STRATEGIES, default="auto")
-    p.add_argument("--ls-budget", type=_finite(int, 0), default=200)
 
     p = sub.add_parser("certify", help="audit a saved assignment")
     _add_instance_args(p)
@@ -240,18 +224,16 @@ def _cmd_validate(args) -> int:
 def _cmd_solve(args) -> int:
     roster = read_roster(args.roster, args.config)
     variant = ModelVariant(args.variant)
-    workers = args.workers if args.workers is not None else _default_workers()
     opts = SolveOptions(
         time_limit_s=args.time_limit,
         gap_abs=args.gap_abs,
         gap_rel=args.gap_rel,
-        workers=workers,
         seed=args.seed,
         external_lb=args.external_lb,
         node_limit=args.node_limit,
     )
     started = time.perf_counter()
-    out = solve_roster(roster, variant, opts, warm=args.warm, ls_budget=args.ls_budget)
+    out = solve_roster(roster, variant, opts)
     elapsed = time.perf_counter() - started
     res, cert = out.result, out.certificate
 
@@ -282,8 +264,6 @@ def _cmd_solve(args) -> int:
             "nodes": res.stats.nodes,
             "lp_iterations": res.stats.lp_iterations,
             "seed": args.seed,
-            "workers": workers,
-            "warm": args.warm,
             "external_lb": opts.external_lb,
             "time_limit_s": args.time_limit,
             "gap_abs": args.gap_abs,

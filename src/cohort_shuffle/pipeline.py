@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 from dataclasses import dataclass
 
 from cohort_shuffle.bounds import Certificate, certify, objective_floor
@@ -29,7 +30,8 @@ from cohort_shuffle.roster import (
     validate_roster,
 )
 
-WARM_STRATEGIES = ("auto", "none", "deal")
+#: moves each warm-start descent may accept
+LS_BUDGET = 200
 
 
 @dataclass(frozen=True)
@@ -39,38 +41,30 @@ class PipelineResult:
     warm_start: Assignment | None
 
 
-def build_warm_start(roster: Roster, variant: ModelVariant,
-                     strategy: str = "auto", *, seed: int = 0, ls_budget: int = 200,
+def build_warm_start(roster: Roster, variant: ModelVariant, *, seed: int = 0,
                      model: IpModel | None = None) -> Assignment | None:
     """Cheapest feasible assignment the heuristics can find, else None.
 
-    ``deal`` offers the cyclic deal as it is.  ``auto`` adds the two
-    battalion rotations and descends each start, feasible or not, with
-    ``local_search`` on one shared move evaluator until one meets the
-    objective floor.  The evaluator is built from ``model``, which must have
-    been compiled from ``roster`` as ``variant`` (ValueError otherwise), and
-    is compiled here when not given.  Only assignments that pass the
-    feasibility check the certificate uses are returned, so a warm start can
-    never poison a solve.
+    Descends the cyclic deal (when there are companies to deal over) and
+    the two battalion rotations, feasible or not, with ``local_search`` on
+    one shared move evaluator until one meets the objective floor.  The
+    evaluator is built from ``model``, which must have been compiled from
+    ``roster`` as ``variant`` (ValueError otherwise), and is compiled here
+    when not given.  Only assignments that pass the feasibility check the
+    certificate uses are returned, so a warm start can never poison a
+    solve.
     """
-    if strategy not in WARM_STRATEGIES:
-        raise ValueError(f"unknown warm-start strategy {strategy!r}")
     if model is not None and (model.variant is not variant or model.roster != roster):
         raise ValueError("the model was not compiled from this roster and variant")
-    if strategy == "none":
-        return None
     forbid = variant is not ModelVariant.MIN_SAME_COMPANY
-
-    candidates = [cyclic_deal(roster)]
-    if strategy == "auto":
-        candidates += [rotate_within_battalions(roster), rotate_within_battalions(roster, shift=2)]
-        ev = MoveEvaluator(model or compile_model(roster, variant))
+    candidates = [cyclic_deal(roster)] if roster.num_companies > 1 else []
+    candidates += [rotate_within_battalions(roster), rotate_within_battalions(roster, shift=2)]
+    ev = MoveEvaluator(model or compile_model(roster, variant))
 
     floor = objective_floor(roster, variant)
     best, best_obj = None, math.inf
     for asg in candidates:
-        if strategy == "auto":
-            asg = local_search(roster, asg, variant, ls_budget, seed=seed, evaluator=ev)
+        asg = local_search(roster, asg, variant, LS_BUDGET, seed=seed, evaluator=ev)
         if not check_feasible(roster, asg, forbid_same_company=forbid).feasible:
             continue
         obj = assignment_objective(roster, asg, variant)
@@ -82,15 +76,17 @@ def build_warm_start(roster: Roster, variant: ModelVariant,
 
 
 def solve_roster(roster: Roster, variant: ModelVariant,
-                 options: SolveOptions | None = None, *,
-                 warm: str = "auto", ls_budget: int = 200) -> PipelineResult:
+                 options: SolveOptions | None = None) -> PipelineResult:
     """Validate, compile and solve one roster; returns result + certificate.
 
     Raises ValueError when the roster is structurally invalid.  Unless the
     caller supplied a lower bound, the variant's objective floor is passed
     to the solver (the pigeonhole bound for pairs), which lets a matching
-    warm start close the gap without any enumeration.
+    warm start close the gap without any enumeration.  A time limit counts
+    from the call: the search gets what the validation, compile and warm
+    start left of it.
     """
+    started = time.monotonic()
     problems = validate_roster(roster)
     if problems:
         raise ValueError("invalid roster: " + "; ".join(v.message for v in problems[:5]))
@@ -100,10 +96,13 @@ def solve_roster(roster: Roster, variant: ModelVariant,
 
     if opts.warm_start is None:
         opts = dataclasses.replace(opts, warm_start=build_warm_start(
-            roster, variant, warm, seed=opts.seed, ls_budget=ls_budget, model=model))
+            roster, variant, seed=opts.seed, model=model))
     if opts.external_lb is None:
         opts = dataclasses.replace(opts, external_lb=objective_floor(roster, variant))
 
+    if opts.time_limit_s is not None:
+        spent = time.monotonic() - started
+        opts = dataclasses.replace(opts, time_limit_s=max(0.0, opts.time_limit_s - spent))
     result = solve_ip(model, opts)
     cert = None
     if result.assignment is not None:

@@ -112,7 +112,7 @@ def desk_dev_runs():
 
 @pytest.fixture(scope="module")
 def pairs_sweep_runs():
-    """Deal-seeded PAIRS pipeline runs on balanced bare instances.
+    """PAIRS pipeline runs on balanced bare instances, with their deals.
 
     Covers every company count in 3..8 with every uniform size that
     exceeds the number of destinations but at most doubles it.
@@ -122,7 +122,7 @@ def pairs_sweep_runs():
         for size in range(n_c, 2 * (n_c - 1) + 1):
             roster = cs.generate(cs.balanced_spec(n_c, size), seed=n_c * 100 + size)
             deal = cs.cyclic_deal(roster)
-            pipeline = cs.solve_roster(roster, PAIRS, warm="deal")
+            pipeline = cs.solve_roster(roster, PAIRS)
             runs.append((n_c, size, roster, deal, pipeline))
     return runs
 
@@ -230,6 +230,8 @@ def test_deal_meets_pigeonhole_bound_and_certifies_optimal(capsys, pairs_sweep_r
         if cs.count_pairs(roster, deal) != expected_pairs:
             bad.append((n_c, size, "deal pair count"))
             continue
+        if pipeline.warm_start != deal:
+            bad.append((n_c, size, "warm start is not the deal"))
         cert = pipeline.certificate
         result = pipeline.result
         if result.status is not SolveStatus.PROVEN_OPTIMAL:
@@ -354,7 +356,7 @@ def test_pipeline_is_byte_reproducible(capsys, tmp_path):
             ["generate", "--preset", "desk", "--seed", "5",
              "--roster", str(roster), "--config", str(config)],
             ["solve", "--roster", str(roster), "--config", str(config),
-             "--variant", "pairs", "--out", str(assignment), "--workers", "1"],
+             "--variant", "pairs", "--out", str(assignment)],
             ["certify", "--roster", str(roster), "--config", str(config),
              "--variant", "pairs", "--result", str(assignment)],
             ["report", "--roster", str(roster), "--config", str(config),

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
+import time
 from collections import deque
 
 import numpy as np
@@ -231,6 +233,38 @@ class TestWarmStart:
         assert out.result.status is SolveStatus.PROVEN_OPTIMAL
         assert out.result.objective == 8.0
         assert out.certificate.ok
+
+    def test_one_company_min_is_proven_without_a_deal(self):
+        """There is no other company to deal over, so the warm start skips the
+        deal and the rotations keep all five students where they were."""
+        r = generate(dataclasses.replace(desk_spec(1, 5, 1, 0), intl_per_company=0,
+                                         sapr_per_company=0), 1)
+        out = solve_roster(r, MIN)
+        assert out.result.status is SolveStatus.PROVEN_OPTIMAL
+        assert out.result.objective == 5.0
+        assert out.certificate.ok
+
+    def test_the_time_limit_counts_the_warm_start(self, monkeypatch):
+        """The search gets what the compile and the warm start left of the limit."""
+        real_warm, real_solve = pipeline.build_warm_start, pipeline.solve_ip
+        limits = []
+
+        def slow_warm(*args, **kwargs):
+            time.sleep(0.2)
+            return real_warm(*args, **kwargs)
+
+        def captured(model, opts):
+            limits.append(opts.time_limit_s)
+            return real_solve(model, opts)
+
+        monkeypatch.setattr(pipeline, "build_warm_start", slow_warm)
+        monkeypatch.setattr(pipeline, "solve_ip", captured)
+        r = generate(desk_spec(), seed=7)
+        solve_roster(r, DEV, SolveOptions(node_limit=0, time_limit_s=10.0))
+        solve_roster(r, DEV, SolveOptions(node_limit=0, time_limit_s=0.1))
+        solve_roster(r, DEV, SolveOptions(node_limit=0))
+        assert 0.0 < limits[0] <= 9.8
+        assert limits[1:] == [0.0, None]
 
 
 class TestFullScale:

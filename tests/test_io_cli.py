@@ -180,23 +180,28 @@ class TestExitCodes:
         assert rc == 2
         assert "appears more than once" in capsys.readouterr().out
 
-    def test_solve_infeasible_exits_2(self, tmp_path):
+    @pytest.fixture
+    def infeasible_files(self, tmp_path) -> list[str]:
         # a locked student in a single-company battalion cannot move anywhere
         students = (mk_student(0, 0, battalion_locked=True), mk_student(1, 1))
         r = Roster(students=students, num_companies=2, battalions=((0,), (1,)))
         fileio.write_roster(r, tmp_path / "r.csv", tmp_path / "r.cfg")
-        rc = cli.main(["solve", "--roster", str(tmp_path / "r.csv"),
-                       "--config", str(tmp_path / "r.cfg"), "--variant", "dev"])
-        assert rc == 2
+        return ["--roster", str(tmp_path / "r.csv"), "--config", str(tmp_path / "r.cfg")]
 
-    def test_solve_out_of_budget_exits_3(self, desk_files):
-        roster, config = desk_files
-        rc = cli.main(["solve", "--roster", str(roster), "--config", str(config),
-                       "--variant", "dev", "--time-limit", "0", "--warm", "none"])
+    def test_solve_infeasible_exits_2(self, infeasible_files):
+        assert cli.main(["solve", *infeasible_files, "--variant", "dev"]) == 2
+
+    def test_solve_out_of_budget_exits_3(self, infeasible_files, tmp_path, capsys):
+        """No warm start and no time left: the search stops before it can
+        tell the roster is infeasible, and no file is written."""
+        out = tmp_path / "new.csv"
+        rc = cli.main(["solve", *infeasible_files, "--variant", "dev", "--time-limit", "0",
+                       "--out", str(out)])
         assert rc == 3
+        assert "status: time_limit_no_solution" in capsys.readouterr().out.splitlines()
+        assert not out.exists() and not (tmp_path / "new.csv.meta.json").exists()
 
-    @pytest.mark.parametrize("flag", ["--time-limit", "--node-limit", "--ls-budget",
-                                      "--gap-abs", "--gap-rel"])
+    @pytest.mark.parametrize("flag", ["--time-limit", "--node-limit", "--gap-abs", "--gap-rel"])
     def test_negative_budget_or_gap_is_a_usage_error(self, flag, desk_files, capsys):
         """A negative budget or gap exits 1 before any solve; 0 is a valid value."""
         roster, config = desk_files
@@ -222,18 +227,6 @@ class TestExitCodes:
         if flag == "--external-lb" and text == "inf":
             assert cli.main([*solve, flag, "-1"]) == 3
             assert fileio.read_meta(tmp_path / "new.csv.meta.json")["external_lb"] == -1.0
-
-    @pytest.mark.parametrize("text", ["0", "-3"])
-    def test_workers_below_one_is_a_usage_error(self, text, desk_files, capsys, tmp_path):
-        roster, config = desk_files
-        out = tmp_path / "new.csv"
-        solve = ["solve", "--roster", str(roster), "--config", str(config), "--variant", "min",
-                 "--out", str(out)]
-        assert cli.main([*solve, "--workers", text]) == 1
-        assert f"argument --workers: must be at least 1, not {text}" in capsys.readouterr().err
-        assert not out.exists()
-        assert cli.main([*solve, "--workers", "1"]) == 0
-        assert fileio.read_meta(tmp_path / "new.csv.meta.json")["workers"] == 1
 
     def test_certify_tampered_result_exits_4(self, desk_files, tmp_path):
         roster, config = desk_files
@@ -313,15 +306,6 @@ class TestDeterministicArtifacts:
                                (roster, config, out, d / "pairs.csv.meta.json")))
         assert blobs[0] == blobs[1]
 
-    def test_workers_env_fallback(self, desk_files, monkeypatch, tmp_path):
-        roster, config = desk_files
-        monkeypatch.setenv("COHORT_SHUFFLE_THREADS", "2")
-        out = tmp_path / "env.csv"
-        rc = cli.main(["solve", "--roster", str(roster), "--config", str(config),
-                       "--variant", "min", "--out", str(out)])
-        assert rc == 0
-        assert fileio.read_meta(tmp_path / "env.csv.meta.json")["workers"] == 2
-
 
 #: sha256 of each artifact of the README walkthrough roster (desk seed 7),
 #: pinned across commits: a change that moves a solve's status, bound,
@@ -331,18 +315,15 @@ WALKTHROUGH_SHA256 = {
     "pairs": (["--variant", "pairs"], 0,
               "32d183f09feda9c3239547410ee9ac193a7ec2a828ace4b97565ab3303d1b625",
               "92f58358e62b0f85aa46a0bd1511577756793390b20a4abef5ee9b26af0a3b33",
-              "a09f7cecef9eedae87d1ba2c64e04ea098bb4a33c15eea67d210e875b021dd04"),
+              "18c0dc6968b78febf5dcd2a6d2e56741dee2b4622ed40bd8582fbeeb39de5b1f"),
     "min": (["--variant", "min"], 0,
             "1f42fddd061178183f221197b79266da889e8817d0bd9bbd2c9fee53d067770d",
             "72f2a0a590e194775fc0deda519adbaf1f005c5a7ed23a8fe55443bc1f05fecd",
-            "19c3034ca3fb18ec2e292c78993d6244fa6c96b1352cb0feb9eb193a2ab37179"),
+            "f5827122f992be4ba6a96635ce1f5d107e2a2aaa4b389baf0aa42693f8e48461"),
     "dev-nodes-2": (["--variant", "dev", "--node-limit", "2"], 3,
                     "60bedd00a8b9315f940fdb4a97c4ed660f3ac013ada56b5ff4d21e6fadd78bf9",
                     "27246ca5d2da858580ade592fda4466ecaafb2c38f5387e5bc601b3b6cf5eab8",
-                    "e9f464e7e0343409bcdbe7b748d775c6beccaefb7a9ae13d5ed402313d503cd9"),
-    "dev-no-time": (["--variant", "dev", "--time-limit", "0", "--warm", "none"], 3,
-                    "d9f4a5e6ac380ea85924aea907cf7d9f86132a07f060bae40dc3278d1a26dedd",
-                    None, None),
+                    "6f42387ef8b94ef6f106ce0a8f627b1d6694fda7fd2db0ae7fac01cf91737ef2"),
 }
 
 
@@ -373,13 +354,10 @@ class TestWalkthroughArtifacts:
         meta = tmp_path / "new.csv.meta.json"
         assert rc == code
         assert _sha(stdout.encode()) == stdout_sha, stdout
-        if csv_sha is None:
-            assert not out.exists() and not meta.exists()
-        else:
-            assert _sha(out.read_bytes()) == csv_sha
-            assert _sha(meta.read_bytes()) == meta_sha, meta.read_text()
+        assert _sha(out.read_bytes()) == csv_sha
+        assert _sha(meta.read_bytes()) == meta_sha, meta.read_text()
 
-    @pytest.mark.parametrize("case", sorted(c for c, pin in WALKTHROUGH_SHA256.items() if pin[4]))
+    @pytest.mark.parametrize("case", sorted(WALKTHROUGH_SHA256))
     def test_sidecars_are_strict_json(self, case, walkthrough_files, tmp_path, capsys):
         """A strict parser reads every sidecar: none holds ``Infinity`` or ``NaN``."""
         def reject(constant):
