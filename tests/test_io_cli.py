@@ -324,6 +324,12 @@ WALKTHROUGH_SHA256 = {
                     "60bedd00a8b9315f940fdb4a97c4ed660f3ac013ada56b5ff4d21e6fadd78bf9",
                     "27246ca5d2da858580ade592fda4466ecaafb2c38f5387e5bc601b3b6cf5eab8",
                     "6f42387ef8b94ef6f106ce0a8f627b1d6694fda7fd2db0ae7fac01cf91737ef2"),
+    # the time limit counts from the call, but the warm start always runs:
+    # no time is left for a node, and the warm start's assignment is written
+    "dev-no-time": (["--variant", "dev", "--time-limit", "0"], 3,
+                    "01038dd2ec2de97bec9e60cf22eaf3905b757557190391cb3c0d4f33be398cbc",
+                    "27246ca5d2da858580ade592fda4466ecaafb2c38f5387e5bc601b3b6cf5eab8",
+                    "082bd2deb76265b8ad4a830157c7dfcb867acd0ba6763fd76ec283694aa33241"),
 }
 
 
