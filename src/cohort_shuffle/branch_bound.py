@@ -11,10 +11,12 @@ when the objective is integral (the stay-count and pairs variants), and
 every incumbent is rebuilt canonically from its decoded assignment, so
 reported objectives match the roster-level evaluators bit for bit.
 
-A caller-supplied external lower bound participates in pruning and in the
-optimality proof: an incumbent matching the external bound terminates the
-search immediately with a zero gap, mirroring a by-hand optimality
-argument from an a-priori bound.
+The objective floor of the model's roster (the pigeonhole bound for the
+pairs variant, 0 otherwise) participates in pruning and in the optimality
+proof: an incumbent that meets it ends the search at once with a zero gap,
+mirroring a by-hand optimality argument.  A status of proven optimal
+always means the incumbent meets a bound derived here, the floor or the
+tree's.
 
 The LP engine is built at the first node LP, so a solve whose warm start
 meets the floor never builds the standard form: every incumbent is
@@ -23,7 +25,7 @@ auditor's tolerance.  A model must come from a roster: it carries that
 roster, whose students the incumbents are decoded into and scored on.
 
 The deadline reaches into each node LP, which reads the clock on every
-iteration.  An LP stopped by it puts its node back on the heap under the
+iteration, and into the root repair's descent.  An LP stopped by it puts its node back on the heap under the
 parent's bound, so a budget stop reports the incumbent with an honest
 bound.
 """
@@ -42,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from cohort_shuffle.bounds import optimality_gap
+from cohort_shuffle.bounds import objective_floor, optimality_gap
 from cohort_shuffle.compiler import acquainted_pairs
 from cohort_shuffle.heuristics import MoveEvaluator, descend
 from cohort_shuffle.ipmodel import IpModel, ModelVariant, RowStore
@@ -70,8 +72,6 @@ class DecodeError(ValueError):
 class SolveOptions:
     """Knobs for one exact solve.
 
-    ``gap_abs``/``gap_rel`` widen the optimality proof beyond exactness;
-    ``external_lb`` injects an a-priori lower bound on the objective;
     ``warm_start`` seeds the incumbent with a known assignment: one that
     leaves out a student or names a company outside ``[0, |C|)`` raises
     ValueError, and one that violates the model rows is silently skipped.
@@ -82,11 +82,8 @@ class SolveOptions:
     """
 
     time_limit_s: float | None = None
-    gap_abs: float = 0.0
-    gap_rel: float = 0.0
     workers: int = 1
     seed: int = 0
-    external_lb: float | None = None
     warm_start: Assignment | None = None
     node_limit: int | None = None
 
@@ -107,9 +104,14 @@ class SolveResult:
     assignment: Assignment | None
     objective: float | None
     bound: float
-    gap: float | None
     stats: SolveStats
     primal: np.ndarray | None
+
+    @property
+    def gap(self) -> float | None:
+        """The objective's :func:`~cohort_shuffle.bounds.optimality_gap` from
+        the bound, in percent; None without an incumbent."""
+        return None if self.objective is None else optimality_gap(self.objective, self.bound)
 
     @property
     def proven_optimal(self) -> bool:
@@ -181,12 +183,7 @@ class _Search:
                                               ModelVariant.MIN_PAIRS)
         self.n_c = model.roster.num_companies
         self.n_students = len(model.roster.students)
-
-        columns = model.variables
-        nonneg = bool(np.all(columns.objective >= 0.0) and np.all(columns.lower >= 0.0))
-        self.floor = 0.0 if nonneg else -math.inf
-        if opts.external_lb is not None:
-            self.floor = max(self.floor, float(opts.external_lb))
+        self.floor = objective_floor(model.roster, model.variant)
 
         self.impr_eps = (1.0 - 1e-6) if self.integral_obj else 1e-9
         self.heap: list[tuple[float, int, tuple[tuple[int, int], ...], Basis | None]] = []
@@ -236,18 +233,9 @@ class _Search:
     def _cutoff(self) -> float:
         return math.inf if self.inc_obj is None else self.inc_obj - self.impr_eps
 
-    def _stop_tol(self) -> float:
-        tol = max(self.impr_eps, self.opts.gap_abs)
-        if self.inc_obj is not None:
-            tol = max(tol, self.opts.gap_rel * abs(self.inc_obj))
-        return tol
-
     def _proved(self, glb: float) -> bool:
-        return self.inc_obj is not None and self.inc_obj - glb <= self._stop_tol()
-
-    def _at_floor(self) -> bool:
-        """The incumbent meets the a-priori floor, so it is optimal."""
-        return self.inc_obj is not None and self.inc_obj - self.floor <= max(self.impr_eps, 1e-9)
+        """The incumbent meets the lower bound ``glb``, so it is optimal."""
+        return self.inc_obj is not None and self.inc_obj - glb <= self.impr_eps
 
     def _out_of_budget(self) -> bool:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -279,7 +267,8 @@ class _Search:
         end point as an incumbent."""
         ev = MoveEvaluator(self.model)
         ev.load(self._rounded(x))
-        descend(ev, random.Random(self.opts.seed), 10 * self.n_students, self.floor)
+        descend(ev, random.Random(self.opts.seed), 10 * self.n_students, self.floor,
+                deadline=self.deadline)
         if ev.violation == 0.0:
             self._try_incumbent(np.array(ev.asg, dtype=np.int64))
 
@@ -316,7 +305,7 @@ class _Search:
             if at_root:
                 self._round_and_repair(raw.values)
                 at_root = False
-                if node_bound >= self._cutoff() or self._at_floor():
+                if node_bound >= self._cutoff() or self._proved(self.floor):
                     return
 
             xb = raw.values[self.binary_cols]
@@ -360,7 +349,7 @@ class _Search:
             self._try_incumbent(self._warm_point(opts.warm_start))
 
         budget = False
-        if not self._at_floor():
+        if not self._proved(self.floor):
             self.heap = [(self.floor, 0, (), None)]
             budget = self._search()
 
@@ -369,27 +358,28 @@ class _Search:
         inc = self.inc_obj
         if inc is None:
             status = SolveStatus.TIME_LIMIT_NO_SOLUTION if budget else SolveStatus.INFEASIBLE
-            return SolveResult(status, None, None, glb, None, stats, None)
+            return SolveResult(status, None, None, glb, stats, None)
 
         glb = min(glb, inc)
-        if not budget and inc - glb <= self.impr_eps:
-            bound, gap = inc, 0.0
-        else:
-            bound, gap = glb, optimality_gap(inc, glb)
-        status = (SolveStatus.PROVEN_OPTIMAL if inc - bound <= self._stop_tol()
+        bound = inc if not budget and inc - glb <= self.impr_eps else glb
+        status = (SolveStatus.PROVEN_OPTIMAL if inc - bound <= self.impr_eps
                   else SolveStatus.FEASIBLE_GAP)
         assignment = dict(zip([s.id for s in self.model.roster.students], self.inc_asg.tolist()))
         self.inc_x.setflags(write=False)
-        return SolveResult(status, assignment, inc, bound, gap, stats, self.inc_x)
+        return SolveResult(status, assignment, inc, bound, stats, self.inc_x)
 
 
 def solve_ip(model: IpModel, opts: SolveOptions | None = None) -> SolveResult:
     """Solve a model compiled from a roster to proven optimality (or a
     budgeted incumbent).  Raises ValueError on a model not compiled from a
-    roster and on a warm start that leaves out a student or names a company
-    outside ``[0, |C|)``."""
+    roster, on one with a negative cost, whose objective can fall below the
+    roster's floor, and on a warm start that leaves out a student or names
+    a company outside ``[0, |C|)``."""
     if model.num_vars < 1:
         raise ValueError("model has no variables")
     if model.roster is None:
         raise ValueError("model carries no roster: compile it from one")
+    if np.any(model.variables.objective < 0.0):
+        raise ValueError("model has a negative cost: its roster's objective weights "
+                         "must be nonnegative")
     return _Search(model, opts or SolveOptions()).run()

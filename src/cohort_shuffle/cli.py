@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 from cohort_shuffle import __version__
-from cohort_shuffle.bounds import certify, optimality_gap, pairs_floors
+from cohort_shuffle.bounds import certify, pairs_floors
 from cohort_shuffle.branch_bound import SolveOptions, SolveResult, SolveStats, SolveStatus
 from cohort_shuffle.compiler import compile_model
 from cohort_shuffle.fileio import (
@@ -83,16 +83,16 @@ def _fmt(v: float | None) -> str:
     return repr(v)
 
 
-def _finite(cast, least: float = -math.inf):
+def _budget(cast):
     """An argparse type: the option's text read by ``cast`` (``int`` or
     ``float``), rejected as a usage error unless it is finite and at least
-    ``least``."""
+    0."""
     def parse(text: str):
         value = cast(text)
         if not math.isfinite(value):
             raise argparse.ArgumentTypeError(f"must be finite, not {text}")
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, not {text}")
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be at least 0, not {text}")
         return value
     parse.__name__ = cast.__name__  # argparse names it in "invalid int value: ..."
     return parse
@@ -132,14 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(p)
     p.add_argument("--variant", choices=[v.value for v in ModelVariant], required=True)
     p.add_argument("--out", help="assignment CSV (a .meta.json sidecar is written too)")
-    p.add_argument("--time-limit", type=_finite(float, 0), default=None, metavar="SECONDS",
+    p.add_argument("--time-limit", type=_budget(float), default=None, metavar="SECONDS",
                    help="limit on the whole solve, compile and warm start included")
-    p.add_argument("--gap-abs", type=_finite(float, 0), default=0.0)
-    p.add_argument("--gap-rel", type=_finite(float, 0), default=0.0)
-    p.add_argument("--node-limit", type=_finite(int, 0), default=None)
+    p.add_argument("--node-limit", type=_budget(int), default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--external-lb", type=_finite(float), default=None,
-                   help="trusted lower bound on the optimum")
 
     p = sub.add_parser("certify", help="audit a saved assignment")
     _add_instance_args(p)
@@ -224,14 +220,7 @@ def _cmd_validate(args) -> int:
 def _cmd_solve(args) -> int:
     roster = read_roster(args.roster, args.config)
     variant = ModelVariant(args.variant)
-    opts = SolveOptions(
-        time_limit_s=args.time_limit,
-        gap_abs=args.gap_abs,
-        gap_rel=args.gap_rel,
-        seed=args.seed,
-        external_lb=args.external_lb,
-        node_limit=args.node_limit,
-    )
+    opts = SolveOptions(time_limit_s=args.time_limit, seed=args.seed, node_limit=args.node_limit)
     started = time.perf_counter()
     out = solve_roster(roster, variant, opts)
     elapsed = time.perf_counter() - started
@@ -264,10 +253,7 @@ def _cmd_solve(args) -> int:
             "nodes": res.stats.nodes,
             "lp_iterations": res.stats.lp_iterations,
             "seed": args.seed,
-            "external_lb": opts.external_lb,
             "time_limit_s": args.time_limit,
-            "gap_abs": args.gap_abs,
-            "gap_rel": args.gap_rel,
             "certificate_ok": None if cert is None else cert.ok,
             "config": config_lines(roster),
         }
@@ -278,24 +264,39 @@ def _cmd_solve(args) -> int:
     return _STATUS_EXIT[res.status]
 
 
+def _read_sidecar(path: str) -> dict:
+    """The result sidecar at ``path``.  ValueError names the file unless it
+    is a JSON object whose keys certify reads hold a solve status
+    (``status``), a number or null (``objective``), a number (``bound``) and
+    integers (``nodes``, ``lp_iterations``); missing and other keys pass."""
+    meta = read_meta(path)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: a sidecar is a JSON object, not {type(meta).__name__}")
+    kinds = {"objective": (int, float, type(None)), "bound": (int, float),
+             "nodes": int, "lp_iterations": int}
+    for key, value in meta.items():
+        if key in kinds and (isinstance(value, bool) or not isinstance(value, kinds[key])):
+            raise ValueError(f"{path}: {key} cannot be {value!r}")
+    if meta.get("status", SolveStatus.FEASIBLE_GAP.value) not in [s.value for s in SolveStatus]:
+        raise ValueError(f"{path}: status {meta['status']!r} is not a solve status")
+    return meta
+
+
 def _cmd_certify(args) -> int:
     roster = read_roster(args.roster, args.config)
     variant = ModelVariant(args.variant)
     asg = _read_assignment(args.result, roster)
 
     meta_path = args.meta or f"{args.result}.meta.json"
-    meta = read_meta(meta_path) if Path(meta_path).exists() else {}
-    status = str(meta.get("status", SolveStatus.FEASIBLE_GAP.value))
+    meta = _read_sidecar(meta_path) if Path(meta_path).exists() else {}
     reported = meta.get("objective")
     if reported is None:
         reported = assignment_objective(roster, asg, variant)
-    bound = float(meta.get("bound", 0.0))
     result = SolveResult(
-        status=SolveStatus(status),
+        status=SolveStatus(meta.get("status", SolveStatus.FEASIBLE_GAP.value)),
         assignment=asg,
         objective=float(reported),
-        bound=bound,
-        gap=optimality_gap(float(reported), bound) if bound else None,
+        bound=float(meta.get("bound", 0.0)),
         stats=SolveStats(nodes=int(meta.get("nodes", 0)),
                          lp_iterations=int(meta.get("lp_iterations", 0)),
                          wall_time_s=0.0),

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from bisect import bisect_left
 from collections import deque
 from itertools import accumulate
@@ -459,16 +460,18 @@ def _take_first(order: deque[int], take: Callable[[int], bool]) -> bool:
     return False
 
 
-def descend(ev: MoveEvaluator, rng: random.Random, budget: int, floor: float) -> None:
+def descend(ev: MoveEvaluator, rng: random.Random, budget: int, floor: float, *,
+            deadline: float | None = None) -> None:
     """First-improvement descent over relocate and swap moves.
 
     Relocations are scanned in one seeded order, cyclically from just after
     the last accepted one, and a move is taken when it lowers (violation,
     objective); only when a whole cycle finds none are swaps scanned the
     same way, in their own seeded order built on first need.  Stops at a
-    local optimum, after ``budget`` accepted moves, or once the assignment
-    is feasible with its objective at ``floor``, a lower bound no move can
-    beat.  From a feasible start every accepted move keeps it feasible.
+    local optimum, after ``budget`` accepted moves, once the assignment is
+    feasible with its objective at ``floor``, a lower bound no move can
+    beat, or once ``time.monotonic()`` passes ``deadline``, read before
+    each move.  From a feasible start every accepted move keeps it feasible.
 
     A move rejected by a row while the assignment is feasible is skipped
     until that row's activity or a moving student's company changes: the
@@ -517,6 +520,8 @@ def descend(ev: MoveEvaluator, rng: random.Random, budget: int, floor: float) ->
     for _ in range(budget):
         if ev.violation == 0.0 and ev.objective <= floor + EPS:
             return
+        if deadline is not None and time.monotonic() > deadline:
+            return
         if _take_first(relocates, relocate):
             continue
         if swaps is None:
@@ -528,21 +533,23 @@ def descend(ev: MoveEvaluator, rng: random.Random, budget: int, floor: float) ->
 
 
 def local_search(roster: Roster, start: Assignment, objective: ModelVariant,
-                 budget: int, *, seed: int = 0,
-                 evaluator: MoveEvaluator | None = None) -> Assignment:
+                 budget: int, *, seed: int = 0, evaluator: MoveEvaluator | None = None,
+                 deadline: float | None = None) -> Assignment:
     """Seeded :func:`descend` from ``start`` over the roster's x-block rows,
     down to the variant's :func:`~cohort_shuffle.bounds.objective_floor`.
 
     A feasible start stays feasible and only the objective falls; an
     infeasible one is first walked toward feasibility.  An ``evaluator``
     built for the same roster and variant is loaded and reused; without one,
-    the model is compiled here.
+    the model is compiled here.  The descent stops at ``deadline``, a
+    ``time.monotonic()`` value.
     """
     asg = dict(start)
     if budget <= 0:
         return asg
     ev = evaluator or MoveEvaluator(compile_model(roster, objective))
     ev.load([asg[sid] for sid in ev.ids])
-    descend(ev, random.Random(seed), budget, objective_floor(roster, objective))
+    descend(ev, random.Random(seed), budget, objective_floor(roster, objective),
+            deadline=deadline)
     asg.update(zip(ev.ids, ev.asg))
     return asg

@@ -3,9 +3,9 @@
 `solve_roster` is the one-call entry point used by the CLI.  It wires the
 pieces together in the order that makes the solver fastest and the result
 auditable: structural validation up front, a local-search descent from
-each constructive start until one reaches the objective floor as the warm
-start, that floor (the pigeonhole bound for the pairs variant) as the
-solver's a-priori bound, and an independent certificate on the way out.
+each constructive start until one reaches the objective floor (the
+pigeonhole bound for the pairs variant, which the solver proves against
+too) as the warm start, and an independent certificate on the way out.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ class PipelineResult:
 
 
 def build_warm_start(roster: Roster, variant: ModelVariant, *, seed: int = 0,
-                     model: IpModel | None = None) -> Assignment | None:
+                     model: IpModel | None = None,
+                     deadline: float | None = None) -> Assignment | None:
     """Cheapest feasible assignment the heuristics can find, else None.
 
     Descends the cyclic deal (when there are companies to deal over) and
@@ -50,9 +51,10 @@ def build_warm_start(roster: Roster, variant: ModelVariant, *, seed: int = 0,
     one shared move evaluator until one meets the objective floor.  The
     evaluator is built from ``model``, which must have been compiled from
     ``roster`` as ``variant`` (ValueError otherwise), and is compiled here
-    when not given.  Only assignments that pass the feasibility check the
-    certificate uses are returned, so a warm start can never poison a
-    solve.
+    when not given.  Each descent stops at ``deadline``, a
+    ``time.monotonic()`` value.  Only assignments that pass the feasibility
+    check the certificate uses are returned, so a warm start can never
+    poison a solve.
     """
     if model is not None and (model.variant is not variant or model.roster != roster):
         raise ValueError("the model was not compiled from this roster and variant")
@@ -64,7 +66,8 @@ def build_warm_start(roster: Roster, variant: ModelVariant, *, seed: int = 0,
     floor = objective_floor(roster, variant)
     best, best_obj = None, math.inf
     for asg in candidates:
-        asg = local_search(roster, asg, variant, LS_BUDGET, seed=seed, evaluator=ev)
+        asg = local_search(roster, asg, variant, LS_BUDGET, seed=seed, evaluator=ev,
+                           deadline=deadline)
         if not check_feasible(roster, asg, forbid_same_company=forbid).feasible:
             continue
         obj = assignment_objective(roster, asg, variant)
@@ -79,12 +82,11 @@ def solve_roster(roster: Roster, variant: ModelVariant,
                  options: SolveOptions | None = None) -> PipelineResult:
     """Validate, compile and solve one roster; returns result + certificate.
 
-    Raises ValueError when the roster is structurally invalid.  Unless the
-    caller supplied a lower bound, the variant's objective floor is passed
-    to the solver (the pigeonhole bound for pairs), which lets a matching
-    warm start close the gap without any enumeration.  A time limit counts
-    from the call: the search gets what the validation, compile and warm
-    start left of it.
+    Raises ValueError when the roster is structurally invalid.  A warm
+    start that meets the variant's objective floor (the pigeonhole bound
+    for pairs) closes the gap without any enumeration.  A time limit counts
+    from the call: the warm start's descents stop at it, and the search
+    gets what the validation, compile and warm start left of it.
     """
     started = time.monotonic()
     problems = validate_roster(roster)
@@ -92,17 +94,15 @@ def solve_roster(roster: Roster, variant: ModelVariant,
         raise ValueError("invalid roster: " + "; ".join(v.message for v in problems[:5]))
 
     opts = options if options is not None else SolveOptions()
+    deadline = None if opts.time_limit_s is None else started + opts.time_limit_s
     model = compile_model(roster, variant)
 
     if opts.warm_start is None:
         opts = dataclasses.replace(opts, warm_start=build_warm_start(
-            roster, variant, seed=opts.seed, model=model))
-    if opts.external_lb is None:
-        opts = dataclasses.replace(opts, external_lb=objective_floor(roster, variant))
+            roster, variant, seed=opts.seed, model=model, deadline=deadline))
 
-    if opts.time_limit_s is not None:
-        spent = time.monotonic() - started
-        opts = dataclasses.replace(opts, time_limit_s=max(0.0, opts.time_limit_s - spent))
+    if deadline is not None:
+        opts = dataclasses.replace(opts, time_limit_s=max(0.0, deadline - time.monotonic()))
     result = solve_ip(model, opts)
     cert = None
     if result.assignment is not None:

@@ -127,7 +127,7 @@ class TestCertify:
         r = balanced_roster(3, 4)
         warm = cyclic_deal(r)
         res = solve_ip(compile_model(r, PAIRS),
-                       SolveOptions(warm_start=warm, external_lb=6.0))
+                       SolveOptions(warm_start=warm))
         cert = certify(res, r, PAIRS)
         assert cert.ok and cert.optimal_by_bound
         assert cert.bound == 6.0
@@ -135,8 +135,7 @@ class TestCertify:
 
     def test_misreported_objective_is_caught(self, tiny_roster):
         res = solve_ip(compile_model(tiny_roster, MIN))
-        lied = SolveResult(res.status, res.assignment, 3.0, res.bound, res.gap,
-                           stats(), res.primal)
+        lied = SolveResult(res.status, res.assignment, 3.0, res.bound, stats(), res.primal)
         cert = certify(lied, tiny_roster, MIN)
         assert not cert.ok
         assert cert.feasible and not cert.objective_matches
@@ -144,15 +143,13 @@ class TestCertify:
 
     def test_infeasible_assignment_is_caught(self, tiny_roster):
         identity = {s.id: s.old_company for s in tiny_roster.students}
-        fake = SolveResult(SolveStatus.PROVEN_OPTIMAL, identity, 0.0, 0.0, 0.0,
-                           stats(), None)
+        fake = SolveResult(SolveStatus.PROVEN_OPTIMAL, identity, 0.0, 0.0, stats(), None)
         cert = certify(fake, tiny_roster, DEV)
         assert not cert.ok and not cert.feasible
         assert any("no_stay" in n for n in cert.notes)
 
     def test_result_without_assignment(self, tiny_roster):
-        empty = SolveResult(SolveStatus.INFEASIBLE, None, None, math.inf, None,
-                            stats(), None)
+        empty = SolveResult(SolveStatus.INFEASIBLE, None, None, math.inf, stats(), None)
         cert = certify(empty, tiny_roster, MIN)
         assert not cert.ok
         assert cert.notes == ("result carries no assignment to certify",)

@@ -37,9 +37,11 @@ from cohort_shuffle import (
     score_sums,
     solve_ip,
     solve_roster,
+    validate_roster,
     weighted_deviation,
 )
 from cohort_shuffle import branch_bound
+from cohort_shuffle.bounds import objective_floor
 from cohort_shuffle.branch_bound import _canonical_point, _rows_hold, _Search
 from cohort_shuffle.ipmodel import IpModel, LinearRow, Sense, VarKind, Variable
 from cohort_shuffle.simplex import NumericalFailure, SimplexEngine
@@ -258,7 +260,7 @@ class TestWarmStartsAndBounds:
         roster = balanced_roster(3, 3)  # 3 companies of 3: pigeonhole forces 1 pair each
         warm = cyclic_deal(roster)
         res = solve_ip(compile_model(roster, PAIRS),
-                       SolveOptions(warm_start=warm, external_lb=3.0))
+                       SolveOptions(warm_start=warm))
         assert res.status is SolveStatus.PROVEN_OPTIMAL
         assert res.objective == 3.0
         assert res.stats.nodes == 0
@@ -303,19 +305,32 @@ class TestWarmStartsAndBounds:
         warm = rotate_within_battalions(roster)
         assert count_pairs(roster, warm) == 24
         res = solve_ip(compile_model(roster, PAIRS),
-                       SolveOptions(warm_start=warm, external_lb=4.0, node_limit=50))
+                       SolveOptions(warm_start=warm, node_limit=50))
         assert res.status is SolveStatus.PROVEN_OPTIMAL
         assert res.objective == 4.0
         assert res.stats.nodes == 1  # the root repair reaches the floor
 
-    def test_wide_absolute_gap_accepts_the_warm_start(self, tiny_roster):
-        warm = {s.id: s.old_company for s in tiny_roster.students}
-        res = solve_ip(compile_model(tiny_roster, MIN),
-                       SolveOptions(warm_start=warm, gap_abs=100.0))
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 4), (6, 14)])
+    def test_deal_at_the_roster_floor_is_proved_without_a_node(self, shape):
+        """The cyclic deal meets the pairs floor of a balanced roster, which
+        solve_ip reads off the model's roster: no node, no LP."""
+        roster = balanced_roster(*shape)
+        floor = objective_floor(roster, PAIRS)
+        res = solve_ip(compile_model(roster, PAIRS),
+                       SolveOptions(warm_start=cyclic_deal(roster), node_limit=200))
         assert res.status is SolveStatus.PROVEN_OPTIMAL
-        assert res.objective == 6.0
-        assert res.bound == 0.0
-        assert res.stats.nodes == 0
+        assert res.objective == res.bound == floor
+        assert res.gap == 0.0
+        assert res.stats.nodes == res.stats.lp_iterations == 0
+
+    def test_negative_weight_is_rejected(self):
+        """A negative weight makes dev costs negative, so the floor of 0 would
+        not hold: the model is refused, as validate_roster refuses the roster."""
+        roster = dataclasses.replace(generate(desk_spec(), seed=7), aom_weight=-2.0,
+                                     mom_weight=3.0)
+        assert {v.code for v in validate_roster(roster)} == {"bad_weights"}
+        with pytest.raises(ValueError, match="negative cost"):
+            solve_ip(compile_model(roster, DEV), SolveOptions(node_limit=0))
 
 
 class TestBudgets:

@@ -174,6 +174,15 @@ class TestLocalSearch:
         descend(ev, random.Random(0), 100, 3.0)
         assert tried == []
 
+    def test_a_passed_deadline_tries_no_move(self, monkeypatch):
+        r = generate(desk_spec(), seed=7)
+        ev = MoveEvaluator(compile_model(r, DEV))
+        ev.load([s.old_company for s in r.students])  # everyone stays: infeasible
+        tried = []
+        monkeypatch.setattr(ev, "try_moves", lambda moves: tried.append(moves) or False)
+        descend(ev, random.Random(0), 100, 0.0, deadline=time.monotonic() - 1.0)
+        assert tried == []
+
 
 class TestWarmStart:
     def test_stops_at_the_first_start_at_the_floor(self, monkeypatch):
@@ -190,6 +199,14 @@ class TestWarmStart:
         assert len(calls) == 1  # the descended deal already has no stays
         assert check_feasible(r, warm).feasible
         assert count_same_company(r, warm) == 0
+
+    def test_a_passed_deadline_returns_an_undescended_start(self):
+        r = generate(desk_spec(), seed=7)
+        starts = [cyclic_deal(r), rotate_within_battalions(r),
+                  rotate_within_battalions(r, shift=2)]
+        warm = build_warm_start(r, DEV, deadline=time.monotonic() - 1.0)
+        assert warm in starts
+        assert warm != build_warm_start(r, DEV)
 
     def test_a_full_solve_does_no_rebuild_work(self, monkeypatch):
         # dev's floor of 0 is never met, so all three starts are descended

@@ -201,9 +201,9 @@ class TestExitCodes:
         assert "status: time_limit_no_solution" in capsys.readouterr().out.splitlines()
         assert not out.exists() and not (tmp_path / "new.csv.meta.json").exists()
 
-    @pytest.mark.parametrize("flag", ["--time-limit", "--node-limit", "--gap-abs", "--gap-rel"])
+    @pytest.mark.parametrize("flag", ["--time-limit", "--node-limit"])
     def test_negative_budget_or_gap_is_a_usage_error(self, flag, desk_files, capsys):
-        """A negative budget or gap exits 1 before any solve; 0 is a valid value."""
+        """A negative budget exits 1 before any solve; 0 is a valid value."""
         roster, config = desk_files
         solve = ["solve", "--roster", str(roster), "--config", str(config), "--variant", "min"]
         assert cli.main([*solve, flag, "-1"]) == 1
@@ -212,11 +212,10 @@ class TestExitCodes:
         assert "error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["inf", "-inf", "nan"])
-    @pytest.mark.parametrize("flag", ["--time-limit", "--gap-abs", "--gap-rel", "--external-lb"])
+    @pytest.mark.parametrize("flag", ["--time-limit"])
     def test_non_finite_number_is_a_usage_error(self, flag, text, desk_files, capsys, tmp_path):
-        """inf would stop nothing or prove anything, and the sidecar would
-        hold JSON's non-standard Infinity or NaN; a negative lower bound is
-        still a valid value."""
+        """inf would stop nothing, and the sidecar would hold JSON's
+        non-standard Infinity or NaN."""
         roster, config = desk_files
         out = tmp_path / "new.csv"
         solve = ["solve", "--roster", str(roster), "--config", str(config), "--variant", "dev",
@@ -224,9 +223,17 @@ class TestExitCodes:
         assert cli.main([*solve, f"{flag}={text}"]) == 1
         assert f"argument {flag}: must be finite, not {text}" in capsys.readouterr().err
         assert not out.exists()
-        if flag == "--external-lb" and text == "inf":
-            assert cli.main([*solve, flag, "-1"]) == 3
-            assert fileio.read_meta(tmp_path / "new.csv.meta.json")["external_lb"] == -1.0
+
+    @pytest.mark.parametrize("flag", ["--gap-abs", "--gap-rel", "--external-lb"])
+    def test_no_flag_overrules_the_proof(self, flag, desk_files, capsys, tmp_path):
+        """solve proves optimality only against bounds it derives: a gap or
+        an outside lower bound is not an option."""
+        roster, config = desk_files
+        out = tmp_path / "new.csv"
+        assert cli.main(["solve", "--roster", str(roster), "--config", str(config),
+                         "--variant", "min", flag, "0", "--out", str(out)]) == 1
+        assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_certify_tampered_result_exits_4(self, desk_files, tmp_path):
         roster, config = desk_files
@@ -290,6 +297,48 @@ class TestAssignmentInput:
         assert message in capsys.readouterr().err
 
 
+class TestSidecarInput:
+    """A sidecar that is not a JSON object, or whose keys certify reads hold
+    the wrong kind of value, is an input error (exit 1) naming the file;
+    keys certify does not read are ignored."""
+
+    EDITS = {
+        "array": lambda meta: [meta],
+        "nodes_null": lambda meta: {**meta, "nodes": None},
+        "bound_null": lambda meta: {**meta, "bound": None},
+        "lp_iterations_float": lambda meta: {**meta, "lp_iterations": 1.5},
+        "objective_text": lambda meta: {**meta, "objective": "8"},
+        "status_unknown": lambda meta: {**meta, "status": "optimal"},
+    }
+
+    @pytest.fixture
+    def solved(self, tmp_path):
+        roster, config, out = tmp_path / "roster.csv", tmp_path / "roster.cfg", tmp_path / "new.csv"
+        assert cli.main(["generate", "--preset", "desk", "--seed", "7",
+                         "--roster", str(roster), "--config", str(config)]) == 0
+        files = ["--roster", str(roster), "--config", str(config), "--variant", "pairs"]
+        assert cli.main(["solve", *files, "--out", str(out)]) == 0
+        return files, out
+
+    @pytest.mark.parametrize("case", sorted(EDITS))
+    def test_malformed_sidecar_exits_1(self, case, solved, tmp_path, capsys):
+        files, out = solved
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(self.EDITS[case](fileio.read_meta(f"{out}.meta.json"))))
+        capsys.readouterr()
+        assert cli.main(["certify", *files, "--result", str(out), "--meta", str(bad)]) == 1
+        assert f"error: {bad}: " in capsys.readouterr().err
+
+    def test_keys_of_an_older_sidecar_are_ignored(self, solved, capsys):
+        files, out = solved
+        meta = fileio.read_meta(f"{out}.meta.json")
+        fileio.write_meta(f"{out}.meta.json",
+                          {**meta, "external_lb": 8.0, "gap_abs": 0.0, "gap_rel": 0.0})
+        capsys.readouterr()
+        assert cli.main(["certify", *files, "--result", str(out)]) == 0
+        assert "certificate: ok" in capsys.readouterr().out.splitlines()
+
+
 class TestDeterministicArtifacts:
     def test_two_inprocess_runs_write_identical_bytes(self, tmp_path):
         blobs = []
@@ -315,21 +364,22 @@ WALKTHROUGH_SHA256 = {
     "pairs": (["--variant", "pairs"], 0,
               "32d183f09feda9c3239547410ee9ac193a7ec2a828ace4b97565ab3303d1b625",
               "92f58358e62b0f85aa46a0bd1511577756793390b20a4abef5ee9b26af0a3b33",
-              "18c0dc6968b78febf5dcd2a6d2e56741dee2b4622ed40bd8582fbeeb39de5b1f"),
+              "08e98483a485f4a4e1d9232af381bc729bb5440cc5d8b9b7d7d45eab7d0e09a5"),
     "min": (["--variant", "min"], 0,
             "1f42fddd061178183f221197b79266da889e8817d0bd9bbd2c9fee53d067770d",
             "72f2a0a590e194775fc0deda519adbaf1f005c5a7ed23a8fe55443bc1f05fecd",
-            "f5827122f992be4ba6a96635ce1f5d107e2a2aaa4b389baf0aa42693f8e48461"),
+            "f20aa7d5b14f2db74402ad45f3bfb2bdabc28d0bd97010ee46c54a5bd7ad98d5"),
     "dev-nodes-2": (["--variant", "dev", "--node-limit", "2"], 3,
                     "60bedd00a8b9315f940fdb4a97c4ed660f3ac013ada56b5ff4d21e6fadd78bf9",
                     "27246ca5d2da858580ade592fda4466ecaafb2c38f5387e5bc601b3b6cf5eab8",
-                    "6f42387ef8b94ef6f106ce0a8f627b1d6694fda7fd2db0ae7fac01cf91737ef2"),
-    # the time limit counts from the call, but the warm start always runs:
-    # no time is left for a node, and the warm start's assignment is written
+                    "381346747173e26da7b2cb6f903e53f9bf87e0e86ad4326832e2cecbf7d58163"),
+    # the time limit counts from the call and the warm start's descents stop
+    # at it: no move and no node is made, and the best undescended
+    # feasible start is written
     "dev-no-time": (["--variant", "dev", "--time-limit", "0"], 3,
-                    "01038dd2ec2de97bec9e60cf22eaf3905b757557190391cb3c0d4f33be398cbc",
-                    "27246ca5d2da858580ade592fda4466ecaafb2c38f5387e5bc601b3b6cf5eab8",
-                    "082bd2deb76265b8ad4a830157c7dfcb867acd0ba6763fd76ec283694aa33241"),
+                    "045b48a5acad064bb251991377ade2da8326f1899fd2e71abfeadc3615696182",
+                    "11080041d83b8cff2afea18aa8d5d470118797095fa7ca1d11c407a8145c29ce",
+                    "dafe0fb1f7bff6e335df01537e39b32a739667eb3731c6bf85b869fdd6b884e0"),
 }
 
 
