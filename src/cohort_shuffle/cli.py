@@ -14,7 +14,6 @@ run are byte-for-byte reproducible for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 import time
@@ -26,7 +25,6 @@ from cohort_shuffle.branch_bound import SolveOptions, SolveResult, SolveStats, S
 from cohort_shuffle.compiler import compile_model
 from cohort_shuffle.fileio import (
     config_lines,
-    genspec_from_config,
     read_assignment,
     read_meta,
     read_roster,
@@ -36,7 +34,6 @@ from cohort_shuffle.fileio import (
 )
 from cohort_shuffle.generator import (
     GenerationError,
-    GenSpec,
     balanced_spec,
     desk_spec,
     generate,
@@ -98,6 +95,12 @@ def _budget(cast):
     return parse
 
 
+#: The ``generate`` flags each preset reads, besides ``--seed``; any other is
+#: a usage error.
+_PRESET_READS = {"desk": (), "reference": ("class_year",),
+                 "balanced": ("companies", "company_size")}
+
+
 def _add_instance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--roster", required=True, help="student CSV file")
     p.add_argument("--config", required=True, help="companion config file")
@@ -109,19 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"cohort-shuffle {__version__}")
     sub = top.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("generate", parents=[], help="write a synthetic roster")
-    p.add_argument("--preset", choices=("default", "desk", "reference", "balanced"),
-                   default="default")
-    p.add_argument("--spec", help="generator config file (overrides the preset)")
+    p = sub.add_parser("generate", help="write a synthetic roster")
+    p.add_argument("--preset", choices=tuple(_PRESET_READS), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--class-year", type=int, default=None,
-                   help="use the bundled reference company sizes for this class year")
-    p.add_argument("--companies", type=int, default=None)
-    p.add_argument("--battalions", type=int, default=None)
-    p.add_argument("--company-size", type=int, default=None)
-    p.add_argument("--conflict-pairs", type=int, default=None)
-    p.add_argument("--bare", action="store_true",
-                   help="emit only the core constraints (no tolerance windows)")
+                   help="reference only: the bundled class year's company sizes (default 2023)")
+    p.add_argument("--companies", type=int, default=None, help="balanced only")
+    p.add_argument("--company-size", type=int, default=None, help="balanced only")
     p.add_argument("--roster", required=True, help="output student CSV")
     p.add_argument("--config", required=True, help="output companion config")
 
@@ -182,22 +179,18 @@ def _read_assignment(path: str, roster: Roster) -> Assignment:
 
 
 def _cmd_generate(args) -> int:
-    if args.spec:
-        spec = genspec_from_config(args.spec)
-    elif args.preset == "desk":
+    for name in ("class_year", "companies", "company_size"):
+        if getattr(args, name) is not None and name not in _PRESET_READS[args.preset]:
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"--preset {args.preset} does not read {flag}")
+    if args.preset == "desk":
         spec = desk_spec()
     elif args.preset == "reference":
-        spec = reference_spec(args.class_year if args.class_year else 2023)
-    elif args.preset == "balanced":
+        spec = reference_spec(2023 if args.class_year is None else args.class_year)
+    else:
         if args.companies is None or args.company_size is None:
             raise UsageError("--preset balanced needs --companies and --company-size")
         spec = balanced_spec(args.companies, args.company_size)
-    else:
-        spec = GenSpec() if args.class_year is None else reference_spec(args.class_year)
-    patch = {"num_companies": args.companies, "num_battalions": args.battalions,
-             "company_size": args.company_size, "num_conflict_pairs": args.conflict_pairs,
-             "bare": True if args.bare else None}
-    spec = dataclasses.replace(spec, **{k: v for k, v in patch.items() if v is not None})
     roster = generate(spec, args.seed)
     write_roster(roster, args.roster, args.config)
     print(f"wrote {len(roster.students)} students / {roster.num_companies} companies "

@@ -6,19 +6,16 @@ the companion config holds everything that is not per-student: tolerance
 windows, objective weights, conflict pairs, battalion layout, and company
 subsets.  Both writers emit full-precision values and a fixed ordering,
 so write-then-read reproduces an identical roster and repeated writes
-are byte-identical.  docs/formats.md documents both grammars.
+are byte-identical.  docs/formats.md documents both files.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import replace
 from operator import attrgetter
 from pathlib import Path
-from typing import get_type_hints
 
-from cohort_shuffle.generator import GenSpec
 from cohort_shuffle.roster import METRICS, WINDOWS, Assignment, Roster, Student, Tolerances
 
 #: The roster CSV's 0/1 columns, as (column, ``Student`` attribute).
@@ -134,8 +131,8 @@ def read_roster(roster_path: str | Path, config_path: str | Path) -> Roster:
         if key not in CONFIG_KEYS and not key.startswith(CONFIG_PREFIXES):
             raise ValueError(f"{config_path}: unknown config key {key!r}")
     students: list[Student] = []
-    batt_cells: list[tuple[int, str]] = []  # (previous company, raw battalion cell)
-    for _, row in _csv_rows(roster_path, ROSTER_FIELDS):
+    batt_cells: list[tuple[int, int, int]] = []  # (line, previous company, battalion cell)
+    for line, row in _csv_rows(roster_path, ROSTER_FIELDS):
         scores = {m: float(row[m]) for m in METRICS}
         old = int(row["old_company"]) - 1
         students.append(Student(
@@ -143,7 +140,7 @@ def read_roster(roster_path: str | Path, config_path: str | Path) -> Roster:
             sports=frozenset(v for v in row["sports"].split(";") if v), **scores,
             **{attr: row[col] == "1" for col, attr in FLAG_COLUMNS},
         ))
-        batt_cells.append((old, row["battalion"]))
+        batt_cells.append((line, old, int(row["battalion"])))
 
     declared = _single(cfg, "num_companies")
     num_companies = int(declared) if declared else (
@@ -156,11 +153,15 @@ def read_roster(roster_path: str | Path, config_path: str | Path) -> Roster:
             raise ValueError("battalions line must list one battalion per company")
     else:
         # a company outside range(num_companies) is left to validate_roster
-        named = {c: int(cell) for c, cell in batt_cells}
+        named = {c: b for _, c, b in batt_cells}
         if any(c not in named for c in range(num_companies)):
             raise ValueError("some companies have no students; add a 'battalions' "
                              "line to the config")
         batt_of = [named[c] for c in range(num_companies)]
+    for line, c, b in batt_cells:
+        if 0 <= c < num_companies and b != batt_of[c]:
+            raise ValueError(f"{roster_path}:{line}: battalion {b} contradicts battalion "
+                             f"{batt_of[c]} of company {c + 1}")
     groups: dict[int, list[int]] = {}
     for c, b in enumerate(batt_of):
         groups.setdefault(b, []).append(c)
@@ -227,42 +228,3 @@ def write_meta(path: str | Path, meta: dict) -> None:
 
 def read_meta(path: str | Path) -> dict:
     return json.loads(Path(path).read_text())
-
-
-_METRIC_FIELDS = ("lo", "hi", "mean", "between_std", "within_std")
-
-#: How a scalar ``GenSpec`` field reads, by its annotated type; the other
-#: fields (score models and tuples) have keys of their own.
-_SCALAR_CASTS = {int: int, float: float, str: str, bool: lambda v: v == "1", int | None: int}
-
-
-def genspec_from_config(path: str | Path) -> GenSpec:
-    """Generator spec from the same key-value grammar.
-
-    Scalar GenSpec fields map directly (``num_companies = 8``); metric
-    models use prefixed keys (``aom_mean = 550``); ``company_sizes`` and
-    ``sports`` take comma lists.
-    """
-    cfg = parse_config(path)
-    kwargs: dict = {}
-    base = GenSpec()
-    for metric in ("aom", "mom", "prt"):
-        given = {f: float(_single(cfg, f"{metric}_{f}")) for f in _METRIC_FIELDS if f"{metric}_{f}" in cfg}
-        if given:
-            kwargs[metric] = replace(getattr(base, metric), **given)
-
-    for key, hint in get_type_hints(GenSpec).items():
-        raw = _single(cfg, key) if hint in _SCALAR_CASTS else None
-        if raw is not None:
-            kwargs[key] = _SCALAR_CASTS[hint](raw)
-    raw = _single(cfg, "company_sizes")
-    if raw is not None:
-        kwargs["company_sizes"] = tuple(int(v) for v in raw.split(","))
-    raw = _single(cfg, "size_range")
-    if raw is not None:
-        lo, hi = raw.split(",")
-        kwargs["size_range"] = (int(lo), int(hi))
-    raw = _single(cfg, "sports")
-    if raw is not None:
-        kwargs["sports"] = tuple(v.strip() for v in raw.split(",") if v.strip())
-    return GenSpec(**kwargs)

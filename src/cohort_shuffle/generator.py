@@ -120,13 +120,17 @@ def _sizes(spec: GenSpec, rng: np.random.Generator) -> list[int]:
     if spec.company_sizes is not None:
         if len(spec.company_sizes) != spec.num_companies:
             raise GenerationError("company_sizes length must equal num_companies")
-        return list(spec.company_sizes)
-    if spec.company_size is not None:
-        return [spec.company_size] * spec.num_companies
-    lo, hi = spec.size_range
-    if lo > hi or lo < 1:
-        raise GenerationError(f"invalid size range {spec.size_range}")
-    return [int(v) for v in rng.integers(lo, hi + 1, size=spec.num_companies)]
+        sizes = list(spec.company_sizes)
+    elif spec.company_size is not None:
+        sizes = [spec.company_size] * spec.num_companies
+    else:
+        lo, hi = spec.size_range
+        if lo > hi or lo < 1:
+            raise GenerationError(f"invalid size range {spec.size_range}")
+        sizes = [int(v) for v in rng.integers(lo, hi + 1, size=spec.num_companies)]
+    if min(sizes) < 1:
+        raise GenerationError(f"every company needs at least 1 student, not {min(sizes)}")
+    return sizes
 
 
 def _scores(ms: MetricSpec, sizes: list[int], rng: np.random.Generator) -> list[np.ndarray]:

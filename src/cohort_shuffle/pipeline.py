@@ -52,22 +52,24 @@ def build_warm_start(roster: Roster, variant: ModelVariant, *, seed: int = 0,
     evaluator is built from ``model``, which must have been compiled from
     ``roster`` as ``variant`` (ValueError otherwise), and is compiled here
     when not given.  Each descent stops at ``deadline``, a
-    ``time.monotonic()`` value.  Only assignments that pass the feasibility
-    check the certificate uses are returned, so a warm start can never
-    poison a solve.
+    ``time.monotonic()`` value; once it has passed, neither the evaluator
+    nor any descent is made, and the starts are checked as they are.  Only
+    assignments that pass the feasibility check the certificate uses are
+    returned, so a warm start can never poison a solve.
     """
     if model is not None and (model.variant is not variant or model.roster != roster):
         raise ValueError("the model was not compiled from this roster and variant")
     forbid = variant is not ModelVariant.MIN_SAME_COMPANY
     candidates = [cyclic_deal(roster)] if roster.num_companies > 1 else []
     candidates += [rotate_within_battalions(roster), rotate_within_battalions(roster, shift=2)]
-    ev = MoveEvaluator(model or compile_model(roster, variant))
+    if deadline is None or time.monotonic() <= deadline:
+        ev = MoveEvaluator(model or compile_model(roster, variant))
+        candidates = (local_search(roster, asg, variant, LS_BUDGET, seed=seed, evaluator=ev,
+                                   deadline=deadline) for asg in candidates)
 
     floor = objective_floor(roster, variant)
     best, best_obj = None, math.inf
     for asg in candidates:
-        asg = local_search(roster, asg, variant, LS_BUDGET, seed=seed, evaluator=ev,
-                           deadline=deadline)
         if not check_feasible(roster, asg, forbid_same_company=forbid).feasible:
             continue
         obj = assignment_objective(roster, asg, variant)

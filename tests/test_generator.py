@@ -128,6 +128,16 @@ class TestBalancedAndErrors:
         with pytest.raises(GenerationError):
             generate(spec, seed=0)
 
+    @pytest.mark.parametrize("shape", [{"company_size": 0},
+                                       {"company_size": None, "company_sizes": (5, 0, 5)},
+                                       {"company_size": -3}])
+    def test_a_company_size_below_1_is_rejected(self, shape):
+        """Balanced rosters need no per-company population, so without the
+        check a size of 0 writes an empty roster."""
+        spec = dataclasses.replace(balanced_spec(3, 5), **shape)
+        with pytest.raises(GenerationError, match="every company needs at least 1 student"):
+            generate(spec, seed=0)
+
     def test_size_range_draws_stay_inside(self):
         spec = GenSpec(num_companies=6, num_battalions=1, size_range=(3, 5),
                        intl_per_company=0, sapr_per_company=0,

@@ -208,6 +208,22 @@ class TestWarmStart:
         assert warm in starts
         assert warm != build_warm_start(r, DEV)
 
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_a_passed_deadline_builds_no_evaluator(self, compiled, monkeypatch):
+        """Past the deadline no descent can move, so neither the model nor
+        the move evaluator is built.  The cheaper feasible start, the second
+        battalion rotation, is returned as it is."""
+        r = generate(desk_spec(), seed=7)
+        model = compile_model(r, DEV) if compiled else None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built past the deadline")
+
+        monkeypatch.setattr(pipeline, "MoveEvaluator", refuse)
+        monkeypatch.setattr(pipeline, "compile_model", refuse)
+        warm = build_warm_start(r, DEV, model=model, deadline=time.monotonic() - 1)
+        assert warm == rotate_within_battalions(r, shift=2)
+
     def test_a_full_solve_does_no_rebuild_work(self, monkeypatch):
         # dev's floor of 0 is never met, so all three starts are descended
         r = generate(desk_spec(), seed=7)

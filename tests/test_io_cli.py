@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cohort_shuffle import GenSpec, Roster, Tolerances, cli, desk_spec, fileio, generate
+from cohort_shuffle import Roster, Tolerances, cli, desk_spec, fileio, generate
 from conftest import mk_student
 
 
@@ -75,27 +75,6 @@ class TestFileRoundTrips:
         parsed = fileio.parse_config(cfg)
         assert parsed["num_companies"] == ["2"]
         assert parsed["conflict_pair"] == ["a,b", "c,d"]
-
-    def test_generator_spec_file_matches_the_preset(self, tmp_path):
-        spec_file = tmp_path / "gen.cfg"
-        spec_file.write_text(
-            "# desk-sized generator spec\n"
-            "num_companies = 8\nnum_battalions = 1\ncompany_size = 8\n"
-            "num_conflict_pairs = 4\n"
-            "sports = football, basketball, soccer, lacrosse\n")
-        spec = fileio.genspec_from_config(spec_file)
-        assert spec == desk_spec()
-        assert generate(spec, seed=11) == generate(desk_spec(), seed=11)
-
-    def test_generator_spec_metric_overrides(self, tmp_path):
-        spec_file = tmp_path / "gen.cfg"
-        spec_file.write_text("aom_mean = 600\naom_lo = 500\nbare = 1\n")
-        spec = fileio.genspec_from_config(spec_file)
-        assert spec.aom.mean == 600.0
-        assert spec.aom.lo == 500.0
-        assert spec.aom.hi == desk_spec().aom.hi  # untouched fields keep defaults
-        assert spec.bare is True
-
 
 class TestCliSolvePipeline:
     def test_generate_validate_solve_certify_report_bound(self, desk_files, tmp_path, capsys):
@@ -451,7 +430,7 @@ def _edit_config(config: Path, **values) -> None:
 
 
 #: sha256 of the (roster CSV, companion config) that ``generate`` writes,
-#: pinned across commits, for each preset and each flag that patches one.
+#: pinned across commits, for each preset and the reference class years.
 GENERATE_SHA256 = {
     "reference": (["--preset", "reference", "--seed", "1"],
                   "0a553345f43a60aaaa15778c1a25a33837e35722b6ad08c9f235eabe585dce7d",
@@ -459,46 +438,21 @@ GENERATE_SHA256 = {
     "reference-2024": (["--preset", "reference", "--class-year", "2024", "--seed", "1"],
                        "ce1dc6524ef76e510c532c8fbdd4d70653d73d8436d9dd026e40ea53c316b9a3",
                        "c8d95c78830bde06154e33ddc4dacc1ce53e78ea26e59196ece03a62dfa31040"),
-    "default-2024": (["--class-year", "2024", "--seed", "1"],
-                     "ce1dc6524ef76e510c532c8fbdd4d70653d73d8436d9dd026e40ea53c316b9a3",
-                     "c8d95c78830bde06154e33ddc4dacc1ce53e78ea26e59196ece03a62dfa31040"),
     "balanced": (["--preset", "balanced", "--companies", "6", "--company-size", "14",
                   "--seed", "1"],
                  "c884f774e0ba1fb90230cfc0dc6cf1b51a325d891eab97ac214f734093bf5bce",
                  "5880d9598e9a09879eb10885fea6235889e7f12d59e5909a8126a0b1a1d35bbc"),
-    "spec": (["--spec", "{spec}", "--seed", "2"],
-             "691af3fbc8b6eb06117cda6d62130bc29e8e755317a10e6ea112148e69d837a5",
-             "d9a9f264ec6912ac285743ce78f4c32581e16af830953b8deb365cafde9232ff"),
-    "companies": (["--preset", "desk", "--companies", "6", "--seed", "3"],
-                  "84b555a930050cde004534487cfdc799275e87e72bd16a55373ce4e48b454a3e",
-                  "d53d995e54c7f0e15a11f5059431b4f243a6e89babb5c41a7b7d2fdbaa6c2517"),
-    "battalions": (["--preset", "desk", "--battalions", "2", "--seed", "3"],
-                   "d5116d907f465e7a58417b13e1ac353ecc79c299bf8258435d76c81d2444dd62",
-                   "c4466511f1c6d3aace2d5cc3e10fc2f620e1b6a117dd22c81c22b7d09c94918f"),
-    "company-size": (["--preset", "desk", "--company-size", "5", "--seed", "3"],
-                     "208ccbe7b435e63ef4e7236251ac686e248bcc763232aa70dae9c16ebf066efe",
-                     "8ff71978b52d19d41316bedf353c4e760550e669b7ac14ddd0403d419619bde5"),
-    "conflict-pairs": (["--preset", "desk", "--conflict-pairs", "2", "--seed", "3"],
-                       "cdd3c6e72c8876d41cedefbfacb3be4f9af1ad1dcd2b5fdc0e9b01832232ca83",
-                       "18327c04cf58ed29f992311584d28df791c71edb2fde878b8324a2527779c385"),
-    "bare": (["--preset", "desk", "--bare", "--seed", "3"],
+    "desk": (["--preset", "desk", "--seed", "3"],
              "cdd3c6e72c8876d41cedefbfacb3be4f9af1ad1dcd2b5fdc0e9b01832232ca83",
-             "bf2b9a52c589f81c38e08306cbfbf9fb25d3bfbf43f5e958520d981c9787f7bc"),
+             "6b4078b744aa1093e18875e23150b1ce65d0f654575b0369ba865c643fd422b5"),
 }
-
-GENERATOR_SPEC = ("num_companies = 5\nnum_battalions = 1\ncompany_size = 6\n"
-                  "num_conflict_pairs = 2\naom_mean = 560\nsports = crew, golf\n")
 
 
 class TestGenerate:
     @pytest.mark.parametrize("case", sorted(GENERATE_SHA256))
     def test_files_match_the_pinned_hashes(self, case, tmp_path):
         args, csv_sha, cfg_sha = GENERATE_SHA256[case]
-        spec = tmp_path / "gen.cfg"
-        spec.write_text(GENERATOR_SPEC)
-        out = tmp_path / "out"
-        out.mkdir()
-        roster, config = _generate(out, *(a.format(spec=spec) for a in args))
+        roster, config = _generate(tmp_path, *args)
         assert (_sha(roster.read_bytes()), _sha(config.read_bytes())) == (csv_sha, cfg_sha)
         # every key the writer emits is one the reader accepts
         read_back = fileio.config_lines(fileio.read_roster(roster, config))
@@ -513,15 +467,71 @@ class TestGenerate:
             "error: --preset balanced needs --companies and --company-size\n")
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize("args, named", [
+        (["--preset", "desk", "--class-year", "2024"], "--preset desk does not read --class-year"),
+        (["--preset", "desk", "--companies", "6"], "--preset desk does not read --companies"),
+        (["--preset", "reference", "--company-size", "5"],
+         "--preset reference does not read --company-size"),
+        (["--preset", "balanced", "--companies", "6", "--company-size", "14",
+          "--class-year", "2024"], "--preset balanced does not read --class-year"),
+        (["--preset", "desk", "--spec", "x.cfg"], "unrecognized arguments: --spec x.cfg"),
+        (["--preset", "desk", "--battalions", "2"], "unrecognized arguments: --battalions 2"),
+        (["--preset", "desk", "--bare"], "unrecognized arguments: --bare"),
+        (["--seed", "1"], "the following arguments are required: --preset"),
+    ])
+    def test_a_flag_the_preset_does_not_read_is_a_usage_error(self, args, named, tmp_path,
+                                                              capsys):
+        rc = cli.main(["generate", *args,
+                       "--roster", str(tmp_path / "r.csv"), "--config", str(tmp_path / "r.cfg")])
+        assert rc == 1
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_a_company_size_below_1_is_an_input_error(self, size, tmp_path, capsys):
+        rc = cli.main(["generate", "--preset", "balanced", "--companies", "6",
+                       "--company-size", size,
+                       "--roster", str(tmp_path / "r.csv"), "--config", str(tmp_path / "r.cfg")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: every company needs at least 1 student, not {size}\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestConfigInput:
     def test_battalions_default_to_the_csv_column(self, tmp_path):
-        roster, config = _generate(tmp_path, "--preset", "desk", "--battalions", "2",
-                                   "--seed", "7")
+        roster, config = tmp_path / "roster.csv", tmp_path / "roster.cfg"
+        fileio.write_roster(generate(desk_spec(num_battalions=2), 7), roster, config)
         original = fileio.read_roster(roster, config)
         assert len(original.battalions) == 2
         _edit_config(config, battalions=None)
         assert fileio.read_roster(roster, config) == original
+
+    @pytest.mark.parametrize("rows, with_line", [("all", True), ("first", True),
+                                                 ("first", False)])
+    def test_a_battalion_cell_that_contradicts_the_layout_is_an_input_error(
+            self, rows, with_line, tmp_path, capsys):
+        """A 2-battalion roster with every student's cell swapped between 1
+        and 2 contradicts its battalions line; with only the first student's
+        cell set to 2, the first student of company 1 contradicts the line,
+        or without it the seven other students of company 1."""
+        roster, config = tmp_path / "roster.csv", tmp_path / "roster.cfg"
+        fileio.write_roster(generate(desk_spec(num_battalions=2), 7), roster, config)
+        lines = roster.read_text().splitlines()
+        col = fileio.ROSTER_FIELDS.index("battalion")
+        for i in range(1, len(lines) if rows == "all" else 2):
+            cells = lines[i].split(",")
+            cells[col] = "2" if cells[col] == "1" else "1"
+            lines[i] = ",".join(cells)
+        roster.write_text("\n".join(lines) + "\n")
+        if not with_line:
+            _edit_config(config, battalions=None)
+        message = f"{roster}:2: battalion 2 contradicts battalion 1 of company 1"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fileio.read_roster(roster, config)
+        capsys.readouterr()
+        assert cli.main(["validate", "--roster", str(roster), "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_a_company_without_students_needs_a_battalions_line(self, tmp_path):
         roster, config = _generate(tmp_path, "--preset", "desk", "--seed", "7")
@@ -622,16 +632,6 @@ class TestConfigInput:
             tolerances=tol)
         fileio.write_roster(original, tmp_path / "r.csv", tmp_path / "r.cfg")
         assert fileio.read_roster(tmp_path / "r.csv", tmp_path / "r.cfg") == original
-
-    def test_generator_spec_lists_and_flags(self, tmp_path):
-        spec_file = tmp_path / "gen.cfg"
-        spec_file.write_text("company_sizes = 5,6,7\nsize_range = 4,9\n"
-                             "sports = crew, golf,\nconflict_cross_gender = 0\nbare = 1\n"
-                             "company_size = 6\nfocus_race = other\nmale_fraction = 0.5\n")
-        assert fileio.genspec_from_config(spec_file) == GenSpec(
-            company_sizes=(5, 6, 7), size_range=(4, 9), sports=("crew", "golf"),
-            conflict_cross_gender=False, bare=True, company_size=6,
-            focus_race="other", male_fraction=0.5)
 
     def test_validate_lists_window_defects_in_order(self, tmp_path, capsys):
         tol = Tolerances(count_min={"all": 9}, count_max={"all": 7},
