@@ -100,11 +100,10 @@ def compile_model(roster: Roster, variant: ModelVariant) -> IpModel:
         if not specs:
             return
         targets = np.asarray(targets, dtype=np.int64)
-        cols = np.repeat(x_column(members[None, :], targets[:, None], n_c), len(specs), axis=0)
-        coefs = np.tile(np.reshape([spec[3] for spec in specs], (len(specs), len(members))),
-                        (len(targets), 1))
+        cols = np.broadcast_to(x_column(members[None, None, :], targets[:, None, None], n_c),
+                               (len(targets), len(specs), len(members)))
         rows.add([spec[:3] for spec in specs], ((),), [company_keys[c] for c in targets],
-                 cols, coefs)
+                 cols, np.reshape([spec[3] for spec in specs], (len(specs), len(members))))
 
     rows = RowBuilder()
     rows.add([("assign_once", Sense.EQ, 1.0)], student_keys, ((),),
@@ -194,11 +193,10 @@ def compile_model(roster: Roster, variant: ModelVariant) -> IpModel:
                  spread_keys, ((),), cols, coefs)
 
     if variant is ModelVariant.MIN_PAIRS:
-        pairs = np.array(pair_list, dtype=np.int64).reshape(-1, 1, 2)
-        cols = np.empty((len(pair_list), n_c, 3), dtype=np.int32)
-        cols[:, :, :2] = x_column(pairs, np.arange(n_c)[None, :, None], n_c)
-        cols[:, :, 2] = (x_base + np.arange(len(pair_list)))[:, None]
+        # x[a, c], x[b, c] and u[a, b] as a per-pair part plus a per-company one
+        pairs = np.array(pair_list, dtype=np.int64).reshape(-1, 2)
+        first = np.column_stack([x_column(pairs, 0, n_c), x_base + np.arange(len(pair_list))])
         rows.add([("together", Sense.LE, 1.0)], pair_keys, company_keys,
-                 cols, np.array([1.0, 1.0, -1.0]))
+                 (first[:, None, :], np.outer(companies, [1, 1, 0])), np.array([1.0, 1.0, -1.0]))
 
     return IpModel(variant, columns.build(), rows.build(), roster, x_rows)

@@ -132,15 +132,22 @@ def read_roster(roster_path: str | Path, config_path: str | Path) -> Roster:
             raise ValueError(f"{config_path}: unknown config key {key!r}")
     students: list[Student] = []
     batt_cells: list[tuple[int, int, int]] = []  # (line, previous company, battalion cell)
+    def number(line: int, row: dict, column: str, cast):
+        try:
+            return cast(row[column])
+        except ValueError:
+            raise ValueError(f"{roster_path}:{line}: {column} cell {row[column]!r} is not "
+                             f"{'an integer' if cast is int else 'a number'}") from None
+
     for line, row in _csv_rows(roster_path, ROSTER_FIELDS):
-        scores = {m: float(row[m]) for m in METRICS}
-        old = int(row["old_company"]) - 1
+        scores = {m: number(line, row, m, float) for m in METRICS}
+        old = number(line, row, "old_company", int) - 1
         students.append(Student(
             id=row["id"], gender=row["gender"], race=row["race"], old_company=old,
             sports=frozenset(v for v in row["sports"].split(";") if v), **scores,
             **{attr: row[col] == "1" for col, attr in FLAG_COLUMNS},
         ))
-        batt_cells.append((line, old, int(row["battalion"])))
+        batt_cells.append((line, old, number(line, row, "battalion", int)))
 
     declared = _single(cfg, "num_companies")
     num_companies = int(declared) if declared else (

@@ -11,7 +11,9 @@ not, down to the variant's objective floor; the warm start builds one
 :class:`MoveEvaluator` from the compiled model and loads each candidate
 start into it, every descent scanning the one relocation order the
 evaluator shuffled, and the branch-and-bound root heuristic runs the same
-descent from the rounded relaxation.  Once the assignment is feasible, the
+descent from the rounded relaxation.  The evaluator builds only what a
+descent reads: a load is one sparse product, and a column's rows become a
+list when a move first reads them.  Once the assignment is feasible, the
 descent skips any move a row rejected while that row's activity and the
 moving students' companies are unchanged: such a move would be rejected
 again, so skipping it changes no decision.  The evaluator reads a move's
@@ -31,7 +33,7 @@ import time
 from bisect import bisect_left
 from collections import deque
 from itertools import accumulate
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -103,20 +105,21 @@ class MoveEvaluator:
     :meth:`load` sets the assignment, so one evaluator serves any number of
     starts, and :meth:`relocation_order` shuffles their relocations once.  A
     row over one student's columns keeps a coefficient per company; every
-    other row lies within one company and sits, through one CSC conversion,
-    in the flat lists ``ptr``, ``idx`` and ``val`` (its ``indptr``,
-    ``indices`` and ``data``), column ``k`` being ``idx[ptr[k]:ptr[k+1]]``,
-    so a move costs O(touched rows) and a build makes no list per column and
-    no object per entry.  ``violation`` sums how far rows miss their bounds
-    beyond ``FEAS_TOL``, as ``check_feasible`` counts them, and is exactly
-    0.0 when none does.  The same shared entries row by row, ``row_ptr`` and
-    ``row_cols`` (int32 arrays), keep ``hot[k]``, the number of violated
-    shared rows over column ``k``, current when a row's violation starts or
-    ends.  The objective comes from the (new, old) cohort matrix (stays are
-    its diagonal) or the per-company aom/mom sums; for ``dev``,
-    ``sum_index`` keeps each metric's sums sorted, with prefix sums and
-    every company's Σ_e |S_c − S_e|, so a move's objective change takes two
-    bisects per metric (:meth:`_deviation_change`).
+    other row lies within one company and sits in ``shared``, a scipy CSC
+    matrix.  :meth:`load` reads row activities off it with one product, and
+    ``columns[k]`` becomes column ``k``'s list of (row, coefficient) pairs
+    the first time a move reads it, so a move costs O(touched rows) and
+    neither a build nor a load makes an object per entry.  ``violation``
+    sums how far rows miss their bounds beyond ``FEAS_TOL``, as
+    ``check_feasible`` counts them, and is exactly 0.0 when none does.  The
+    same shared entries row by row, ``row_ptr`` and ``row_cols`` (int32
+    arrays), keep ``hot[k]``, the number of violated shared rows over column
+    ``k``, current when a row's violation starts or ends.  The objective
+    comes from the (new, old) cohort matrix (stays are its diagonal) or the
+    per-company aom/mom sums; for ``dev``, ``sum_index`` keeps each metric's
+    sums sorted, with prefix sums and every company's Σ_e |S_c − S_e|, so a
+    move's objective change takes two bisects per metric
+    (:meth:`_deviation_change`).
     """
 
     def __init__(self, model: IpModel) -> None:
@@ -145,21 +148,14 @@ class MoveEvaluator:
         for r, i, coefs in zip(own_rows.tolist(), student[rows.indptr[own_rows]].tolist(),
                                per_company.tolist()):
             self.student_rows[i].append((r, coefs))
-        keep = ~in_own & (rows.coefs != 0.0)
-        kept = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row_of[keep], minlength=len(rows)), out=kept[1:])
-        csr = sparse.csr_matrix((rows.coefs[keep], rows.cols[keep], kept),
-                                shape=(len(rows), n * n_c))
-        csc = csr.tocsc()
-        # one object per distinct row and coefficient; 800k per build fragmented memory
-        values, which = np.unique(csc.data, return_inverse=True)
-        self.ptr = csc.indptr.tolist()
-        self.idx = np.arange(len(rows)).astype(object)[csc.indices].tolist()
-        self.val = values.astype(object)[which].tolist()
         # kept as arrays: a list of Python ints here would add about 15 MB at
         # full scale, on top of the peak
-        self.row_ptr = csr.indptr.astype(np.int32)
-        self.row_cols = csr.indices.astype(np.int32)
+        keep = ~in_own & (rows.coefs != 0.0)
+        self.row_ptr, self.row_cols = np.zeros(len(rows) + 1, dtype=np.int32), rows.cols[keep]
+        np.cumsum(np.bincount(row_of[keep], minlength=len(rows)), out=self.row_ptr[1:])
+        self.shared = sparse.csr_matrix((rows.coefs[keep], self.row_cols, self.row_ptr),
+                                        shape=(len(rows), n * n_c)).tocsc()
+        self.columns: list[list[tuple[int, float]] | None] = [None] * (n * n_c)
         self._relocations: tuple | None = None
         # deviation_from_sums adds |C|(|C|-1) terms, each rounded once, whose
         # total is at most 2|C| Σ_c |S_c|, so its float lies within
@@ -173,12 +169,14 @@ class MoveEvaluator:
         """Make ``asg`` (company per student index) the current assignment."""
         n_c = self.n_c
         self.asg = [int(c) for c in asg]
-        self.act = [0.0] * len(self.lo)
         self.cohort = [[0] * n_c for _ in range(n_c)]
         self.sums = ([0.0] * n_c, [0.0] * n_c)
+        x = np.zeros(self.n * n_c)
+        x[np.arange(self.n) * n_c + self.asg] = 1.0
+        # CSC adds each row's entries in column order, which is student order,
+        # and with a 0/1 x every product is exact
+        self.act = (self.shared @ x).tolist()
         for i, c in enumerate(self.asg):
-            for r, a in self._column(i * n_c + c):
-                self.act[r] += a
             for r, coefs in self.student_rows[i]:
                 self.act[r] += coefs[c]
             self.cohort[c][self.old[i]] += 1
@@ -226,10 +224,15 @@ class MoveEvaluator:
         rng.setstate(self._relocations[2])
         return self._relocations[1]
 
-    def _column(self, k: int) -> Iterator[tuple[int, float]]:
-        """(row, coefficient) of column ``k`` over the shared rows."""
-        a, b = self.ptr[k], self.ptr[k + 1]
-        return zip(self.idx[a:b], self.val[a:b])
+    def _column(self, k: int) -> list[tuple[int, float]]:
+        """(row, coefficient) of column ``k`` over the shared rows, listed on
+        first read."""
+        column = self.columns[k]
+        if column is None:
+            a, b = self.shared.indptr[k:k + 2]
+            column = self.columns[k] = list(zip(self.shared.indices[a:b].tolist(),
+                                                self.shared.data[a:b].tolist()))
+        return column
 
     def _excess(self, r: int, x: float) -> float:
         e = max(self.lo[r] - x, x - self.hi[r])

@@ -154,38 +154,49 @@ def _block_key(blocks: Sequence[tuple], starts: list[int], index: int) -> tuple[
 
 
 class RowBuilder:
-    """Row blocks appended in model order, packed into one :class:`RowStore`."""
+    """Row blocks appended in model order, packed into one :class:`RowStore`.
+
+    A block is kept as given, its coefficients, senses and right-hand sides
+    as patterns; :meth:`build` allocates each array once and fills it block
+    by block."""
 
     def __init__(self) -> None:
-        self.parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32), np.zeros(0),
-                       np.zeros(0, dtype=np.int8), np.zeros(0))]
+        self.parts: list[tuple] = []
         self.blocks: list[tuple] = []
-        self.count = 0
+        self.count = self.nnz = 0
 
     def add(self, specs: Sequence[tuple[str, Sense, float]], outer: Sequence[tuple],
             inner: Sequence[tuple], cols, coefs, lengths: Sequence[int] | None = None) -> None:
         """Rows for every outer key, inner key and ``(family, sense, rhs)`` spec,
         specs cycling fastest (see :class:`RowStore`).  ``cols`` holds the
         column indices of one row along its last axis, rows in order along the
-        others, with ``coefs`` broadcast to it; rows of differing lengths come
+        others, with ``coefs`` broadcast to it; a pair of integer arrays
+        stands for their broadcast sum.  Rows of differing lengths come
         flattened, with their ``lengths``."""
         n_rows = len(specs) * len(outer) * len(inner)
         if n_rows == 0:
             return
-        cols = np.asarray(cols, dtype=np.int32)
+        terms = cols if isinstance(cols, tuple) else (cols, 0)
+        shape = np.broadcast_shapes(*map(np.shape, terms))
         families, senses, rhs = zip(*specs)
-        reps = n_rows // len(specs)
-        self.parts.append((np.full(n_rows, cols.shape[-1]) if lengths is None else lengths,
-                           cols.ravel(), np.broadcast_to(coefs, cols.shape).ravel(),
-                           np.tile(np.array([SENSES.index(s) for s in senses], dtype=np.int8), reps),
-                           np.tile(np.array(rhs, dtype=float), reps)))
+        entries = slice(self.nnz, self.nnz + math.prod(shape))
+        self.parts.append((slice(self.count, self.count + n_rows), entries, shape, terms, coefs,
+                           shape[-1] if lengths is None else lengths,
+                           [SENSES.index(s) for s in senses], rhs))
         self.blocks.append((self.count, families, outer, inner))
-        self.count += n_rows
+        self.count, self.nnz = self.count + n_rows, entries.stop
 
     def build(self) -> RowStore:
-        lengths, cols, coefs, sense, rhs = (np.concatenate(part) for part in zip(*self.parts))
         indptr = np.zeros(self.count + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
+        cols, coefs = np.empty(self.nnz, dtype=np.int32), np.empty(self.nnz)
+        sense, rhs = np.empty(self.count, dtype=np.int8), np.empty(self.count)
+        for rows, entries, shape, terms, block_coefs, lengths, senses, rhs_pattern in self.parts:
+            np.add(*terms, out=cols[entries].reshape(shape), casting="unsafe")
+            coefs[entries].reshape(shape)[...] = block_coefs
+            indptr[1:][rows] = lengths
+            sense[rows].reshape(-1, len(senses))[...] = senses
+            rhs[rows].reshape(-1, len(senses))[...] = rhs_pattern
+        np.cumsum(indptr, out=indptr)
         return RowStore(indptr, cols, coefs, sense, rhs, self.blocks)
 
 

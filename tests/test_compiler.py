@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,14 +22,17 @@ from cohort_shuffle import (
     Tolerances,
     VarKind,
     acquainted_pairs,
+    balanced_spec,
     compile_model,
     count_variables,
     desk_spec,
     export_lp,
     generate,
+    reference_spec,
 )
 from cohort_shuffle.compiler import x_column
-from cohort_shuffle.ipmodel import ColumnStore, IpModel, LinearRow, RowStore, Variable
+from cohort_shuffle.ipmodel import (SENSES, ColumnStore, IpModel, LinearRow, RowBuilder, RowStore,
+                                    Variable)
 from conftest import mk_student
 
 MIN = ModelVariant.MIN_SAME_COMPANY
@@ -296,6 +300,61 @@ class TestRowStore:
         assert store.lo.tolist() == [-math.inf, -0.0, -1.0]
         assert store.hi.tolist() == [4.0, -0.0, math.inf]
         assert store[1:].lo.tolist() == [-0.0, -1.0] and store[:1].hi.tolist() == [4.0]
+
+
+def concatenation_build(blocks: list[tuple]) -> tuple[np.ndarray, ...]:
+    """The five row-store arrays of ``RowBuilder.add`` argument tuples, each
+    block materialized whole and then concatenated."""
+    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int32), np.zeros(0),
+              np.zeros(0, dtype=np.int8), np.zeros(0))]
+    for specs, outer, inner, cols, coefs, lengths in blocks:
+        n_rows = len(specs) * len(outer) * len(inner)
+        if n_rows == 0:
+            continue
+        cols = np.asarray(sum(np.broadcast_arrays(*cols)) if isinstance(cols, tuple) else cols,
+                          dtype=np.int32)
+        families, senses, rhs = zip(*specs)
+        reps = n_rows // len(specs)
+        parts.append((np.full(n_rows, cols.shape[-1]) if lengths is None else lengths,
+                      cols.ravel(), np.broadcast_to(coefs, cols.shape).ravel(),
+                      np.tile(np.array([SENSES.index(s) for s in senses], dtype=np.int8), reps),
+                      np.tile(np.array(rhs, dtype=float), reps)))
+    lengths, cols, coefs, sense, rhs = (np.concatenate(part) for part in zip(*parts))
+    indptr = np.zeros(len(rhs) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr, cols, coefs, sense, rhs
+
+
+class TestRowBuilder:
+    @pytest.mark.parametrize("spec", [desk_spec(), balanced_spec(6, 14), reference_spec(2023)],
+                             ids=["desk", "balanced", "reference"])
+    @pytest.mark.parametrize("variant", list(ModelVariant))
+    def test_build_matches_a_concatenation_build(self, spec, variant, monkeypatch):
+        blocks = []
+        add = RowBuilder.add
+
+        def recorded(self, specs, outer, inner, cols, coefs, lengths=None):
+            blocks.append((specs, outer, inner, cols, coefs, lengths))
+            add(self, specs, outer, inner, cols, coefs, lengths)
+
+        monkeypatch.setattr(RowBuilder, "add", recorded)
+        rows = compile_model(generate(spec, seed=1), variant).rows
+        for built, packed in zip((rows.indptr, rows.cols, rows.coefs, rows.sense, rows.rhs),
+                                 concatenation_build(blocks), strict=True):
+            assert built.dtype == packed.dtype and built.tobytes() == packed.tobytes()
+
+    def test_full_class_compile_peaks_near_the_model_size(self):
+        roster = generate(reference_spec(2023), seed=1)
+        tracemalloc.start()
+        try:
+            model = compile_model(roster, PAIRS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows, columns = model.rows, model.variables
+        arrays = (rows.indptr, rows.cols, rows.coefs, rows.sense, rows.rhs,
+                  columns.kind, columns.lower, columns.upper, columns.objective)
+        assert peak <= 1.25 * sum(array.nbytes for array in arrays)
 
 
 def listed_variables(roster: Roster, variant: ModelVariant) -> list[Variable]:

@@ -551,9 +551,10 @@ class TestMoveEvaluator:
                 shared += [(k, r, a) for k, a in zip(row.cols, row.coefs) if a != 0.0]
         assert ev.student_rows == student_rows
         shared.sort()
-        assert ev.ptr == np.searchsorted([k for k, _, _ in shared],
-                                         np.arange(len(ev.ptr))).tolist()
-        assert list(zip(ev.idx, ev.val)) == [(r, a) for _, r, a in shared]
+        columns = [[] for _ in range(roster.num_companies * len(roster.students))]
+        for k, r, a in shared:
+            columns[k].append((r, a))
+        assert [ev._column(k) for k in range(len(columns))] == columns
         by_row = sorted((r, k) for k, r, _ in shared)
         assert sorted((r, k) for r in range(len(rows)) for k in
                       ev.row_cols[ev.row_ptr[r]:ev.row_ptr[r + 1]].tolist()) == by_row
@@ -571,12 +572,39 @@ class TestMoveEvaluator:
         assert ev.relocation_order(random.Random(4)) != order
 
     @pytest.mark.parametrize("variant", list(ModelVariant))
-    def test_shared_rows_hold_one_object_per_distinct_value(self, variant):
+    def test_a_move_converts_exactly_the_columns_it_reads(self, variant):
         roster = generate(desk_spec(), seed=7)
         ev = MoveEvaluator(compile_model(roster, variant))
-        assert len(ev.idx) > len(set(ev.idx)) and len(ev.val) > len(set(ev.val))
-        for values in (ev.idx, ev.val):
-            assert len({id(v) for v in values}) == len(set(values))
+        n_c = ev.n_c
+        assert ev.columns == [None] * (ev.n * n_c)
+        deal = cyclic_deal(roster)
+        ev.load([deal[s.id] for s in roster.students])
+        assert ev.columns == [None] * (ev.n * n_c)
+        read = set()
+        for moves in (((0, (ev.asg[0] + 1) % n_c),), ((1, ev.asg[2]), (2, ev.asg[1]))):
+            read |= {i * n_c + c for i, dst in moves for c in (ev.asg[i], dst)}
+            ev.apply(moves)
+            assert {k for k, column in enumerate(ev.columns) if column is not None} == read
+        assert len(read) == 6
+
+    @pytest.mark.parametrize("roster", ROSTERS)
+    def test_load_sums_each_row_as_the_per_column_loop_did(self, roster):
+        kind, seed = roster
+        roster = oracle_instance(seed) if kind == "oracle" else generate(desk_spec(), seed=seed)
+        rng = random.Random(seed)
+        n, n_c = len(roster.students), roster.num_companies
+        for variant in ModelVariant:
+            ev = MoveEvaluator(compile_model(roster, variant))
+            for _ in range(5):
+                asg = [rng.randrange(n_c) for _ in range(n)]
+                ev.load(asg)
+                act = [0.0] * len(ev.lo)
+                for i, c in enumerate(asg):
+                    for r, a in ev._column(i * n_c + c):
+                        act[r] += a
+                    for r, coefs in ev.student_rows[i]:
+                        act[r] += coefs[c]
+                assert list(map(float.hex, ev.act)) == list(map(float.hex, act)), variant
 
 
 def reference_descend(ev, rng, budget, floor):

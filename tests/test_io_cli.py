@@ -599,6 +599,21 @@ class TestConfigInput:
         assert cli.main(["validate", "--roster", str(roster), "--config", str(config)]) == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", ["aom", "mom", "old_company", "battalion"])
+    def test_a_cell_that_is_no_number_names_its_line(self, column, desk_files, capsys):
+        roster, config = desk_files
+        lines = roster.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[fileio.ROSTER_FIELDS.index(column)] = "abc"
+        lines[1] = ",".join(cells)
+        roster.write_text("\n".join(lines) + "\n")
+        kind = "a number" if column in ("aom", "mom") else "an integer"
+        message = f"{roster}:2: {column} cell 'abc' is not {kind}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fileio.read_roster(roster, config)
+        assert cli.main(["validate", "--roster", str(roster), "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_malformed_line(self, desk_files):
         roster, config = desk_files
         config.write_text(config.read_text() + "conflict_pair s0001,s0002\n")
