@@ -45,7 +45,7 @@ import numpy as np
 from scipy import sparse
 
 from cohort_shuffle.bounds import objective_floor, optimality_gap
-from cohort_shuffle.compiler import acquainted_pairs
+from cohort_shuffle.compiler import acquainted_pairs, cohort_cells
 from cohort_shuffle.heuristics import MoveEvaluator, descend
 from cohort_shuffle.ipmodel import IpModel, ModelVariant, RowStore
 from cohort_shuffle.roster import FEAS_TOL, Assignment, assignment_objective, score_sums
@@ -136,19 +136,26 @@ def decode_assignment(model: IpModel, primal) -> Assignment:
 
 def _pair_index(model: IpModel) -> np.ndarray:
     """The roster's acquainted pairs as a (pairs, 2) array of student
-    indices, in the order of the model's co-location columns."""
+    indices, in the order of a paper-form model's co-location columns."""
     return np.array(acquainted_pairs(model.roster), dtype=np.int64).reshape(-1, 2)
+
+
+def _is_compact(model: IpModel) -> bool:
+    """Whether a pairs model is in the compact form: it has cohort columns."""
+    return any(prefix == "n" for _, (prefix,), _, _ in model.variables.blocks)
 
 
 def _canonical_point(model: IpModel, asg: np.ndarray,
                      pairs: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Exact 0/1 point and objective for an assignment, extras included.
+    """Exact point and objective for an assignment, extras included.
 
     The objective is :func:`~cohort_shuffle.roster.assignment_objective` on
     the model's roster, the one ``certify`` recomputes.  Spread variables
-    become the realized absolute differences of the roster's ``score_sums``
-    and co-location variables the 0/1 indicators of its acquainted pairs,
-    ``pairs`` from :func:`_pair_index`, built here when not given.
+    become the realized absolute differences of the roster's ``score_sums``.
+    In a paper-form pairs model, co-location variables become the 0/1
+    indicators of its acquainted pairs, ``pairs`` from :func:`_pair_index`,
+    built here when not given; in a compact one, each cell's ``n`` becomes
+    the number of its cohort in its company and ``w`` the pairs among them.
     """
     roster = model.roster
     n_c = roster.num_companies
@@ -161,6 +168,11 @@ def _canonical_point(model: IpModel, asg: np.ndarray,
         sums = [np.array(score_sums(roster, mapping, metric)) for metric in ("aom", "mom")]
         c, c2 = np.array([(c, c2) for c in range(n_c) for c2 in range(n_c) if c2 != c]).T
         extra[:] = np.abs(np.concatenate([s[c] - s[c2] for s in sums]))
+    elif model.variant is ModelVariant.MIN_PAIRS and _is_compact(model):
+        new, prev = np.array(cohort_cells(roster), dtype=np.int64).reshape(-1, 2).T
+        old = np.array([s.old_company for s in roster.students])
+        count = np.bincount(asg * n_c + old, minlength=n_c * n_c)[new * n_c + prev]
+        extra[:] = np.concatenate([count, count * (count - 1) // 2])
     elif model.variant is ModelVariant.MIN_PAIRS:
         if pairs is None:
             pairs = _pair_index(model)
@@ -203,8 +215,11 @@ class _Search:
 
     @functools.cached_property
     def pairs(self) -> np.ndarray | None:
-        """A pairs model's co-location pairs, listed at the first incumbent."""
-        return _pair_index(self.model) if self.model.variant is ModelVariant.MIN_PAIRS else None
+        """A paper-form pairs model's co-location pairs, listed at the first
+        incumbent."""
+        model = self.model
+        return (_pair_index(model) if model.variant is ModelVariant.MIN_PAIRS
+                and not _is_compact(model) else None)
 
     @functools.cached_property
     def binary_cols(self) -> np.ndarray:

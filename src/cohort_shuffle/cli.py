@@ -310,7 +310,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_export_lp(args) -> int:
     roster = read_roster(args.roster, args.config)
-    model = compile_model(roster, ModelVariant(args.variant))
+    model = compile_model(roster, ModelVariant(args.variant), form="paper")
     _emit(export_lp(model), args.out)
     return EXIT_OK
 

@@ -132,18 +132,22 @@ class MoveEvaluator:
         self.scores = ([s.aom for s in students], [s.mom for s in students])
         self.weights = (roster.aom_weight, roster.mom_weight)
         self.lo, self.hi = rows.lo.tolist(), rows.hi.tolist()
+        # per-entry temporaries stay int32 or bool: an int64 per entry would
+        # cost 3.6 MB at full scale, each
         counts = np.diff(rows.indptr)
-        row_of = np.repeat(np.arange(len(rows)), counts)
+        filled = np.flatnonzero(counts)
+        starts = rows.indptr[filled]
         student = rows.cols // n_c
-        own = counts > 0
-        own[row_of[student != student[rows.indptr[row_of]]]] = False
+        own = np.zeros(len(rows), dtype=bool)
+        own[filled] = (np.minimum.reduceat(student, starts)
+                       == np.maximum.reduceat(student, starts))
         # rows over one student's columns: a coefficient per company, summed
         # in entry order as the rows list them
         own_rows = np.flatnonzero(own)
-        in_own = own[row_of]
+        in_own = np.repeat(own, counts)
         per_company = np.zeros((len(own_rows), n_c))
-        np.add.at(per_company, ((np.cumsum(own) - 1)[row_of[in_own]], rows.cols[in_own] % n_c),
-                  rows.coefs[in_own])
+        np.add.at(per_company, (np.repeat(np.arange(len(own_rows)), counts[own_rows]),
+                                rows.cols[in_own] % n_c), rows.coefs[in_own])
         self.student_rows: list[list[tuple[int, list[float]]]] = [[] for _ in range(n)]
         for r, i, coefs in zip(own_rows.tolist(), student[rows.indptr[own_rows]].tolist(),
                                per_company.tolist()):
@@ -152,7 +156,8 @@ class MoveEvaluator:
         # full scale, on top of the peak
         keep = ~in_own & (rows.coefs != 0.0)
         self.row_ptr, self.row_cols = np.zeros(len(rows) + 1, dtype=np.int32), rows.cols[keep]
-        np.cumsum(np.bincount(row_of[keep], minlength=len(rows)), out=self.row_ptr[1:])
+        self.row_ptr[1:][filled] = np.add.reduceat(keep, starts, dtype=np.int32)
+        np.cumsum(self.row_ptr, out=self.row_ptr)
         self.shared = sparse.csr_matrix((rows.coefs[keep], self.row_cols, self.row_ptr),
                                         shape=(len(rows), n * n_c)).tocsc()
         self.columns: list[list[tuple[int, float]] | None] = [None] * (n * n_c)

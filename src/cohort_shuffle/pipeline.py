@@ -84,7 +84,10 @@ def solve_roster(roster: Roster, variant: ModelVariant,
                  options: SolveOptions | None = None) -> PipelineResult:
     """Validate, compile and solve one roster; returns result + certificate.
 
-    Raises ValueError when the roster is structurally invalid.  A warm
+    The model is the compact form (for ``pairs``, a count and a pairs
+    epigraph per cohort and company in place of a column per acquainted
+    pair), which the warm start's evaluator and the search share.  Raises
+    ValueError when the roster is structurally invalid.  A warm
     start that meets the variant's objective floor (the pigeonhole bound
     for pairs) closes the gap without any enumeration.  A time limit counts
     from the call: the warm start's descents stop at it, and the search
@@ -97,7 +100,7 @@ def solve_roster(roster: Roster, variant: ModelVariant,
 
     opts = options if options is not None else SolveOptions()
     deadline = None if opts.time_limit_s is None else started + opts.time_limit_s
-    model = compile_model(roster, variant)
+    model = compile_model(roster, variant, form="compact")
 
     if opts.warm_start is None:
         opts = dataclasses.replace(opts, warm_start=build_warm_start(

@@ -19,12 +19,17 @@ root LP starts from the slack basis with every structural on the bound
 its cost prefers: the lower for a positive cost, the upper for a negative
 one, either for a cost of 0.  That start is dual feasible when those
 bounds are finite, as in every model variant, whose columns are binaries
-in [0, 1] or spread columns in [0, inf) under a nonnegative weight.  A
-branch-and-bound child starts from its parent's optimal basis, which one
-bound fix leaves dual feasible.  An LP whose start would rest a column on
-an infinite bound is not solved: :meth:`SimplexEngine.solve` raises
-ValueError on it.  A dual-feasible start bounds the objective from below,
-so a finished solve ends optimal or infeasible.
+in [0, 1] or spread, count and pairs columns in [0, inf) under a
+nonnegative weight.  A branch-and-bound child starts from its parent's
+optimal basis, which one bound fix leaves dual feasible.  An LP whose
+start would rest a column on an infinite bound is not solved:
+:meth:`SimplexEngine.solve` raises ValueError on it.  A dual-feasible
+start bounds the objective from below, so a finished solve ends optimal
+or infeasible.  A dual that has made as
+many iterations as its LP has columns and rows is taken to stall on dual
+degeneracy, where ties among zero reduced costs can make it cycle: its
+nonbasic costs move once by less than the optimality tolerance, which
+breaks the ties, and the true costs return for the optimum it reaches.
 
 Every optimum of the LP itself is re-verified against primal residual
 and reduced-cost sign conditions; verification failures trigger
@@ -124,7 +129,8 @@ class Basis:
 
 class _State:
     """Mutable per-solve state; everything on the engine stays read-only.
-    The bounds are the solve's, of structural and slack columns alike.
+    The bounds are the solve's, of structural and slack columns alike, and
+    so are the costs: the engine's, or perturbed ones while the dual stalls.
 
     ``B^-1`` is held as its stored columns: ``v[:, :k]`` (Fortran order, so
     each column is contiguous) holds the column of row ``vrow[c]`` in
@@ -133,11 +139,11 @@ class _State:
     that slack's position.  ``pos`` is the basis position of each basic
     column and -1 for the others."""
 
-    __slots__ = ("bl", "bu", "x", "vstat", "basis", "v", "k", "vrow", "vcol", "pos",
+    __slots__ = ("bl", "bu", "cost", "x", "vstat", "basis", "v", "k", "vrow", "vcol", "pos",
                  "iterations", "pivots", "want_refactor", "fresh")
 
-    def __init__(self, bl: np.ndarray, bu: np.ndarray) -> None:
-        self.bl, self.bu = bl, bu
+    def __init__(self, bl: np.ndarray, bu: np.ndarray, cost: np.ndarray) -> None:
+        self.bl, self.bu, self.cost = bl, bu, cost
         self.iterations = 0
         self.pivots = 0
         self.want_refactor = False
@@ -211,8 +217,8 @@ class SimplexEngine:
     def _reduced_costs(self, st: _State) -> tuple[np.ndarray, np.ndarray]:
         # a slack costs 0, so y is 0 on every row whose slack is basic
         y = np.zeros(self.m)
-        y[st.vrow[:st.k]] = st.v[:, :st.k].T @ self.cost[st.basis]
-        return self.cost - np.concatenate([self.at_csr @ y, y]), y
+        y[st.vrow[:st.k]] = st.v[:, :st.k].T @ st.cost[st.basis]
+        return st.cost - np.concatenate([self.at_csr @ y, y]), y
 
     def _refactor(self, st: _State) -> None:
         """Invert the basis through its structural block alone.
@@ -274,11 +280,13 @@ class SimplexEngine:
         st.pos[leave], st.pos[q] = -1, r
         row = v[r, :k]
         row /= piv
-        # a column where the pivot row is 0 would only lose w * 0
-        nz = np.flatnonzero(row)
         wcol = w.copy()
         wcol[r] = 0.0
-        v[:, nz] -= np.outer(wcol, row[nz])
+        # the rank-one update over the contiguous block, one product and one
+        # difference per entry (a fused multiply-add would round differently);
+        # where the pivot row is 0 an entry loses w * 0, which changes at most
+        # the sign of a zero
+        v[:, :k] -= np.multiply(wcol[:, None], row[None, :], order="F")
         if q >= n:
             c, k = st.vcol[q - n], k - 1
             v[:, c], st.vrow[c] = v[:, k], st.vrow[k]
@@ -328,7 +336,7 @@ class SimplexEngine:
         """A refactored state of the LP with these bounds, from ``basis`` and
         ``vstat``; None when a nonbasic column would rest on an infinite
         bound."""
-        st = _State(bl, bu)
+        st = _State(bl, bu, self.cost)
         st.basis, st.vstat = basis.copy(), vstat.copy()
         st.x = np.where(st.vstat == AT_UPPER, bu, bl)
         st.x[st.basis] = 0.0
@@ -361,11 +369,15 @@ class SimplexEngine:
             stop = self._stopped(st, max_iter, deadline)
             if stop is not None:
                 return stop
+            if st.iterations == n + m:
+                self._perturb(st)
+                d, _ = self._reduced_costs(st)
             st.iterations += 1
             xb = st.x[st.basis]
             below, above = st.bl[st.basis] - xb, xb - st.bu[st.basis]
             infeas = np.maximum(below, above)
             if infeas.max(initial=0.0) <= FEAS_EPS:
+                st.cost = self.cost
                 return LpStatus.OPTIMAL
             bad = np.flatnonzero(infeas > FEAS_EPS)
             if not len(bad):
@@ -424,6 +436,16 @@ class SimplexEngine:
             vs[leave] = AT_LOWER if s > 0 else AT_UPPER
             if self._pivot(st, r, q, w, every):
                 d, _ = self._reduced_costs(st)
+
+    def _perturb(self, st: _State) -> None:
+        """Move the cost of every nonbasic structural by a fixed pseudorandom
+        0.5 to 1 times ``OPT_EPS (1 + |c|)`` toward the bound it rests on.
+        Reduced costs keep their signs, and ties among them, on which a
+        degenerate dual can cycle for good, break."""
+        n, vs = self.n, st.vstat[:self.n]
+        step = OPT_EPS * (1.0 + np.abs(self.c)) * np.random.default_rng(0).uniform(0.5, 1.0, n)
+        st.cost = self.cost.copy()
+        st.cost[:n] += np.where(vs == AT_LOWER, step, np.where(vs == AT_UPPER, -step, 0.0))
 
     def _verified_optimal(self, st: _State) -> bool:
         x = st.x

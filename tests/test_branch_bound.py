@@ -43,6 +43,7 @@ from cohort_shuffle import (
 from cohort_shuffle import branch_bound
 from cohort_shuffle.bounds import objective_floor
 from cohort_shuffle.branch_bound import _canonical_point, _rows_hold, _Search
+from cohort_shuffle.compiler import cohort_cells
 from cohort_shuffle.ipmodel import IpModel, LinearRow, Sense, VarKind, Variable
 from cohort_shuffle.simplex import NumericalFailure, SimplexEngine
 from conftest import balanced_roster, mk_student, oracle_best, oracle_instance
@@ -68,6 +69,31 @@ def test_matches_exhaustive_enumeration(seed):
                 f"seed {seed} {variant.value}: {res.status}"
             assert res.objective == pytest.approx(expected, abs=1e-9)
             assert res.assignment is not None
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_compact_solve_matches_the_paper_form(seed):
+    """``solve_roster`` solves pairs on the compact form; ``solve_ip`` on the
+    paper form reaches the same verdict and objective."""
+    roster = oracle_instance(seed)
+    paper = solve_ip(compile_model(roster, PAIRS))
+    compact = solve_roster(roster, PAIRS).result
+    assert compact.status is paper.status
+    assert compact.objective == paper.objective
+
+
+def test_compact_tree_proves_the_locked_desk_roster():
+    """A desk roster whose locks keep the warm start above the pigeonhole
+    floor: the paper form's LP bound is 0, the compact form's rounds to 3,
+    and its tree proves 4."""
+    spec = dataclasses.replace(desk_spec(6, 5, 2, 1), battalion_locked_fraction=0.4,
+                               intl_per_company=1, sapr_per_company=1)
+    roster = generate(spec, 50)
+    out = solve_roster(roster, PAIRS, SolveOptions(time_limit_s=20.0))
+    assert out.result.status is SolveStatus.PROVEN_OPTIMAL
+    assert out.result.objective == 4.0
+    assert objective_floor(roster, PAIRS) < 4.0
+    assert out.certificate.ok
 
 
 @pytest.mark.parametrize("seed", [1, 3, 5, 8, 9])
@@ -105,36 +131,44 @@ def ids(roster: Roster) -> list[str]:
 @pytest.mark.parametrize("seed", range(60))
 def test_compiled_rows_agree_with_the_auditor(seed):
     """The canonical point of a random assignment satisfies every compiled
-    row, spread and together rows included, exactly when the independent
-    auditor passes the assignment."""
+    row, spread, together and epigraph rows included, exactly when the
+    independent auditor passes the assignment; a feasible point's cost is
+    then its objective."""
     roster = oracle_instance(seed)
     rng = random.Random(seed)
     n, n_c = len(roster.students), roster.num_companies
-    for variant in ModelVariant:
-        model = compile_model(roster, variant)
+    models = [compile_model(roster, variant) for variant in ModelVariant]
+    for model in models + [compile_model(roster, PAIRS, form="compact")]:
+        variant = model.variant
         for _ in range(40):
             asg = np.array([rng.randrange(n_c) for _ in range(n)], dtype=np.int64)
-            point, _ = _canonical_point(model, asg)
+            point, objective = _canonical_point(model, asg)
             audit = check_feasible(roster, dict(zip(ids(roster), asg.tolist())),
                                    forbid_same_company=variant is not MIN)
             assert _rows_hold(model.rows, point) == audit.feasible, (variant, asg)
+            if audit.feasible and variant is not DEV:
+                assert point @ model.variables.objective == objective, (variant, asg)
 
 
-@pytest.mark.parametrize("variant", [PAIRS, DEV])
-def test_rows_outside_the_x_block_are_checked(variant):
+@pytest.mark.parametrize("variant, form", [(PAIRS, "paper"), (DEV, "paper"), (PAIRS, "compact")])
+def test_rows_outside_the_x_block_are_checked(variant, form):
     """A feasible canonical point with one extra column moved off its value
-    breaks only a together or spread row, and the incumbent check rejects it:
-    a pair that shares a company with its u zeroed, or one spread column
-    lowered by 1e-3."""
+    breaks only a together, spread or epigraph row, and the incumbent check
+    rejects it: a pair that shares a company with its u zeroed, one spread
+    column lowered by 1e-3, or one positive w lowered by 1e-3."""
     roster = generate(desk_spec(), seed=7)
-    model = compile_model(roster, variant)
+    model = compile_model(roster, variant, form)
     asg = solve_roster(roster, variant, SolveOptions(node_limit=0)).result.assignment
     point, _ = _canonical_point(model, np.array([asg[s] for s in ids(roster)]))
     assert _rows_hold(model.rows, point)
     x_block = len(roster.students) * roster.num_companies
-    if variant is PAIRS:
+    if variant is PAIRS and form == "paper":
         col = x_block + int(np.flatnonzero(point[x_block:] == 1.0)[0])
         point[col] = 0.0
+    elif variant is PAIRS:
+        w_block = x_block + len(cohort_cells(roster))
+        col = w_block + int(np.flatnonzero(point[w_block:] > 0.0)[0])
+        point[col] -= 1e-3
     else:
         col = x_block + int(np.argmax(point[x_block:]))
         point[col] -= 1e-3

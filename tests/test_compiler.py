@@ -30,7 +30,7 @@ from cohort_shuffle import (
     generate,
     reference_spec,
 )
-from cohort_shuffle.compiler import x_column
+from cohort_shuffle.compiler import cohort_cells, x_column
 from cohort_shuffle.ipmodel import (SENSES, ColumnStore, IpModel, LinearRow, RowBuilder, RowStore,
                                     Variable)
 from conftest import mk_student
@@ -47,6 +47,11 @@ GOLDEN_EXPORT_SHA256 = {
     DEV: "ac65ab10697251b069f9cd3e950ae8eed5d839a8c3bc5c63393d63b56732b680",
     PAIRS: "2920d9fd5beca4fd7adf44c72af95d7a96b6c94b52ca381e698dd09ffef13101",
 }
+
+
+@pytest.fixture(scope="module")
+def full_class() -> Roster:
+    return generate(reference_spec(2023), seed=1)
 
 
 def rows_by_family(model):
@@ -224,6 +229,69 @@ class TestRowFamilies:
         assert acquainted_pairs(tiny_roster) == [(0, 1), (0, 2), (1, 2), (3, 4)]
 
 
+class TestCompactForm:
+    def test_cells_skip_the_own_company_and_single_cohorts(self, tiny_roster):
+        # previous sizes (3, 2, 1): company 2's one student has no pair to make
+        assert cohort_cells(tiny_roster) == [(1, 0), (2, 0), (0, 1), (2, 1)]
+
+    def test_cohort_and_epigraph_rows_per_cell(self, tiny_roster):
+        model = compile_model(tiny_roster, PAIRS, form="compact")
+        n_x = 6 * 3
+        names = list(model.variables.names())
+        assert names[n_x:] == ["n[C2,C1]", "n[C3,C1]", "n[C1,C2]", "n[C3,C2]",
+                               "w[C2,C1]", "w[C3,C1]", "w[C1,C2]", "w[C3,C2]"]
+        extra = model.variables[n_x:]
+        assert {(v.kind, v.lower, v.upper) for v in extra} == {(VarKind.CONTINUOUS, 0.0, math.inf)}
+        assert [v.objective for v in extra] == [0.0] * 4 + [1.0] * 4
+        assert model.binary_columns() == list(range(n_x))
+        rows = list(model.rows[model.x_rows:])
+        # blocks by cohort size: the size-2 cohort's cells, then the size-3 one's
+        assert [row.name() for row in rows] == [
+            "cohort_C1_C2", "pairs_epi_1_C1_C2", "cohort_C3_C2", "pairs_epi_1_C3_C2",
+            "cohort_C2_C1", "pairs_epi_1_C2_C1", "pairs_epi_2_C2_C1",
+            "cohort_C3_C1", "pairs_epi_1_C3_C1", "pairs_epi_2_C3_C1"]
+        cohort, epi_1, epi_2 = rows[4:7]
+        n_col, w_col = n_x, n_x + 4
+        assert cohort.cols == (n_col, *(x_column(i, 1, 3) for i in range(3)))
+        assert cohort.coefs == (1.0, -1.0, -1.0, -1.0)
+        assert cohort.sense is Sense.EQ and cohort.rhs == 0.0
+        for k, row in ((1, epi_1), (2, epi_2)):
+            assert row.cols == (w_col, n_col) and row.coefs == (1.0, -k)
+            assert row.sense is Sense.GE and row.rhs == -k * (k + 1) / 2
+
+    @pytest.mark.parametrize("spec", [desk_spec(), balanced_spec(6, 14), reference_spec(2023)],
+                             ids=["desk", "balanced", "reference"])
+    def test_x_block_and_x_columns_are_the_paper_forms(self, spec):
+        roster = generate(spec, seed=1)
+        for variant in (MIN, DEV):
+            paper, compact = (compile_model(roster, variant, form) for form in ("paper", "compact"))
+            assert compact.x_rows == paper.x_rows
+            for a, b in zip(row_arrays(paper.rows), row_arrays(compact.rows), strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            for a, b in zip(column_arrays(paper.variables), column_arrays(compact.variables),
+                            strict=True):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert compact.rows.blocks == paper.rows.blocks
+        paper, compact = (compile_model(roster, PAIRS, form) for form in ("paper", "compact"))
+        assert compact.x_rows == paper.x_rows
+        for a, b in zip(row_arrays(paper.rows[:paper.x_rows]),
+                        row_arrays(compact.rows[:compact.x_rows]), strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        n_x = len(roster.students) * roster.num_companies
+        for a, b in zip(column_arrays(paper.variables), column_arrays(compact.variables),
+                        strict=True):
+            assert a.dtype == b.dtype and a[:n_x].tobytes() == b[:n_x].tobytes()
+        assert len(compact.variables) == n_x + 2 * len(cohort_cells(roster))
+
+    def test_full_class_compact_model_size(self, full_class):
+        model = compile_model(full_class, PAIRS, form="compact")
+        assert (model.num_rows, len(model.rows.coefs), model.num_vars) == (35_297, 545_876, 34_650)
+
+    def test_unknown_form_rejected(self, tiny_roster):
+        with pytest.raises(ValueError, match="form"):
+            compile_model(tiny_roster, PAIRS, form="epigraph")
+
+
 class TestErrorsAndDeterminism:
     def test_empty_roster_rejected(self):
         empty = Roster(students=(), num_companies=2, battalions=((0, 1),))
@@ -302,6 +370,14 @@ class TestRowStore:
         assert store[1:].lo.tolist() == [-0.0, -1.0] and store[:1].hi.tolist() == [4.0]
 
 
+def row_arrays(rows: RowStore) -> tuple[np.ndarray, ...]:
+    return rows.indptr, rows.cols, rows.coefs, rows.sense, rows.rhs
+
+
+def column_arrays(columns: ColumnStore) -> tuple[np.ndarray, ...]:
+    return columns.kind, columns.lower, columns.upper, columns.objective
+
+
 def concatenation_build(blocks: list[tuple]) -> tuple[np.ndarray, ...]:
     """The five row-store arrays of ``RowBuilder.add`` argument tuples, each
     block materialized whole and then concatenated."""
@@ -343,18 +419,35 @@ class TestRowBuilder:
                                  concatenation_build(blocks), strict=True):
             assert built.dtype == packed.dtype and built.tobytes() == packed.tobytes()
 
-    def test_full_class_compile_peaks_near_the_model_size(self):
-        roster = generate(reference_spec(2023), seed=1)
+    @pytest.mark.parametrize("variant, form", [(PAIRS, "paper"), (PAIRS, "compact"),
+                                               (DEV, "paper")])
+    def test_full_class_compile_peaks_near_the_model_size(self, full_class, variant, form):
         tracemalloc.start()
         try:
-            model = compile_model(roster, PAIRS)
+            model = compile_model(full_class, variant, form)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        rows, columns = model.rows, model.variables
-        arrays = (rows.indptr, rows.cols, rows.coefs, rows.sense, rows.rhs,
-                  columns.kind, columns.lower, columns.upper, columns.objective)
+        arrays = row_arrays(model.rows) + column_arrays(model.variables)
         assert peak <= 1.25 * sum(array.nbytes for array in arrays)
+
+    def test_spread_rows_match_the_materialized_packing(self, full_class):
+        """The dev spread block, handed over as a per-pair part plus a
+        per-family one, packs to the (pairs, 4, 2n + 1) column array it was
+        once built as."""
+        roster = full_class
+        rows = compile_model(roster, DEV).rows
+        n, n_c = len(roster.students), roster.num_companies
+        ordered = [(c, c2) for c in range(n_c) for c2 in range(n_c) if c2 != c]
+        spread = np.array(ordered, dtype=np.int64).reshape(-1, 1, 2)
+        x_part = x_column(np.arange(n)[None, :, None], spread, n_c).transpose(0, 2, 1)
+        p = np.arange(len(ordered))
+        cols = np.empty((len(p), 4, 2 * n + 1), dtype=np.int32)
+        cols[:, :, :-1] = x_part.reshape(len(p), 1, 2 * n)
+        cols[:, :2, -1] = (n * n_c + p)[:, None]
+        cols[:, 2:, -1] = (n * n_c + len(p) + p)[:, None]
+        start = rows.indptr[len(rows) - 4 * len(p)]
+        assert rows.cols[start:].tobytes() == cols.tobytes()
 
 
 def listed_variables(roster: Roster, variant: ModelVariant) -> list[Variable]:

@@ -532,9 +532,13 @@ class TestMoveEvaluator:
             assert (local_search(roster, start, variant, 200, seed=3, evaluator=ev)
                     == local_search(roster, start, variant, 200, seed=3))
 
+    @pytest.mark.parametrize("kind, seed", [("desk", 7), ("oracle", 5), ("oracle", 11),
+                                            ("reference", 1)])
     @pytest.mark.parametrize("variant", list(ModelVariant))
-    def test_build_matches_a_row_by_row_build(self, variant):
-        roster = generate(desk_spec(), seed=7)
+    def test_build_matches_a_row_by_row_build(self, kind, seed, variant):
+        roster = (generate(reference_spec(2023), seed) if kind == "reference"
+                  else oracle_instance(seed) if kind == "oracle"
+                  else generate(desk_spec(), seed=seed))
         model = compile_model(roster, variant)
         rows, n_c = model.rows[:model.x_rows], roster.num_companies
         ev = MoveEvaluator(model)
@@ -558,6 +562,8 @@ class TestMoveEvaluator:
         by_row = sorted((r, k) for k, r, _ in shared)
         assert sorted((r, k) for r in range(len(rows)) for k in
                       ev.row_cols[ev.row_ptr[r]:ev.row_ptr[r + 1]].tolist()) == by_row
+        assert ev.row_ptr.dtype == ev.row_cols.dtype == np.int32
+        assert (ev.lo, ev.hi) == (rows.lo.tolist(), rows.hi.tolist())
 
     def test_equally_seeded_descents_share_one_relocation_order(self):
         roster = generate(desk_spec(), seed=7)

@@ -13,6 +13,7 @@ fix are checked against HiGHS the same way, infeasible children included.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 
@@ -33,7 +34,8 @@ from cohort_shuffle import (
     standard_form,
 )
 from cohort_shuffle.ipmodel import IpModel, LinearRow, Sense, VarKind, Variable
-from cohort_shuffle.simplex import BASIC, Basis, NumericalFailure, SimplexEngine
+from cohort_shuffle.simplex import (BASIC, PIVOT_EPS, SMALL_PIVOT, Basis, NumericalFailure,
+                                   SimplexEngine)
 from conftest import oracle_instance
 
 INF = float("inf")
@@ -570,10 +572,95 @@ COMPILED_ROSTERS = {
 
 @pytest.mark.parametrize("name", sorted(COMPILED_ROSTERS))
 def test_compiled_models_start_dual_feasible(name):
-    """Every variant's columns have finite bounds their costs prefer, so the
-    engine takes its slack start, which an iteration cap of 0 then stops.
-    A compiler change that breaks the rule fails here, not in a solve."""
+    """Every variant's columns have finite bounds their costs prefer, in
+    both forms, so the engine takes its slack start, which an iteration cap
+    of 0 then stops.  A compiler change that breaks the rule fails here, not
+    in a solve."""
     roster = COMPILED_ROSTERS[name]()
-    for variant in ModelVariant:
-        engine = standard_form(compile_model(roster, variant))
-        assert engine.solve(max_iter=0).status is LpStatus.ITERATION_LIMIT, variant
+    models = [compile_model(roster, variant) for variant in ModelVariant]
+    for model in models + [compile_model(roster, ModelVariant.MIN_PAIRS, form="compact")]:
+        engine = standard_form(model)
+        assert engine.solve(max_iter=0).status is LpStatus.ITERATION_LIMIT, model.variant
+
+
+def test_a_stalled_dual_perturbs_its_costs_and_finishes():
+    """A desk roster's compact pairs root is so dual degenerate that the dual
+    cycles below its optimum of 8 for good.  Once a solve has made as many
+    iterations as the LP has columns and rows, the costs of its nonbasic
+    columns move by at most 2e-7 each, the dual finishes, and the optimum
+    reported, verified on the true costs, is HiGHS's."""
+    engine = standard_form(compile_model(generate(desk_spec(), seed=3), ModelVariant.MIN_PAIRS,
+                                         form="compact"))
+    raw = engine.solve()
+    assert raw.iterations > engine.n + engine.m
+    assert_matches(raw, engine_linprog(engine, engine.default_lower, engine.default_upper))
+    assert raw.objective == pytest.approx(8.0, abs=1e-9)
+
+
+def outer_product_pivot(self, st, r, q, w, every):
+    """``SimplexEngine._pivot`` with the rank-one update it replaced: a
+    gather, an outer product and a scatter over the columns where the pivot
+    row is nonzero."""
+    piv = w[r]
+    if abs(piv) < PIVOT_EPS:
+        raise NumericalFailure("pivot element vanished")
+    n, v, k = self.n, st.v, st.k
+    leave = int(st.basis[r])
+    st.basis[r] = q
+    st.vstat[q] = BASIC
+    st.pos[leave], st.pos[q] = -1, r
+    row = v[r, :k]
+    row /= piv
+    nz = np.flatnonzero(row)
+    wcol = w.copy()
+    wcol[r] = 0.0
+    v[:, nz] -= np.outer(wcol, row[nz])
+    if q >= n:
+        c, k = st.vcol[q - n], k - 1
+        v[:, c], st.vrow[c] = v[:, k], st.vrow[k]
+        st.vcol[st.vrow[c]], st.vcol[q - n] = c, -1
+    if leave >= n:
+        v[:, k] = wcol * (-1.0 / piv)
+        v[r, k] = 1.0 / piv
+        st.vrow[k], st.vcol[leave - n] = leave - n, k
+        k += 1
+    st.k = k
+    st.pivots += 1
+    st.fresh = False
+    if abs(piv) < SMALL_PIVOT or st.want_refactor or st.pivots % every == 0:
+        self._refactor(st)
+        st.want_refactor = False
+        return True
+    return False
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_block_update_repeats_the_outer_product_update(seed, monkeypatch):
+    """The in-place update of the stored block leaves every stored column as
+    the outer-product update did, bit for bit up to the sign of a zero, after
+    every pivot of a desk ``dev`` root and of a child from its basis; the
+    solves end byte-identical."""
+    engine = standard_form(compile_model(generate(desk_spec(), seed=seed),
+                                         ModelVariant.MERIT_DEVIATION))
+
+    def run(pivot):
+        trail = []
+
+        def recorded(self, st, r, q, w, every):
+            out = pivot(self, st, r, q, w, every)
+            trail.append(hashlib.sha256((st.v[:, :st.k] + 0.0).tobytes()).hexdigest())
+            return out
+
+        monkeypatch.setattr(SimplexEngine, "_pivot", recorded)
+        root = engine.solve()
+        col = int(np.flatnonzero(np.abs(root.values - np.round(root.values)) > 1e-6)[0])
+        child = engine.solve(*fixed(engine, col, 1.0), start=root.basis)
+        solves = [(s.status, s.iterations, s.objective, s.values.tobytes(), s.duals.tobytes(),
+                   s.basis.basis.tobytes(), s.basis.vstat.tobytes()) for s in (root, child)]
+        return trail, solves
+
+    block_trail, block_solves = run(SimplexEngine._pivot)
+    outer_trail, outer_solves = run(outer_product_pivot)
+    assert len(block_trail) > 50
+    assert block_trail == outer_trail
+    assert block_solves == outer_solves

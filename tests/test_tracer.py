@@ -39,7 +39,8 @@ def test_traced_pairs_solve_counts_local_search():
     assert solved.certificate.ok
     assert tracer.counts["heuristics.local_search.calls"] >= 1
     assert pipeline.local_search is heuristics.local_search
-    # the model counters read the row store the same solve compiles
-    model = compile_model(roster, ModelVariant.MIN_PAIRS)
+    # the model counters read the row store the same solve compiles, the
+    # compact form
+    model = compile_model(roster, ModelVariant.MIN_PAIRS, form="compact")
     assert tracer.counts["compiler.rows"] == model.num_rows
     assert tracer.counts["compiler.nnz"] == len(model.rows.coefs)
