@@ -1,28 +1,27 @@
 """Constructive and local-search heuristics for warm starts.
 
 ``cyclic_deal`` round-robins every previous company's students over the
-other companies; with the companies' sizes between ``|C|`` and
-``2(|C|-1)`` it realizes the pigeonhole bound on forced pairs exactly,
-which makes it an optimality witness on balanced instances.
-``rotate_within_battalions`` moves companies wholesale, preserving every
-per-company statistic of a feasible previous assignment.  ``local_search``
-runs :func:`descend`, the one local search, from any start, feasible or
-not, down to the variant's objective floor; the warm start builds one
-:class:`MoveEvaluator` from the compiled model and loads each candidate
-start into it, every descent scanning the one relocation order the
-evaluator shuffled, and the branch-and-bound root heuristic runs the same
-descent from the rounded relaxation.  The evaluator builds only what a
-descent reads: a load is one sparse product, and a column's rows become a
-list when a move first reads them.  Once the assignment is feasible, the
-descent skips any move a row rejected while that row's activity and the
-moving students' companies are unchanged: such a move would be rejected
-again, so skipping it changes no decision.  The evaluator reads a move's
-objective change before any row work, from the cohort matrix for ``min``
-and ``pairs`` and from the sorted company sums for ``dev``, and rejects at
-once the moves that cannot lower (violation, objective); ``dev`` reads it
-after the rows for a relocation from a feasible assignment, whose rows
-reject most such moves and feed the memo.  Every verdict is the one the
-full row check and objective recompute would give.
+other companies; with the companies' sizes between ``|C|`` and ``2(|C|-1)``
+it realizes the pigeonhole bound on forced pairs exactly, which makes it an
+optimality witness on balanced instances.  ``rotate_within_battalions``
+moves companies wholesale, preserving every per-company statistic of a
+feasible previous assignment.  ``local_search`` runs :func:`descend`, the
+one local search, from any start, feasible or not, down to the variant's
+objective floor; the warm start builds one :class:`MoveEvaluator` from the
+compiled model and loads each candidate start into it, every descent
+scanning the one relocation order the evaluator shuffled, and the
+branch-and-bound root heuristic runs the same descent from the rounded
+relaxation.  The evaluator holds the rows shared between students as a
+(company × feature) table.  Once the assignment is feasible, the descent
+skips any move a row rejected while that row's activity and the moving
+students' companies are unchanged: such a move would be rejected again, so
+skipping it changes no decision.  The evaluator reads a move's objective
+change before any row work, from the cohort matrix for ``min`` and
+``pairs`` and from the sorted company sums for ``dev``, and rejects at once
+the moves that cannot lower (violation, objective); ``dev`` reads it after
+the rows for a relocation from a feasible assignment, whose rows reject
+most such moves and feed the memo.  Every verdict is the one the full row
+check and objective recompute would give.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from cohort_shuffle.bounds import objective_floor
 from cohort_shuffle.compiler import compile_model
@@ -100,26 +98,28 @@ def rotate_within_battalions(roster: Roster, shift: int = 1) -> Assignment:
 class MoveEvaluator:
     """Row violation and objective of one assignment, updated per move.
 
-    Built from a compiled model: its x-block rows
-    ``model.rows[:model.x_rows]`` and the students of ``model.roster``.
-    :meth:`load` sets the assignment, so one evaluator serves any number of
-    starts, and :meth:`relocation_order` shuffles their relocations once.  A
-    row over one student's columns keeps a coefficient per company; every
-    other row lies within one company and sits in ``shared``, a scipy CSC
-    matrix.  :meth:`load` reads row activities off it with one product, and
-    ``columns[k]`` becomes column ``k``'s list of (row, coefficient) pairs
-    the first time a move reads it, so a move costs O(touched rows) and
-    neither a build nor a load makes an object per entry.  ``violation``
-    sums how far rows miss their bounds beyond ``FEAS_TOL``, as
-    ``check_feasible`` counts them, and is exactly 0.0 when none does.  The
-    same shared entries row by row, ``row_ptr`` and ``row_cols`` (int32
-    arrays), keep ``hot[k]``, the number of violated shared rows over column
-    ``k``, current when a row's violation starts or ends.  The objective
-    comes from the (new, old) cohort matrix (stays are its diagonal) or the
-    per-company aom/mom sums; for ``dev``, ``sum_index`` keeps each metric's
-    sums sorted, with prefix sums and every company's Σ_e |S_c − S_e|, so a
-    move's objective change takes two bisects per metric
-    (:meth:`_deviation_change`).
+    Built from a compiled model's x-block rows ``model.rows[:model.x_rows]``
+    and the students of ``model.roster``; :meth:`load` sets the assignment,
+    so one evaluator serves any number of starts, and
+    :meth:`relocation_order` shuffles their relocations once.  A row over
+    one student's columns (``assign_once``, ``battalion_lock``,
+    ``no_stay``) is a 0/1 sum against 0 or 1, so a broken one misses by
+    exactly 1: ``breaks[i][c]`` counts those student ``i`` breaks in
+    company ``c``.  Every other row is a (company, feature) cell whose
+    coefficients depend only on the student (a window side, a sport cap,
+    the SAPR or international count, a conflict pair): read off the row
+    store's blocks, ``terms[i]`` lists student ``i``'s nonzero (feature,
+    coefficient) pairs and ``support`` is their student × feature mask.  Cell ``c * n_g + g`` of ``act``, ``lo``, ``hi`` and ``viol`` is
+    feature ``g`` in company ``c``, compiled as row ``row_of[c, g]``, or -1
+    with bounds ``[-inf, inf]`` where the family skips ``c``.  A move costs
+    O(touched cells).  ``violation`` sums how far rows miss their bounds
+    beyond ``FEAS_TOL``, as ``check_feasible`` counts them, and is exactly
+    0.0 when none does; ``hot[i * n_c + c]`` counts the violated cells of
+    company ``c`` over student ``i``'s features.  The objective comes from
+    the (new, old) cohort matrix or the per-company aom/mom sums; for
+    ``dev``, ``sum_index`` keeps each metric's sums sorted, with prefix sums
+    and every company's Σ_e |S_c − S_e|, so a move's objective change takes
+    two bisects per metric (:meth:`_deviation_change`).
     """
 
     def __init__(self, model: IpModel) -> None:
@@ -131,36 +131,43 @@ class MoveEvaluator:
         self.old = [s.old_company for s in students]
         self.scores = ([s.aom for s in students], [s.mom for s in students])
         self.weights = (roster.aom_weight, roster.mom_weight)
-        self.lo, self.hi = rows.lo.tolist(), rows.hi.tolist()
-        # per-entry temporaries stay int32 or bool: an int64 per entry would
-        # cost 3.6 MB at full scale, each
-        counts = np.diff(rows.indptr)
-        filled = np.flatnonzero(counts)
-        starts = rows.indptr[filled]
-        student = rows.cols // n_c
-        own = np.zeros(len(rows), dtype=bool)
-        own[filled] = (np.minimum.reduceat(student, starts)
-                       == np.maximum.reduceat(student, starts))
-        # rows over one student's columns: a coefficient per company, summed
-        # in entry order as the rows list them
-        own_rows = np.flatnonzero(own)
-        in_own = np.repeat(own, counts)
-        per_company = np.zeros((len(own_rows), n_c))
-        np.add.at(per_company, (np.repeat(np.arange(len(own_rows)), counts[own_rows]),
-                                rows.cols[in_own] % n_c), rows.coefs[in_own])
-        self.student_rows: list[list[tuple[int, list[float]]]] = [[] for _ in range(n)]
-        for r, i, coefs in zip(own_rows.tolist(), student[rows.indptr[own_rows]].tolist(),
-                               per_company.tolist()):
-            self.student_rows[i].append((r, coefs))
-        # kept as arrays: a list of Python ints here would add about 15 MB at
-        # full scale, on top of the peak
-        keep = ~in_own & (rows.coefs != 0.0)
-        self.row_ptr, self.row_cols = np.zeros(len(rows) + 1, dtype=np.int32), rows.cols[keep]
-        self.row_ptr[1:][filled] = np.add.reduceat(keep, starts, dtype=np.int32)
-        np.cumsum(self.row_ptr, out=self.row_ptr)
-        self.shared = sparse.csr_matrix((rows.coefs[keep], self.row_cols, self.row_ptr),
-                                        shape=(len(rows), n * n_c)).tocsc()
-        self.columns: list[list[tuple[int, float]] | None] = [None] * (n * n_c)
+        company = {(label,): c for c, label in enumerate(roster.company_labels)}
+        student = {sid: i for i, sid in enumerate(self.ids)}
+        ptr = rows.indptr
+        breaks, row_of = np.zeros((n, n_c), dtype=np.int8), [np.zeros((0, n_c), dtype=np.int64)]
+        for start, families, outer, inner in (b for b in rows.blocks if b[0] < len(rows)):
+            end = start + len(outer) * len(inner) * len(families)
+            if inner == ((),):  # a row per student: its activity in each company
+                part, at = np.zeros((end - start, n_c)), slice(ptr[start], ptr[end])
+                np.add.at(part, (np.repeat(np.arange(end - start), np.diff(ptr[start:end + 1])),
+                                 rows.cols[at] % n_c), rows.coefs[at])
+                owners = [student[sid] for (sid,) in outer for _ in families]
+                np.add.at(breaks, owners, (part < rows.lo[start:end, None] - FEAS_TOL)
+                          | (part > rows.hi[start:end, None] + FEAS_TOL))
+                continue
+            # a feature per outer key and family, a row per inner key (company)
+            grid = np.arange(start, end).reshape(len(outer), len(inner), -1).swapaxes(1, 2)
+            row_of.append(np.full((len(outer) * len(families), n_c), -1))
+            row_of[-1][:, [company[key] for key in inner]] = grid.reshape(-1, len(inner))
+        self.breaks = [counts.tobytes() for counts in breaks]
+        self.row_of = np.concatenate(row_of).T
+        self.n_g = n_g = self.row_of.shape[1]
+        # the slot past the cells is ``blocked`` for a student's own rows: its
+        # activity never changes, so descend's memo keys on the companies alone
+        self.own, cells = n_c * n_g, np.append(self.row_of.ravel(), -1)
+        self.lo = np.append(rows.lo, -math.inf)[cells].tolist()
+        self.hi = np.append(rows.hi, math.inf)[cells].tolist()
+        del part, student, breaks  # freed before the terms, the build's peak
+        self.support = np.zeros((n, n_g), dtype=bool)
+        self.terms: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        for g, r in enumerate(self.row_of.max(axis=0).tolist()):
+            # any of its rows gives the feature; a feature has few distinct terms
+            owner, coefs = rows.cols[ptr[r]:ptr[r + 1]] // n_c, rows.coefs[ptr[r]:ptr[r + 1]]
+            self.support[owner, g] = coefs != 0.0
+            distinct: dict[float, tuple[int, float]] = {}
+            for i, a in zip(owner.tolist(), coefs.tolist()):
+                if a:
+                    self.terms[i].append(distinct.setdefault(a, (g, a)))
         self._relocations: tuple | None = None
         # deviation_from_sums adds |C|(|C|-1) terms, each rounded once, whose
         # total is at most 2|C| Σ_c |S_c|, so its float lies within
@@ -172,26 +179,24 @@ class MoveEvaluator:
 
     def load(self, asg: Sequence[int]) -> None:
         """Make ``asg`` (company per student index) the current assignment."""
-        n_c = self.n_c
+        n_c, n_g = self.n_c, self.n_g
         self.asg = [int(c) for c in asg]
         self.cohort = [[0] * n_c for _ in range(n_c)]
         self.sums = ([0.0] * n_c, [0.0] * n_c)
-        x = np.zeros(self.n * n_c)
-        x[np.arange(self.n) * n_c + self.asg] = 1.0
-        # CSC adds each row's entries in column order, which is student order,
-        # and with a 0/1 x every product is exact
-        self.act = (self.shared @ x).tolist()
+        act = self.act = [0.0] * (n_c * n_g + 1)
         for i, c in enumerate(self.asg):
-            for r, coefs in self.student_rows[i]:
-                self.act[r] += coefs[c]
+            # each cell sums its students' coefficients in student order, as its row would
+            for g, a in self.terms[i]:
+                act[c * n_g + g] += a
             self.cohort[c][self.old[i]] += 1
             for sums, score in zip(self.sums, self.scores):
                 sums[c] += score[i]
         self.viol = [self._excess(r, x) for r, x in enumerate(self.act)]
-        self.bad = sum(1 for v in self.viol if v > 0.0)
-        violated = np.repeat(np.array(self.viol) > 0.0, np.diff(self.row_ptr))
-        self.hot = np.bincount(self.row_cols[violated], minlength=self.n * n_c).tolist()
-        self.violation = math.fsum(self.viol)
+        own = sum(breaks[c] for breaks, c in zip(self.breaks, self.asg))
+        self.bad = sum(1 for v in self.viol if v > 0.0) + own
+        violated = np.array(self.viol[:-1]).reshape(n_c, n_g) > 0.0
+        self.hot = (self.support @ violated.T.astype(np.int64)).ravel().tolist()
+        self.violation = math.fsum([*self.viol, own])
         self.sum_index = None
         if self.variant is MIN:
             self.objective = float(sum(self.cohort[c][c] for c in range(n_c)))
@@ -229,41 +234,24 @@ class MoveEvaluator:
         rng.setstate(self._relocations[2])
         return self._relocations[1]
 
-    def _column(self, k: int) -> list[tuple[int, float]]:
-        """(row, coefficient) of column ``k`` over the shared rows, listed on
-        first read."""
-        column = self.columns[k]
-        if column is None:
-            a, b = self.shared.indptr[k:k + 2]
-            column = self.columns[k] = list(zip(self.shared.indices[a:b].tolist(),
-                                                self.shared.data[a:b].tolist()))
-        return column
-
     def _excess(self, r: int, x: float) -> float:
         e = max(self.lo[r] - x, x - self.hi[r])
         return e if e > FEAS_TOL else 0.0
 
-    def _row_deltas(self, moves: Sequence[Move]) -> list[tuple[int, float]]:
-        """Activity change of every row the moves touch, each row once."""
-        n_c, asg, column = self.n_c, self.asg, self._column
+    def _row_deltas(self, moves: Sequence[Move]) -> tuple:
+        """The cells the moves touch, each once, as parts ``(base, sign, terms)``:
+        cell ``base + g`` changes by ``sign * a`` per ``(g, a)`` of ``terms``;
+        a relocation's two parts share no cell, and a company's are in row order."""
+        n_g, asg, terms = self.n_g, self.asg, self.terms
         if len(moves) == 1 and moves[0][1] != asg[moves[0][0]]:
-            # a relocation's two columns share no row
             ((i, dst),) = moves
-            out = [(r, -a) for r, a in column(i * n_c + asg[i])]
-            out += column(i * n_c + dst)
-        else:
-            d: dict[int, float] = {}
-            for i, dst in moves:
-                for r, a in column(i * n_c + asg[i]):
-                    d[r] = d.get(r, 0.0) - a
-                for r, a in column(i * n_c + dst):
-                    d[r] = d.get(r, 0.0) + a
-            out = list(d.items())
+            return (asg[i] * n_g, -1.0, terms[i]), (dst * n_g, 1.0, terms[i])
+        d: dict[int, float] = {}
         for i, dst in moves:
-            for r, per_company in self.student_rows[i]:
-                if per_company[dst] != per_company[asg[i]]:
-                    out.append((r, per_company[dst] - per_company[asg[i]]))
-        return out
+            for base, sign in ((asg[i] * n_g, -1.0), (dst * n_g, 1.0)):
+                for g, a in terms[i]:
+                    d[base + g] = d.get(base + g, 0.0) + sign * a
+        return ((0, 1.0, d.items()),)
 
     def _deviation_change(self, moves: Sequence[Move]) -> tuple[float, float] | None:
         """The change a relocation or a swap makes to the ``dev`` objective,
@@ -350,38 +338,42 @@ class MoveEvaluator:
         return self.objective + sum(dk * (2 * cohort[c][o] + dk - 1) // 2
                                     for (c, o), dk in change.items())
 
-    def _violation_after(self, deltas: list[tuple[int, float]]) -> tuple[float, int]:
+    def _violation_after(self, moves: Sequence[Move],
+                         deltas: tuple) -> tuple[float, int]:
         total, bad, act, viol = self.violation, self.bad, self.act, self.viol
-        lo, hi = self.lo, self.hi
-        for r, da in deltas:
-            # _excess inlined, as this loop is most of a repair move's cost; a
-            # row within bounds before and after adds nothing
-            x = act[r] + da
-            if x - hi[r] > FEAS_TOL or lo[r] - x > FEAS_TOL:
-                total += max(lo[r] - x, x - hi[r]) - viol[r]
-                bad += viol[r] == 0.0
-            elif viol[r]:
-                total -= viol[r]
-                bad -= 1
+        lo, hi, asg = self.lo, self.hi, self.asg
+        for base, sign, part in deltas:
+            for g, a in part:
+                # _excess inlined, as this loop is most of a repair move's
+                # cost; a cell within bounds before and after adds nothing
+                r = base + g
+                x = act[r] + sign * a
+                if x - hi[r] > FEAS_TOL or lo[r] - x > FEAS_TOL:
+                    total += max(lo[r] - x, x - hi[r]) - viol[r]
+                    bad += viol[r] == 0.0
+                elif viol[r]:
+                    total -= viol[r]
+                    bad -= 1
+        for i, dst in moves:  # a student's own rows, each missing by exactly 1
+            change = self.breaks[i][dst] - self.breaks[i][asg[i]]
+            bad += change
+            for _ in range(abs(change)):
+                total += 1.0 if change > 0 else -1.0
         return (total if bad else 0.0), bad
 
     def apply(self, moves: Sequence[Move]) -> None:
         """Make ``moves`` whatever they do to violation and objective."""
-        deltas = self._row_deltas(moves)
-        self._commit(moves, deltas, *self._violation_after(deltas), self._objective_after(moves))
+        d = self._row_deltas(moves)
+        self._commit(moves, d, *self._violation_after(moves, d), self._objective_after(moves))
 
     def _touches_violated(self, moves: Sequence[Move]) -> bool:
-        """Whether the moves change a violated row's activity, or may:
-        a shared row through the violated-row count ``hot`` of the columns
-        they leave and enter, a per-student row directly."""
-        n_c, asg, hot, viol = self.n_c, self.asg, self.hot, self.viol
+        """Whether the moves change a violated row's activity, or may: a cell
+        through ``hot``, a student's own rows when fewer break where it goes
+        (no move breaks some of them and mends others)."""
+        n_c, asg, hot, breaks = self.n_c, self.asg, self.hot, self.breaks
         for i, dst in moves:
-            src = asg[i]
-            if hot[i * n_c + src] or hot[i * n_c + dst]:
+            if hot[i * n_c + asg[i]] or hot[i * n_c + dst] or breaks[i][dst] < breaks[i][asg[i]]:
                 return True
-            for r, per_company in self.student_rows[i]:
-                if viol[r] > 0.0 and per_company[dst] != per_company[src]:
-                    return True
         return False
 
     def try_moves(self, moves: Sequence[Move]) -> bool:
@@ -396,11 +388,10 @@ class MoveEvaluator:
         ``deviation_from_sums`` value; a ``dev`` relocation from a feasible
         assignment meets its rows first, since those reject most of them.
 
-        ``blocked`` is left at the row that rejected them when the
-        assignment is feasible and they would push a row past its bounds,
-        and at None otherwise; a move rejected because the objective would
-        not fall leaves None whatever it does to the rows, unless it is a
-        ``dev`` relocation from a feasible assignment, whose rows come first.
+        ``blocked`` is left at the cell that rejected them (``own`` for a
+        moving student's own rows) when the assignment is feasible and a row
+        would break, else at None; a move rejected on its objective leaves
+        None, unless it is a ``dev`` relocation from a feasible assignment.
         """
         self.blocked = None
         obj = None
@@ -414,17 +405,21 @@ class MoveEvaluator:
             return False
         deltas = self._row_deltas(moves)
         if self.bad:
-            total, bad = self._violation_after(deltas)
+            total, bad = self._violation_after(moves, deltas)
             if total > self.violation + EPS or (flat and total >= self.violation - EPS):
                 return False
         else:
             # feasible now: the first row the moves violate rejects them
             act, lo, hi = self.act, self.lo, self.hi
-            for r, da in deltas:
-                x = act[r] + da
-                if x - hi[r] > FEAS_TOL or lo[r] - x > FEAS_TOL:
-                    self.blocked = r
-                    return False
+            for base, sign, part in deltas:
+                for g, a in part:
+                    x = act[base + g] + sign * a
+                    if x - hi[base + g] > FEAS_TOL or lo[base + g] - x > FEAS_TOL:
+                        self.blocked = base + g
+                        return False
+            if any(self.breaks[i][dst] for i, dst in moves):
+                self.blocked = self.own
+                return False
             if self.variant is DEV and len(moves) == 1 and self._deviation_holds(moves):
                 return False
             total, bad = 0.0, 0
@@ -435,17 +430,17 @@ class MoveEvaluator:
         self._commit(moves, deltas, total, bad, obj)
         return True
 
-    def _commit(self, moves: Sequence[Move], deltas: list[tuple[int, float]],
+    def _commit(self, moves: Sequence[Move], deltas: tuple,
                 total: float, bad: int, obj: float) -> None:
-        act, viol, hot, row_ptr = self.act, self.viol, self.hot, self.row_ptr
-        for r, da in deltas:
+        act, viol, hot = self.act, self.viol, self.hot
+        for r, da in ((base + g, sign * a) for base, sign, part in deltas for g, a in part):
             was = viol[r] > 0.0
             act[r] += da
             viol[r] = self._excess(r, act[r])
             if (viol[r] > 0.0) != was:
-                step = -1 if was else 1
-                for k in self.row_cols[row_ptr[r]:row_ptr[r + 1]].tolist():
-                    hot[k] += step
+                c, g = divmod(r, self.n_g)
+                for k in (np.flatnonzero(self.support[:, g]) * self.n_c + c).tolist():
+                    hot[k] += -1 if was else 1
         self.violation, self.bad, self.objective = total, bad, obj
         for i, dst in moves:
             src, o = self.asg[i], self.old[i]

@@ -60,6 +60,7 @@ OPT_EPS = 1e-7
 PIVOT_EPS = 1e-9
 SMALL_PIVOT = 1e-5
 REFACTOR_EVERY = 100
+PIVOT_CHUNK = 1 << 20  # the most doubles a pivot's rank-one update holds at once
 VERIFY_RETRIES = 3
 
 AT_LOWER, AT_UPPER, BASIC = 0, 1, 2
@@ -283,10 +284,12 @@ class SimplexEngine:
         wcol = w.copy()
         wcol[r] = 0.0
         # the rank-one update over the contiguous block, one product and one
-        # difference per entry (a fused multiply-add would round differently);
-        # where the pivot row is 0 an entry loses w * 0, which changes at most
-        # the sign of a zero
-        v[:, :k] -= np.multiply(wcol[:, None], row[None, :], order="F")
+        # difference per entry (a fused multiply-add would round differently),
+        # in column chunks of at most PIVOT_CHUNK entries; where the pivot row
+        # is 0 an entry loses w * 0, which changes at most the sign of a zero
+        block, step = v[:, :k], max(1, PIVOT_CHUNK // len(wcol))
+        for a in range(0, k, step):
+            block[:, a:a + step] -= np.multiply(wcol[:, None], row[None, a:a + step], order="F")
         if q >= n:
             c, k = st.vcol[q - n], k - 1
             v[:, c], st.vrow[c] = v[:, k], st.vrow[k]

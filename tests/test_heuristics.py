@@ -6,6 +6,7 @@ import dataclasses
 import math
 import random
 import time
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -38,6 +39,9 @@ from cohort_shuffle.compiler import compile_model
 from cohort_shuffle.heuristics import EPS, MoveEvaluator, _take_first, descend
 from cohort_shuffle.roster import FEAS_TOL, deviation_from_sums
 from conftest import balanced_roster, identity_assignment, mk_student, oracle_instance
+
+#: the x-block rows over one student's columns, which the evaluator keeps as ``breaks``
+OWN_FAMILIES = ("assign_once", "battalion_lock", "no_stay")
 
 MIN = ModelVariant.MIN_SAME_COMPANY
 DEV = ModelVariant.MERIT_DEVIATION
@@ -535,35 +539,49 @@ class TestMoveEvaluator:
     @pytest.mark.parametrize("kind, seed", [("desk", 7), ("oracle", 5), ("oracle", 11),
                                             ("reference", 1)])
     @pytest.mark.parametrize("variant", list(ModelVariant))
-    def test_build_matches_a_row_by_row_build(self, kind, seed, variant):
+    def test_table_matches_a_row_by_row_build(self, kind, seed, variant):
         roster = (generate(reference_spec(2023), seed) if kind == "reference"
                   else oracle_instance(seed) if kind == "oracle"
                   else generate(desk_spec(), seed=seed))
         model = compile_model(roster, variant)
         rows, n_c = model.rows[:model.x_rows], roster.num_companies
+        lo, hi = rows.lo.tolist(), rows.hi.tolist()
+        index = {s.id: i for i, s in enumerate(roster.students)}
         ev = MoveEvaluator(model)
-        student_rows = [[] for _ in roster.students]
-        shared = []
+        breaks = [[0] * n_c for _ in roster.students]
+        cells = {}
         for r, row in enumerate(rows):
-            students = {k // n_c for k in row.cols}
-            if len(students) == 1:
-                coefs = [0.0] * n_c
+            if row.family in OWN_FAMILIES:
+                per_company = [0.0] * n_c
                 for k, a in zip(row.cols, row.coefs):
-                    coefs[k % n_c] += a
-                student_rows[students.pop()].append((r, coefs))
+                    per_company[k % n_c] += a
+                for c, x in enumerate(per_company):
+                    breaks[index[row.key[0]]][c] += max(lo[r] - x, x - hi[r]) > FEAS_TOL
             else:
-                shared += [(k, r, a) for k, a in zip(row.cols, row.coefs) if a != 0.0]
-        assert ev.student_rows == student_rows
-        shared.sort()
-        columns = [[] for _ in range(roster.num_companies * len(roster.students))]
-        for k, r, a in shared:
-            columns[k].append((r, a))
-        assert [ev._column(k) for k in range(len(columns))] == columns
-        by_row = sorted((r, k) for k, r, _ in shared)
-        assert sorted((r, k) for r in range(len(rows)) for k in
-                      ev.row_cols[ev.row_ptr[r]:ev.row_ptr[r + 1]].tolist()) == by_row
-        assert ev.row_ptr.dtype == ev.row_cols.dtype == np.int32
-        assert (ev.lo, ev.hi) == (rows.lo.tolist(), rows.hi.tolist())
+                cells[r] = {(k, a) for k, a in zip(row.cols, row.coefs) if a != 0.0}
+        assert [list(counts) for counts in ev.breaks] == breaks
+        n_g = ev.n_g
+        assert ev.row_of.shape == (n_c, n_g)
+        table = np.zeros((len(roster.students), n_g))
+        for i, terms in enumerate(ev.terms):
+            assert [g for g, _ in terms] == sorted({g for g, _ in terms})
+            for g, a in terms:
+                assert a != 0.0
+                table[i, g] = a
+        assert (ev.support == (table != 0.0)).all()
+        assert sorted(r for r in ev.row_of.ravel().tolist() if r >= 0) == sorted(cells)
+        for c in range(n_c):
+            listed = [r for r in ev.row_of[c].tolist() if r >= 0]
+            assert listed == sorted(listed)
+            for g, r in enumerate(ev.row_of[c].tolist()):
+                bounds = (ev.lo[c * n_g + g], ev.hi[c * n_g + g])
+                if r < 0:
+                    assert bounds == (-math.inf, math.inf)
+                    continue
+                assert cells[r] == {(i * n_c + c, a) for i, a in enumerate(table[:, g].tolist())
+                                    if a != 0.0}
+                assert bounds == (lo[r], hi[r])
+        assert (ev.lo[-1], ev.hi[-1]) == (-math.inf, math.inf)
 
     def test_equally_seeded_descents_share_one_relocation_order(self):
         roster = generate(desk_spec(), seed=7)
@@ -578,23 +596,28 @@ class TestMoveEvaluator:
         assert ev.relocation_order(random.Random(4)) != order
 
     @pytest.mark.parametrize("variant", list(ModelVariant))
-    def test_a_move_converts_exactly_the_columns_it_reads(self, variant):
+    def test_a_move_touches_exactly_the_cells_of_the_rows_it_changes(self, variant):
         roster = generate(desk_spec(), seed=7)
-        ev = MoveEvaluator(compile_model(roster, variant))
-        n_c = ev.n_c
-        assert ev.columns == [None] * (ev.n * n_c)
+        model = compile_model(roster, variant)
+        rows = model.rows[:model.x_rows]
+        ev, fresh = MoveEvaluator(model), MoveEvaluator(model)
+        n_c, row_of = ev.n_c, ev.row_of.ravel().tolist()
         deal = cyclic_deal(roster)
         ev.load([deal[s.id] for s in roster.students])
-        assert ev.columns == [None] * (ev.n * n_c)
-        read = set()
         for moves in (((0, (ev.asg[0] + 1) % n_c),), ((1, ev.asg[2]), (2, ev.asg[1]))):
-            read |= {i * n_c + c for i, dst in moves for c in (ev.asg[i], dst)}
+            moved = {i * n_c + c for i, dst in moves for c in (ev.asg[i], dst)}
+            changed = sorted(r for r, row in enumerate(rows) if row.family not in OWN_FAMILIES
+                             and any(k in moved and a != 0.0 for k, a in zip(row.cols, row.coefs)))
+            touched = [base + g for base, _, part in ev._row_deltas(moves) for g, _ in part]
+            assert len(touched) == len(set(touched))
+            assert sorted(row_of[cell] for cell in touched) == changed
             ev.apply(moves)
-            assert {k for k, column in enumerate(ev.columns) if column is not None} == read
-        assert len(read) == 6
+            fresh.load(ev.asg)
+            assert ev.act == pytest.approx(fresh.act, abs=1e-9)
+            assert (ev.bad, ev.hot) == (fresh.bad, fresh.hot)
 
     @pytest.mark.parametrize("roster", ROSTERS)
-    def test_load_sums_each_row_as_the_per_column_loop_did(self, roster):
+    def test_load_sums_each_cell_in_student_order(self, roster):
         kind, seed = roster
         roster = oracle_instance(seed) if kind == "oracle" else generate(desk_spec(), seed=seed)
         rng = random.Random(seed)
@@ -604,13 +627,66 @@ class TestMoveEvaluator:
             for _ in range(5):
                 asg = [rng.randrange(n_c) for _ in range(n)]
                 ev.load(asg)
-                act = [0.0] * len(ev.lo)
+                act = [0.0] * (n_c * ev.n_g + 1)
                 for i, c in enumerate(asg):
-                    for r, a in ev._column(i * n_c + c):
-                        act[r] += a
-                    for r, coefs in ev.student_rows[i]:
-                        act[r] += coefs[c]
+                    for g, a in ev.terms[i]:
+                        act[c * ev.n_g + g] += a
                 assert list(map(float.hex, ev.act)) == list(map(float.hex, act)), variant
+                own = sum(ev.breaks[i][c] for i, c in enumerate(asg))
+                assert ev.bad == own + sum(v > 0.0 for v in ev.viol)
+                assert ev.violation == math.fsum([*ev.viol, own])
+
+    @pytest.mark.parametrize("kind", ["oracle", "desk", "reference-2023", "reference-2024",
+                                      "subsets"])
+    def test_every_cell_is_its_compiled_rows_activity(self, kind):
+        """At load, each (company, feature) cell holds the float its compiled
+        row sums, entry by entry, over the assigned columns; on rosters whose
+        SAPR and international rows cover some companies only, and with
+        conflict rows."""
+        if kind == "oracle":
+            rosters = [oracle_instance(seed) for seed in range(0, 60, 7)]
+        elif kind.startswith("reference"):
+            rosters = [generate(reference_spec(int(kind[-4:])), 1)]
+        else:
+            rosters = [generate(desk_spec(), seed=seed) for seed in (1, 7)]
+        if kind == "subsets":
+            rosters = [dataclasses.replace(r, tolerances=dataclasses.replace(
+                r.tolerances, sapr_companies=frozenset({0, 3, 5}),
+                intl_companies=frozenset({1, 2}))) for r in rosters]
+        rng = random.Random(3)
+        for roster in rosters:
+            n, n_c = len(roster.students), roster.num_companies
+            for variant in ModelVariant:
+                model = compile_model(roster, variant)
+                rows = model.rows[:model.x_rows]
+                ev = MoveEvaluator(model)
+                if kind == "subsets":
+                    assert (ev.row_of < 0).sum() == (n_c - 3) + (n_c - 2)
+                for _ in range(3):
+                    asg = [rng.randrange(n_c) for _ in range(n)]
+                    ev.load(asg)
+                    for cell, r in enumerate(ev.row_of.ravel().tolist()):
+                        if r < 0:
+                            continue
+                        total = 0.0
+                        a, b = rows.indptr[r], rows.indptr[r + 1]
+                        for k, coef in zip(rows.cols[a:b].tolist(), rows.coefs[a:b].tolist()):
+                            if asg[k // n_c] == k % n_c:
+                                total += coef
+                        assert ev.act[cell].hex() == total.hex(), (variant, rows[r].family)
+        assert kind == "oracle" or roster.conflict_pairs
+
+    def test_build_peaks_below_3_mb_at_full_scale(self):
+        model = compile_model(generate(reference_spec(2023), 1), PAIRS, form="compact")
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            MoveEvaluator(model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 3e6
 
 
 def reference_descend(ev, rng, budget, floor):
@@ -689,7 +765,7 @@ class TestRejectionMemo:
         assert 2 * tries <= ref_tries
 
     def test_blocking_row_is_one_the_move_breaks(self):
-        by_row = by_objective = unread_dev_swaps = 0
+        by_row = by_own = by_objective = unread_dev_swaps = 0
         for seed in range(60):
             roster = oracle_instance(seed)
             rng = random.Random(seed)
@@ -723,8 +799,12 @@ class TestRejectionMemo:
                             assert probe.bad == 0
                         elif variant is DEV:
                             unread_dev_swaps += probe.bad > 0
+                    elif r == ev.own:
+                        # a row over one moving student's columns
+                        by_own += 1
+                        assert any(probe.breaks[i][probe.asg[i]] for i, _ in move)
                     else:
                         by_row += 1
                         x = probe.act[r]
                         assert max(probe.lo[r] - x, x - probe.hi[r]) > FEAS_TOL
-        assert by_row > 0 and by_objective > 0 and unread_dev_swaps > 0
+        assert by_row > 0 and by_own > 0 and by_objective > 0 and unread_dev_swaps > 0

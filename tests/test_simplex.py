@@ -22,6 +22,7 @@ import pytest
 from scipy import sparse
 from scipy.optimize import linprog
 
+from cohort_shuffle import simplex
 from cohort_shuffle import (
     LpSolution,
     LpStatus,
@@ -664,3 +665,38 @@ def test_block_update_repeats_the_outer_product_update(seed, monkeypatch):
     assert len(block_trail) > 50
     assert block_trail == outer_trail
     assert block_solves == outer_solves
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2500])
+def test_a_chunked_update_changes_no_bit(chunk, monkeypatch):
+    """The rank-one update made in chunks of at most ``chunk`` doubles (one
+    stored column at least) solves as the single chunk that a desk LP's
+    update fits in, bit for bit: the desk seed 7 ``dev`` root with the
+    children of its first fractional columns, and random LPs with their
+    bound-fixed children."""
+    desk = standard_form(compile_model(generate(desk_spec(), seed=7),
+                                       ModelVariant.MERIT_DEVIATION))
+    randoms = [standard_form(lp_model(*random_lp(seed))) for seed in IN_CLASS[:20]]
+    assert desk.m * desk.m <= simplex.PIVOT_CHUNK
+
+    def run():
+        solves = []
+        for engine in [desk, *randoms]:
+            root = engine.solve()
+            solves.append(root)
+            if root.status is LpStatus.OPTIMAL:
+                children = fixed_children(root)
+                if engine is desk:
+                    children = [(col, bound) for col, bound in children
+                                if bound != round(root.values[col], 9)][:6]
+                solves += [engine.solve(*fixed(engine, col, bound), start=root.basis)
+                           for col, bound in children]
+        return [(s.status, s.iterations, s.objective,
+                 None if s.values is None else (s.values.tobytes(), s.duals.tobytes()))
+                for s in solves]
+
+    whole = run()
+    monkeypatch.setattr(simplex, "PIVOT_CHUNK", chunk)
+    chunked = run()
+    assert len(whole) > 50 and sum(s[0] is LpStatus.OPTIMAL for s in whole) > 30
+    assert chunked == whole
