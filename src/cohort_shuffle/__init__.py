@@ -51,7 +51,6 @@ from cohort_shuffle.ipmodel import (
     LinearRow,
     ModelVariant,
     Sense,
-    Variable,
     VarKind,
     export_lp,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "SolveStatus",
     "Student",
     "Tolerances",
-    "Variable",
     "VarKind",
     "Violation",
     "acquainted_pairs",

@@ -40,7 +40,7 @@ from cohort_shuffle.generator import (
     reference_spec,
 )
 from cohort_shuffle.ipmodel import ModelVariant, export_lp
-from cohort_shuffle.pipeline import solve_roster
+from cohort_shuffle.pipeline import require_valid, solve_roster
 from cohort_shuffle.reporting import company_stats, render
 from cohort_shuffle.roster import Assignment, Roster, assignment_objective, validate_roster
 
@@ -165,6 +165,14 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _read_valid_roster(args) -> Roster:
+    """The roster and config ``args`` name, refused with ``solve``'s message
+    when structurally invalid."""
+    roster = read_roster(args.roster, args.config)
+    require_valid(roster)
+    return roster
+
+
 def _read_assignment(path: str, roster: Roster) -> Assignment:
     """The assignment CSV at ``path``, with a row for each roster student and no other."""
     asg = read_assignment(path)
@@ -276,7 +284,7 @@ def _read_sidecar(path: str) -> dict:
 
 
 def _cmd_certify(args) -> int:
-    roster = read_roster(args.roster, args.config)
+    roster = _read_valid_roster(args)
     variant = ModelVariant(args.variant)
     asg = _read_assignment(args.result, roster)
 
@@ -309,14 +317,14 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_export_lp(args) -> int:
-    roster = read_roster(args.roster, args.config)
+    roster = _read_valid_roster(args)
     model = compile_model(roster, ModelVariant(args.variant), form="paper")
     _emit(export_lp(model), args.out)
     return EXIT_OK
 
 
 def _cmd_report(args) -> int:
-    roster = read_roster(args.roster, args.config)
+    roster = _read_valid_roster(args)
     asg = (_read_assignment(args.assignment, roster) if args.assignment
            else {s.id: s.old_company for s in roster.students})
     table = company_stats(roster, asg, focus_race=args.focus_race)

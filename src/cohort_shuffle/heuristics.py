@@ -544,13 +544,13 @@ def local_search(roster: Roster, start: Assignment, objective: ModelVariant,
     A feasible start stays feasible and only the objective falls; an
     infeasible one is first walked toward feasibility.  An ``evaluator``
     built for the same roster and variant is loaded and reused; without one,
-    the model is compiled here.  The descent stops at ``deadline``, a
+    the compact model is compiled here.  The descent stops at ``deadline``, a
     ``time.monotonic()`` value.
     """
     asg = dict(start)
     if budget <= 0:
         return asg
-    ev = evaluator or MoveEvaluator(compile_model(roster, objective))
+    ev = evaluator or MoveEvaluator(compile_model(roster, objective, form="compact"))
     ev.load([asg[sid] for sid in ev.ids])
     descend(ev, random.Random(seed), budget, objective_floor(roster, objective),
             deadline=deadline)

@@ -5,7 +5,7 @@ whose columns live in one :class:`ColumnStore` (a kind, bounds and an
 objective coefficient per column) and whose rows live in one
 :class:`RowStore`: CSR arrays over those columns plus per-row sense and
 right-hand side.  Both name their entries from a small block table, so no
-per-column or per-row object exists until someone reads one.  The simplex,
+per-row object exists until someone iterates the rows.  The simplex,
 the move evaluator and the LP export all read the same arrays, so one model
 object can be solved, exported, or inspected without recompilation.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import bisect
 import enum
-import functools
 import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -45,16 +44,6 @@ class Sense(enum.Enum):
     EQ = "="
 
 
-class Variable(NamedTuple):
-    """One model column."""
-
-    name: str
-    kind: VarKind
-    lower: float
-    upper: float
-    objective: float
-
-
 class LinearRow(NamedTuple):
     """One sparse constraint row: ``sum(coef * var) sense rhs``.
 
@@ -79,7 +68,7 @@ class LinearRow(NamedTuple):
 SENSES = (Sense.LE, Sense.GE, Sense.EQ)
 
 
-class RowStore(Sequence):
+class RowStore:
     """Constraint rows as one CSR matrix with a sense and right-hand side per
     row: row ``r`` is ``sum(coefs[p] * x[cols[p]])`` over ``p`` in
     ``indptr[r]:indptr[r + 1]``, compared by ``SENSES[sense[r]]`` with
@@ -89,9 +78,9 @@ class RowStore(Sequence):
     covers the rows from ``start`` to the next block, families cycling
     fastest, then inner keys, then outer keys: row ``start + (o * len(inner)
     + i) * len(families) + f`` is family ``families[f]`` with key ``outer[o]
-    + inner[i]``.  Indexing builds the row's :class:`LinearRow`; a slice with
-    step 1 is a store over those rows that shares the arrays, its row 0 being
-    row ``offset`` of the blocks.
+    + inner[i]``.  Iteration builds each row's :class:`LinearRow`; a slice
+    with step 1 is a store over those rows that shares the arrays, its row 0
+    being row ``offset`` of the blocks.
 
     ``lo`` and ``hi`` are new arrays of each row's interval for its activity,
     decoded from ``sense`` and ``rhs``: ``[-inf, rhs]``, ``[rhs, inf]`` or
@@ -118,17 +107,14 @@ class RowStore(Sequence):
     def hi(self) -> np.ndarray:
         return np.where(self.sense == SENSES.index(Sense.GE), math.inf, self.rhs)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            span = range(len(self))[index]
-            if span.step != 1:
-                return tuple(self[r] for r in span)
-            a, b = span.start, max(span.start, span.stop)
-            lo, hi = self.indptr[a], self.indptr[b]
-            return RowStore(self.indptr[a:b + 1] - lo, self.cols[lo:hi], self.coefs[lo:hi],
-                            self.sense[a:b], self.rhs[a:b], self.blocks, self.offset + a)
-        r = range(len(self))[index]
-        return next(iter(self[r:r + 1]))
+    def __getitem__(self, rows: slice) -> RowStore:
+        a, b, step = rows.indices(len(self))
+        if step != 1:
+            raise ValueError("a row slice takes step 1")
+        b = max(a, b)
+        lo, hi = self.indptr[a], self.indptr[b]
+        return RowStore(self.indptr[a:b + 1] - lo, self.cols[lo:hi], self.coefs[lo:hi],
+                        self.sense[a:b], self.rhs[a:b], self.blocks, self.offset + a)
 
     def __iter__(self) -> Iterator[LinearRow]:
         # a few thousand rows at a time as Python lists: row-by-row numpy
@@ -142,15 +128,12 @@ class RowStore(Sequence):
                                 tuple(coefs[ptr[r]:ptr[r + 1]]), SENSES[sense], rhs)
 
     def _name_parts(self, r: int) -> tuple[str, tuple]:
-        return _block_key(self.blocks, self._starts, r + self.offset)
-
-
-def _block_key(blocks: Sequence[tuple], starts: list[int], index: int) -> tuple[str, tuple]:
-    """Family and key of entry ``index`` of a block table (see :class:`RowStore`)."""
-    start, families, outer, inner = blocks[bisect.bisect_right(starts, index) - 1]
-    j, f = divmod(index - start, len(families))
-    o, i = divmod(j, len(inner))
-    return families[f], tuple(outer[o]) + tuple(inner[i])
+        """Family and key of row ``r``."""
+        index = r + self.offset
+        start, families, outer, inner = self.blocks[bisect.bisect_right(self._starts, index) - 1]
+        j, f = divmod(index - start, len(families))
+        o, i = divmod(j, len(inner))
+        return families[f], tuple(outer[o]) + tuple(inner[i])
 
 
 class RowBuilder:
@@ -208,7 +191,7 @@ def _column_name(prefix: str, key: tuple) -> str:
     return f"{prefix}[{','.join(str(part) for part in key)}]" if key else prefix
 
 
-class ColumnStore(Sequence):
+class ColumnStore:
     """Model columns as arrays: column ``j`` is a ``VARKINDS[kind[j]]``
     variable within ``[lower[j], upper[j]]`` with objective coefficient
     ``objective[j]``.  The arrays are read-only.
@@ -217,8 +200,7 @@ class ColumnStore(Sequence):
     with one family per block, the name prefix: column ``start + o *
     len(inner) + i`` of block ``(start, (prefix,), outer, inner)`` is named
     ``prefix[k1,k2,...]`` over the parts of the key ``outer[o] + inner[i]``,
-    or ``prefix`` alone when that key is empty.  Indexing and iteration
-    build :class:`Variable` tuples; a slice is a tuple of them.
+    or ``prefix`` alone when that key is empty.
     """
 
     def __init__(self, kind: np.ndarray, lower: np.ndarray, upper: np.ndarray,
@@ -227,22 +209,9 @@ class ColumnStore(Sequence):
             array.flags.writeable = False
         self.kind, self.lower, self.upper, self.objective = kind, lower, upper, objective
         self.blocks = tuple(blocks)
-        self._starts = [block[0] for block in self.blocks]
 
     def __len__(self) -> int:
         return len(self.kind)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[j] for j in range(len(self))[index])
-        j = range(len(self))[index]
-        return Variable(_column_name(*_block_key(self.blocks, self._starts, j)),
-                        VARKINDS[self.kind[j]], float(self.lower[j]), float(self.upper[j]),
-                        float(self.objective[j]))
-
-    def __iter__(self) -> Iterator[Variable]:
-        return map(Variable, self.names(), map(VARKINDS.__getitem__, self.kind.tolist()),
-                   self.lower.tolist(), self.upper.tolist(), self.objective.tolist())
 
     def names(self) -> Iterator[str]:
         """Every column's name, in column order."""
@@ -281,12 +250,11 @@ class ColumnBuilder:
 class IpModel:
     """A compiled instance: columns, rows, and the roster they came from.
 
-    ``variables`` given as :class:`Variable` tuples are packed into a
-    :class:`ColumnStore`, and ``rows`` given as :class:`LinearRow` tuples
-    into a :class:`RowStore`, once, on construction.  ``roster`` is the
-    roster the model was compiled from, which decodes a solution vector into
-    students and companies; it is None only for a model built by hand.  The
-    first ``x_rows`` rows lie over assignment columns alone.
+    ``variables`` and ``rows`` come packed by a :class:`ColumnBuilder` and a
+    :class:`RowBuilder`.  ``roster`` is the roster the model was compiled
+    from, which decodes a solution vector into students and companies; it is
+    None only for a model built by hand.  The first ``x_rows`` rows lie over
+    assignment columns alone.
     """
 
     variant: ModelVariant
@@ -295,19 +263,6 @@ class IpModel:
     roster: Roster | None = None
     x_rows: int = 0
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.variables, ColumnStore):
-            columns = ColumnBuilder()
-            for v in self.variables:
-                columns.add(v.name, ((),), ((),), v.kind, v.lower, v.upper, v.objective)
-            object.__setattr__(self, "variables", columns.build())
-        if not isinstance(self.rows, RowStore):
-            packed = RowBuilder()
-            for row in self.rows:
-                packed.add([(row.family, row.sense, row.rhs)], (row.key,), ((),),
-                           np.array([row.cols], dtype=np.int32), np.array([row.coefs], dtype=float))
-            object.__setattr__(self, "rows", packed.build())
-
     @property
     def num_vars(self) -> int:
         return len(self.variables)
@@ -315,13 +270,6 @@ class IpModel:
     @property
     def num_rows(self) -> int:
         return len(self.rows)
-
-    @functools.cached_property
-    def _column_of(self) -> dict[str, int]:
-        return {name: j for j, name in enumerate(self.variables.names())}
-
-    def var_index(self, name: str) -> int:
-        return self._column_of[name]
 
     def binary_columns(self) -> list[int]:
         return np.flatnonzero(self.variables.kind == VARKINDS.index(VarKind.BINARY)).tolist()
@@ -375,13 +323,15 @@ def export_lp(model: IpModel) -> str:
         out.extend(_wrap([f"{row.name()}:", *_terms(row.cols, row.coefs, names),
                           row.sense.value, _number(row.rhs)], " "))
     out.append("Bounds")
-    for v in variables:
-        if v.kind is VarKind.BINARY:
+    binary = VARKINDS.index(VarKind.BINARY)
+    for name, kind, lower, upper in zip(names, variables.kind.tolist(), variables.lower.tolist(),
+                                        variables.upper.tolist()):
+        if kind == binary:
             continue
-        if v.lower == 0.0 and v.upper == math.inf:
-            out.append(f" 0 <= {v.name}")
+        if lower == 0.0 and upper == math.inf:
+            out.append(f" 0 <= {name}")
         else:
-            out.append(f" {_number(v.lower)} <= {v.name} <= {_number(v.upper)}")
+            out.append(f" {_number(lower)} <= {name} <= {_number(upper)}")
 
     binaries = [names[j] for j in model.binary_columns()]
     if binaries:

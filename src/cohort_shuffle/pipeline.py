@@ -41,6 +41,14 @@ class PipelineResult:
     warm_start: Assignment | None
 
 
+def require_valid(roster: Roster) -> None:
+    """Raise ValueError naming up to five of the roster's structural defects,
+    if :func:`~cohort_shuffle.roster.validate_roster` finds any."""
+    problems = validate_roster(roster)
+    if problems:
+        raise ValueError("invalid roster: " + "; ".join(v.message for v in problems[:5]))
+
+
 def build_warm_start(roster: Roster, variant: ModelVariant, *, seed: int = 0,
                      model: IpModel | None = None,
                      deadline: float | None = None) -> Assignment | None:
@@ -50,12 +58,13 @@ def build_warm_start(roster: Roster, variant: ModelVariant, *, seed: int = 0,
     the two battalion rotations, feasible or not, with ``local_search`` on
     one shared move evaluator until one meets the objective floor.  The
     evaluator is built from ``model``, which must have been compiled from
-    ``roster`` as ``variant`` (ValueError otherwise), and is compiled here
-    when not given.  Each descent stops at ``deadline``, a
-    ``time.monotonic()`` value; once it has passed, neither the evaluator
-    nor any descent is made, and the starts are checked as they are.  Only
-    assignments that pass the feasibility check the certificate uses are
-    returned, so a warm start can never poison a solve.
+    ``roster`` as ``variant`` (ValueError otherwise); without one, the
+    compact form is compiled here, whose x-block is the paper form's.  Each
+    descent stops at ``deadline``, a ``time.monotonic()`` value; once it has
+    passed, neither the evaluator nor any descent is made, and the starts
+    are checked as they are.  Only assignments that pass the feasibility
+    check the certificate uses are returned, so a warm start can never
+    poison a solve.
     """
     if model is not None and (model.variant is not variant or model.roster != roster):
         raise ValueError("the model was not compiled from this roster and variant")
@@ -63,7 +72,7 @@ def build_warm_start(roster: Roster, variant: ModelVariant, *, seed: int = 0,
     candidates = [cyclic_deal(roster)] if roster.num_companies > 1 else []
     candidates += [rotate_within_battalions(roster), rotate_within_battalions(roster, shift=2)]
     if deadline is None or time.monotonic() <= deadline:
-        ev = MoveEvaluator(model or compile_model(roster, variant))
+        ev = MoveEvaluator(model or compile_model(roster, variant, form="compact"))
         candidates = (local_search(roster, asg, variant, LS_BUDGET, seed=seed, evaluator=ev,
                                    deadline=deadline) for asg in candidates)
 
@@ -94,9 +103,7 @@ def solve_roster(roster: Roster, variant: ModelVariant,
     gets what the validation, compile and warm start left of it.
     """
     started = time.monotonic()
-    problems = validate_roster(roster)
-    if problems:
-        raise ValueError("invalid roster: " + "; ".join(v.message for v in problems[:5]))
+    require_valid(roster)
 
     opts = options if options is not None else SolveOptions()
     deadline = None if opts.time_limit_s is None else started + opts.time_limit_s

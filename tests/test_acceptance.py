@@ -298,8 +298,8 @@ def test_root_relaxation_never_exceeds_integer_optimum(capsys, oracle_sweep):
 def test_model_dimensions_match_closed_forms(capsys):
     def var_counts(model):
         counts: dict[str, int] = {}
-        for v in model.variables:
-            prefix = v.name.split("[", 1)[0]
+        for name in model.variables.names():
+            prefix = name.split("[", 1)[0]
             counts[prefix] = counts.get(prefix, 0) + 1
         return counts
 

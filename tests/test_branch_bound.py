@@ -44,7 +44,7 @@ from cohort_shuffle import branch_bound
 from cohort_shuffle.bounds import objective_floor
 from cohort_shuffle.branch_bound import _canonical_point, _rows_hold, _Search
 from cohort_shuffle.compiler import cohort_cells
-from cohort_shuffle.ipmodel import IpModel, LinearRow, Sense, VarKind, Variable
+from cohort_shuffle.ipmodel import ColumnBuilder, IpModel, RowBuilder, Sense, VarKind
 from cohort_shuffle.simplex import NumericalFailure, SimplexEngine
 from conftest import balanced_roster, mk_student, oracle_best, oracle_instance
 
@@ -284,7 +284,9 @@ class TestDecodeErrors:
             decode_assignment(model, x)
 
     def test_model_without_metadata(self):
-        bare = IpModel(MIN, (Variable("x", VarKind.BINARY, 0.0, 1.0, 1.0),), ())
+        columns = ColumnBuilder()
+        columns.add("x", ((),), ((),), VarKind.BINARY, 0.0, 1.0, 1.0)
+        bare = IpModel(MIN, columns.build(), RowBuilder().build())
         with pytest.raises(DecodeError):
             decode_assignment(bare, np.ones(1))
 
@@ -450,15 +452,15 @@ class TestCanonicalObjectives:
 
     def test_model_without_roster_metadata_rejected(self):
         # min -x0 - x1 subject to x0 + x1 <= 1 over binaries, compiled from no roster
-        variables = (Variable("x0", VarKind.BINARY, 0.0, 1.0, -1.0),
-                     Variable("x1", VarKind.BINARY, 0.0, 1.0, -1.0))
-        rows = (LinearRow("cap", (), (0, 1), (1.0, 1.0), Sense.LE, 1.0),)
+        columns, rows = ColumnBuilder(), RowBuilder()
+        columns.add("x", [(0,), (1,)], ((),), VarKind.BINARY, 0.0, 1.0, -1.0)
+        rows.add([("cap", Sense.LE, 1.0)], ((),), ((),), np.arange(2), 1.0)
         with pytest.raises(ValueError, match="carries no roster"):
-            solve_ip(IpModel(MIN, variables, rows))
+            solve_ip(IpModel(MIN, columns.build(), rows.build()))
 
     def test_empty_model_rejected(self):
         with pytest.raises(ValueError):
-            solve_ip(IpModel(MIN, (), ()))
+            solve_ip(IpModel(MIN, ColumnBuilder().build(), RowBuilder().build()))
 
 
 class TestEngineOnFirstUse:

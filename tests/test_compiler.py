@@ -31,8 +31,8 @@ from cohort_shuffle import (
     reference_spec,
 )
 from cohort_shuffle.compiler import cohort_cells, x_column
-from cohort_shuffle.ipmodel import (SENSES, ColumnStore, IpModel, LinearRow, RowBuilder, RowStore,
-                                    Variable)
+from cohort_shuffle.ipmodel import (SENSES, VARKINDS, ColumnBuilder, ColumnStore, IpModel,
+                                    LinearRow, RowBuilder, RowStore)
 from conftest import mk_student
 
 MIN = ModelVariant.MIN_SAME_COMPANY
@@ -80,19 +80,15 @@ class TestColumnLayout:
         assert compile_model(tiny_roster, PAIRS).num_vars == n * c + 4
 
     def test_variable_names_and_kinds(self, tiny_roster):
-        model = compile_model(tiny_roster, DEV)
-        assert model.variables[0].name == "x[s00,C1]"
-        assert model.variables[0].kind is VarKind.BINARY
-        y0 = model.variables[18]
-        assert y0.name == "y[C1,C2]" and y0.kind is VarKind.CONTINUOUS
-        assert y0.upper == float("inf")
-        assert model.var_index("z[C3,C2]") > model.var_index("y[C3,C2]")
+        columns = compile_model(tiny_roster, DEV).variables
+        names = list(columns.names())
+        assert names[0] == "x[s00,C1]" and VARKINDS[columns.kind[0]] is VarKind.BINARY
+        assert names[18] == "y[C1,C2]" and VARKINDS[columns.kind[18]] is VarKind.CONTINUOUS
+        assert columns.upper[18] == float("inf")
+        assert names.index("z[C3,C2]") > names.index("y[C3,C2]")
 
-    def test_var_index_leaves_the_model_unchanged(self, tiny_roster):
+    def test_model_carries_its_roster(self, tiny_roster):
         model = compile_model(tiny_roster, DEV)
-        fields = [(f.name, getattr(model, f.name)) for f in dataclasses.fields(model)]
-        assert model.var_index("y[C1,C2]") == 18
-        assert all(getattr(model, name) is value for name, value in fields)
         assert model.roster is tiny_roster and model.x_rows < model.num_rows
 
 
@@ -101,22 +97,24 @@ class TestObjectives:
         model = compile_model(tiny_roster, MIN)
         for i, s in enumerate(tiny_roster.students):
             for c in range(3):
-                cost = model.variables[x_column(i, c, 3)].objective
+                cost = model.variables.objective[x_column(i, c, 3)]
                 assert cost == (1.0 if c == s.old_company else 0.0)
 
     def test_dev_costs_are_objective_weights(self, tiny_roster):
         r = Roster(students=tiny_roster.students, num_companies=3,
                    battalions=((0, 1, 2),), aom_weight=0.3, mom_weight=0.7)
         model = compile_model(r, DEV)
-        costs = {v.name[0]: v.objective for v in model.variables[18:]}
-        assert costs == {"y": 0.3, "z": 0.7}
-        assert all(v.objective == 0.0 for v in model.variables[:18])
+        objective = model.variables.objective.tolist()
+        costs = {name[0]: cost for name, cost in zip(model.variables.names(), objective)}
+        assert costs == {"x": 0.0, "y": 0.3, "z": 0.7}
+        assert objective[:18] == [0.0] * 18
 
     def test_pairs_costs_unit_u_columns(self, tiny_roster):
         model = compile_model(tiny_roster, PAIRS)
-        u_vars = model.variables[18:]
-        assert len(u_vars) == 4
-        assert all(v.objective == 1.0 and v.kind is VarKind.BINARY for v in u_vars)
+        columns = model.variables
+        assert len(columns) == 18 + 4
+        assert columns.objective[18:].tolist() == [1.0] * 4
+        assert model.binary_columns() == list(range(22))
 
 
 class TestRowFamilies:
@@ -223,7 +221,7 @@ class TestRowFamilies:
         assert first.coefs == (1.0, 1.0, -1.0)
         assert first.sense is Sense.LE and first.rhs == 1.0
         u_col = first.cols[2]
-        assert model.variables[u_col].name == "u[s00,s01]"
+        assert list(model.variables.names())[u_col] == "u[s00,s01]"
 
     def test_acquainted_pairs_grouped_by_previous_company(self, tiny_roster):
         assert acquainted_pairs(tiny_roster) == [(0, 1), (0, 2), (1, 2), (3, 4)]
@@ -240,9 +238,11 @@ class TestCompactForm:
         names = list(model.variables.names())
         assert names[n_x:] == ["n[C2,C1]", "n[C3,C1]", "n[C1,C2]", "n[C3,C2]",
                                "w[C2,C1]", "w[C3,C1]", "w[C1,C2]", "w[C3,C2]"]
-        extra = model.variables[n_x:]
-        assert {(v.kind, v.lower, v.upper) for v in extra} == {(VarKind.CONTINUOUS, 0.0, math.inf)}
-        assert [v.objective for v in extra] == [0.0] * 4 + [1.0] * 4
+        columns = model.variables
+        assert set(zip(columns.kind[n_x:].tolist(), columns.lower[n_x:].tolist(),
+                       columns.upper[n_x:].tolist())) == {
+            (VARKINDS.index(VarKind.CONTINUOUS), 0.0, math.inf)}
+        assert columns.objective[n_x:].tolist() == [0.0] * 4 + [1.0] * 4
         assert model.binary_columns() == list(range(n_x))
         rows = list(model.rows[model.x_rows:])
         # blocks by cohort size: the size-2 cohort's cells, then the size-3 one's
@@ -336,35 +336,36 @@ class TestRowStore:
         assert rows.indptr[-1] == len(rows.cols) == len(rows.coefs)
 
     @pytest.mark.parametrize("variant", list(ModelVariant))
-    def test_indexing_slicing_and_iteration_agree(self, tiny_roster, variant):
+    def test_slicing_and_iteration_agree(self, tiny_roster, variant):
         model = compile_model(tiny_roster, variant)
         listed = list(model.rows)
-        assert [model.rows[r] for r in range(model.num_rows)] == listed
-        assert model.rows[-1] == listed[-1]
+        ptr, cols = model.rows.indptr, model.rows.cols.tolist()
+        assert [row.cols for row in listed] == [tuple(cols[ptr[r]:ptr[r + 1]])
+                                                for r in range(model.num_rows)]
         x_rows = model.x_rows
         assert list(model.rows[:x_rows]) == listed[:x_rows]
         assert list(model.rows[3:x_rows + 4][1:]) == listed[4:x_rows + 4]
-        assert model.rows[::3] == tuple(listed[::3])
-        with pytest.raises(IndexError):
-            model.rows[model.num_rows]
+        assert list(model.rows[-1:]) == listed[-1:]
+        with pytest.raises(ValueError, match="step 1"):
+            model.rows[::3]
 
-    def test_row_tuples_are_packed_once(self):
-        variables = tuple(Variable(f"v{j}", VarKind.CONTINUOUS, 0.0, 1.0, 0.0) for j in range(3))
-        rows = (LinearRow("cap", (), (0, 2), (1.0, -2.5), Sense.LE, 4.0),
-                LinearRow("pin", ("a", 1), (1,), (3.0,), Sense.EQ, 0.0),
-                LinearRow("empty", (), (), (), Sense.GE, -1.0))
-        model = IpModel(MIN, variables, rows)
-        assert isinstance(model.rows, RowStore)
-        assert list(model.rows) == list(rows)
-        assert [row.name() for row in model.rows] == ["cap", "pin_a_1", "empty"]
-        assert model.rows.cols.tolist() == [0, 2, 1]
+    def test_rows_built_by_hand_iterate_as_linear_rows(self):
+        rows = RowBuilder()
+        rows.add([("cap", Sense.LE, 4.0)], ((),), ((),), np.array([0, 2]), np.array([1.0, -2.5]))
+        rows.add([("pin", Sense.EQ, 0.0)], (("a", 1),), ((),), np.array([1]), 3.0)
+        rows.add([("empty", Sense.GE, -1.0)], ((),), ((),), np.zeros(0, dtype=int), 1.0)
+        store = rows.build()
+        assert list(store) == [LinearRow("cap", (), (0, 2), (1.0, -2.5), Sense.LE, 4.0),
+                               LinearRow("pin", ("a", 1), (1,), (3.0,), Sense.EQ, 0.0),
+                               LinearRow("empty", (), (), (), Sense.GE, -1.0)]
+        assert [row.name() for row in store] == ["cap", "pin_a_1", "empty"]
+        assert store.cols.tolist() == [0, 2, 1]
 
     def test_row_intervals_follow_the_sense(self):
-        variables = (Variable("v", VarKind.CONTINUOUS, 0.0, 1.0, 0.0),)
-        rows = (LinearRow("le", (), (0,), (1.0,), Sense.LE, 4.0),
-                LinearRow("eq", (), (0,), (1.0,), Sense.EQ, -0.0),
-                LinearRow("ge", (), (0,), (1.0,), Sense.GE, -1.0))
-        store = IpModel(MIN, variables, rows).rows
+        rows = RowBuilder()
+        rows.add([("le", Sense.LE, 4.0), ("eq", Sense.EQ, -0.0), ("ge", Sense.GE, -1.0)],
+                 ((),), ((),), np.zeros((3, 1), dtype=int), 1.0)
+        store = rows.build()
         assert store.lo.tolist() == [-math.inf, -0.0, -1.0]
         assert store.hi.tolist() == [4.0, -0.0, math.inf]
         assert store[1:].lo.tolist() == [-0.0, -1.0] and store[:1].hi.tolist() == [4.0]
@@ -450,20 +451,21 @@ class TestRowBuilder:
         assert rows.cols[start:].tobytes() == cols.tobytes()
 
 
-def listed_variables(roster: Roster, variant: ModelVariant) -> list[Variable]:
-    """The columns as the per-column compiler listed them, one tuple each."""
+def listed_variables(roster: Roster, variant: ModelVariant) -> list[tuple]:
+    """The columns as the per-column compiler listed them, one (name, kind,
+    lower, upper, objective) tuple each."""
     students, n_c = roster.students, roster.num_companies
     labels = roster.company_labels
-    out = [Variable(f"x[{s.id},{labels[c]}]", VarKind.BINARY, 0.0, 1.0,
-                    float(variant is MIN and c == s.old_company))
+    out = [(f"x[{s.id},{labels[c]}]", VarKind.BINARY, 0.0, 1.0,
+            float(variant is MIN and c == s.old_company))
            for s in students for c in range(n_c)]
     if variant is DEV:
         for name, weight in (("y", roster.aom_weight), ("z", roster.mom_weight)):
-            out += [Variable(f"{name}[{labels[c]},{labels[c2]}]", VarKind.CONTINUOUS,
-                             0.0, math.inf, weight)
+            out += [(f"{name}[{labels[c]},{labels[c2]}]", VarKind.CONTINUOUS, 0.0, math.inf,
+                     weight)
                     for c in range(n_c) for c2 in range(n_c) if c2 != c]
     if variant is PAIRS:
-        out += [Variable(f"u[{students[a].id},{students[b].id}]", VarKind.BINARY, 0.0, 1.0, 1.0)
+        out += [(f"u[{students[a].id},{students[b].id}]", VarKind.BINARY, 0.0, 1.0, 1.0)
                 for a, b in acquainted_pairs(roster)]
     return out
 
@@ -476,33 +478,23 @@ class TestColumnStore:
             assert len(array) == len(columns)
         assert columns.kind.dtype == np.int8
 
-    @pytest.mark.parametrize("variant", list(ModelVariant))
-    def test_indexing_slicing_and_iteration_agree(self, tiny_roster, variant):
-        columns = compile_model(tiny_roster, variant).variables
-        listed = list(columns)
-        assert [columns[j] for j in range(len(columns))] == listed
-        assert columns[-1] == listed[-1]
-        assert columns[17:] == tuple(listed[17:])
-        assert columns[::4] == tuple(listed[::4])
-        assert list(columns.names()) == [v.name for v in listed]
-        with pytest.raises(IndexError):
-            columns[len(columns)]
-
-    def test_variable_tuples_are_packed_once(self):
-        variables = (Variable("x", VarKind.BINARY, 0.0, 1.0, 1.0),
-                     Variable("y[a,b]", VarKind.CONTINUOUS, -2.5, math.inf, 0.0))
-        model = IpModel(MIN, variables, ())
-        assert isinstance(model.variables, ColumnStore)
-        assert list(model.variables) == list(variables)
-        assert model.var_index("y[a,b]") == 1 and model.binary_columns() == [0]
+    def test_columns_built_by_hand(self):
+        columns = ColumnBuilder()
+        columns.add("x", ((),), ((),), VarKind.BINARY, 0.0, 1.0, 1.0)
+        columns.add("y", (("a",),), (("b",),), VarKind.CONTINUOUS, -2.5, math.inf, 0.0)
+        model = IpModel(MIN, columns.build(), RowBuilder().build())
+        assert list(model.variables.names()) == ["x", "y[a,b]"]
+        assert model.binary_columns() == [0] and model.num_rows == 0
         assert model.variables.lower.tolist() == [0.0, -2.5]
+        assert model.variables.upper.tolist() == [1.0, math.inf]
 
     @pytest.mark.parametrize("variant", list(ModelVariant))
     def test_every_column_matches_the_per_column_listing(self, variant):
         roster = generate(desk_spec(), seed=7)
         model = compile_model(roster, variant)
-        listed = listed_variables(roster, variant)
-        assert list(model.variables) == listed
-        assert [model.variables[j] for j in range(0, len(listed), 97)] == listed[::97]
-        assert model.binary_columns() == [j for j, v in enumerate(listed)
-                                          if v.kind is VarKind.BINARY]
+        columns, listed = model.variables, listed_variables(roster, variant)
+        assert list(zip(columns.names(), map(VARKINDS.__getitem__, columns.kind.tolist()),
+                        columns.lower.tolist(), columns.upper.tolist(),
+                        columns.objective.tolist(), strict=True)) == listed
+        assert model.binary_columns() == [j for j, (_, kind, *_) in enumerate(listed)
+                                          if kind is VarKind.BINARY]

@@ -317,6 +317,28 @@ class TestFullScale:
         assert out.result.status is SolveStatus.PROVEN_OPTIMAL
         assert out.result.objective == 0.0
 
+    @pytest.mark.parametrize("entry", ["build_warm_start", "local_search"])
+    def test_a_fallback_evaluator_skips_the_paper_pairs_rows(self, roster, entry):
+        """Given no model or evaluator, the pairs warm start compiles the
+        compact form, whose x-block is the paper form's: it peaks well below
+        the paper form's rows and returns what the paper model gives."""
+        def run(model):
+            if entry == "build_warm_start":
+                return build_warm_start(roster, PAIRS, model=model)
+            return local_search(roster, cyclic_deal(roster), PAIRS, pipeline.LS_BUDGET,
+                                evaluator=model and MoveEvaluator(model))
+
+        tracemalloc.start()
+        try:
+            fallback = run(None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        paper = compile_model(roster, PAIRS)
+        assert peak < 0.5 * sum(a.nbytes for a in (paper.rows.indptr, paper.rows.cols,
+                                                    paper.rows.coefs))
+        assert fallback == run(paper)
+
     def test_pairs_keeps_the_descended_warm_start(self, roster):
         out = solve_roster(roster, PAIRS, SolveOptions(node_limit=0))
         assert out.certificate.ok
@@ -673,7 +695,8 @@ class TestMoveEvaluator:
                         for k, coef in zip(rows.cols[a:b].tolist(), rows.coefs[a:b].tolist()):
                             if asg[k // n_c] == k % n_c:
                                 total += coef
-                        assert ev.act[cell].hex() == total.hex(), (variant, rows[r].family)
+                        assert ev.act[cell].hex() == total.hex(), (
+                            variant, next(iter(rows[r:r + 1])).family)
         assert kind == "oracle" or roster.conflict_pairs
 
     def test_build_peaks_below_3_mb_at_full_scale(self):

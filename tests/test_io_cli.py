@@ -614,6 +614,42 @@ class TestConfigInput:
         assert cli.main(["validate", "--roster", str(roster), "--config", str(config)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    @pytest.mark.parametrize("command", [["report"], ["certify", "--variant", "dev"],
+                                         ["certify", "--variant", "pairs"],
+                                         ["export-lp", "--variant", "min"],
+                                         ["export-lp", "--variant", "dev"]],
+                             ids=["report", "certify-dev", "certify-pairs", "export-lp-min",
+                                  "export-lp-dev"])
+    def test_an_invalid_roster_is_refused_as_solve_refuses_it(self, command, cell, tmp_path,
+                                                               capsys):
+        """A score that reads as a number but is not finite passes the reader;
+        every command that reads the roster's scores then refuses it with
+        solve's message and exit 1, and writes nothing."""
+        roster, config = _generate(tmp_path, "--preset", "desk", "--seed", "7")
+        result = tmp_path / "result.csv"
+        valid = fileio.read_roster(roster, config)
+        fileio.write_assignment(result, valid, {s.id: s.old_company for s in valid.students})
+        lines = roster.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[fileio.ROSTER_FIELDS.index("aom")] = cell
+        lines[1] = ",".join(cells)
+        roster.write_text("\n".join(lines) + "\n")
+        args = ["--roster", str(roster), "--config", str(config)]
+        if command[0] == "certify":
+            args += ["--result", str(result)]
+        else:
+            args += ["--out", str(tmp_path / "out.txt")]
+        written = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        assert cli.main(["solve", *args[:4], "--variant", "dev"]) == 1
+        refused = capsys.readouterr().err
+        assert refused.startswith(
+            f"error: invalid roster: student 's0001' has non-finite or negative aom score {cell}")
+        assert cli.main([*command, *args]) == 1
+        assert capsys.readouterr().err == refused
+        assert sorted(tmp_path.iterdir()) == written
+
     def test_malformed_line(self, desk_files):
         roster, config = desk_files
         config.write_text(config.read_text() + "conflict_pair s0001,s0002\n")

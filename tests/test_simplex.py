@@ -34,7 +34,7 @@ from cohort_shuffle import (
     solve_lp,
     standard_form,
 )
-from cohort_shuffle.ipmodel import IpModel, LinearRow, Sense, VarKind, Variable
+from cohort_shuffle.ipmodel import ColumnBuilder, IpModel, RowBuilder, Sense, VarKind
 from cohort_shuffle.simplex import (BASIC, PIVOT_EPS, SMALL_PIVOT, Basis, NumericalFailure,
                                    SimplexEngine)
 from conftest import oracle_instance
@@ -43,12 +43,16 @@ INF = float("inf")
 
 
 def lp_model(costs, bounds, rows):
-    """Continuous model from plain tuples: rows are (coefs, sense, rhs)."""
-    variables = tuple(Variable(f"v{j}", VarKind.CONTINUOUS, lo, hi, c)
-                      for j, (c, (lo, hi)) in enumerate(zip(costs, bounds)))
-    built = tuple(LinearRow(f"r{i}", (), tuple(range(len(costs))), tuple(coefs), sense, rhs)
-                  for i, (coefs, sense, rhs) in enumerate(rows))
-    return IpModel(ModelVariant.MIN_SAME_COMPANY, variables, built)
+    """Continuous model from plain tuples, packed by the model builders:
+    column ``v[j]`` has cost ``costs[j]`` and ``bounds[j]``, and row ``r{i}``
+    is ``rows[i]``, a (coefs, sense, rhs) triple over every column."""
+    columns, packed = ColumnBuilder(), RowBuilder()
+    for j, (c, (lo, hi)) in enumerate(zip(costs, bounds)):
+        columns.add("v", [(j,)], ((),), VarKind.CONTINUOUS, lo, hi, c)
+    for i, (coefs, sense, rhs) in enumerate(rows):
+        packed.add([(f"r{i}", sense, rhs)], ((),), ((),), np.arange(len(costs)),
+                   np.array(coefs, dtype=float))
+    return IpModel(ModelVariant.MIN_SAME_COMPANY, columns.build(), packed.build())
 
 
 def scipy_solve(costs, bounds, rows):
@@ -132,7 +136,7 @@ class TestHandBuiltCases:
 
     def test_model_without_variables_rejected(self):
         with pytest.raises(ValueError):
-            solve_lp(IpModel(ModelVariant.MIN_SAME_COMPANY, (), ()))
+            solve_lp(lp_model((), (), ()))
 
     def test_column_bounded_above_with_negative_cost(self):
         """(-inf, 5] costed -1 rests on its upper bound, so the slack start
